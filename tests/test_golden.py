@@ -1,0 +1,134 @@
+"""Golden values: solver results pinned bit for bit.
+
+Every float is compared as its 17-significant-digit text, so any change to a
+bisection path, a bracket end or a modular sum shows here even when it stays
+inside the other tests' tolerances.  The values were recorded from the
+per-vector solver that preceded the batched engine; the engine must
+reproduce them exactly.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from orliczseq import (ExpLinear, ExpSquare, Power, SeqVector, SpaceParams,
+                       TabulatedConvex, WeightSequence, covering_check,
+                       luxemburg_norm, sample_ball, schauder_curve,
+                       uniform_tail_index)
+from helpers import random_vector
+
+W1 = WeightSequence.constant(1.0)
+TABLE = TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
+
+SPACES = {
+    "power:2/1": SpaceParams(1.0, Power(2.0), W1),
+    "expsq/0": SpaceParams(0.0, ExpSquare(), W1),
+    "explin/0.5": SpaceParams(0.5, ExpLinear(), W1),
+    "tab/1": SpaceParams(1.0, TABLE, W1),
+}
+HAND = SeqVector({0: 0.8, -2: 0.3 + 0.4j, 5: 0.05, 3: -1.7, -7: 0.02j})
+VECTORS = {
+    "hand": HAND,
+    "spike": SeqVector({4: 2.5}),
+    "wide": random_vector(random.Random(4242), 25, 40),
+}
+
+
+def _g(x) -> str:
+    return format(x, ".17g")
+
+
+def _norm_record(res) -> tuple:
+    return (_g(res.value), _g(res.bracket[0]), _g(res.bracket[1]),
+            _g(res.modular_at_value), res.iterations)
+
+
+def _covering_report():
+    source = SpaceParams(2.0, ExpLinear(), W1)
+    cert = uniform_tail_index(source, 0.5, kappa=1.0, epsilon=0.5)
+    samples = sample_ball(source, 1.0, seed=11, count=12)
+    report = covering_check(cert, samples)
+    drawn = hashlib.sha256(repr([p.items for p in samples]).encode()).hexdigest()
+    return (cert.m_eps_kappa, drawn, tuple(_g(x) for x in report.tail_modulars),
+            tuple(_g(x) for x in report.residuals))
+
+
+GOLDEN_NORMS = {
+    ("explin/0.5", "hand"):
+        ("2.837287254822197", "2.8372872548197172", "2.837287254822197",
+         "0.99999999999896616", 40),
+    ("explin/0.5", "spike"):
+        ("5.1308456800843585", "5.1308456800843585", "5.1308456800843585",
+         "1", 0),
+    ("explin/0.5", "wide"):
+        ("367.10407538263928", "367.10407538232766", "367.10407538263928",
+         "0.99999999999918721", 40),
+    ("expsq/0", "hand"):
+        ("2.2101824852567775", "2.2101824852549208", "2.2101824852567775",
+         "0.99999999999980194", 40),
+    ("expsq/0", "spike"):
+        ("3.0028060219661246", "3.0028060219661246", "3.0028060219661246",
+         "0.99999999999999978", 0),
+    ("expsq/0", "wide"):
+        ("200.54417717785748", "200.54417717767512", "200.54417717785748",
+         "0.99999999999797518", 40),
+    ("power:2/1", "hand"):
+        ("5.5565276927266574", "5.5565276927217679", "5.5565276927266574",
+         "0.99999999999876177", 40),
+    ("power:2/1", "spike"):
+        ("10.307764064044152", "10.307764064044152", "10.307764064044152",
+         "1", 0),
+    ("power:2/1", "wide"):
+        ("690.4103301936716", "690.41033019304564", "690.4103301936716",
+         "0.99999999999974754", 40),
+    ("tab/1", "hand"):
+        ("11.925000000001909", "11.924999999993403", "11.925000000001909",
+         "0.99999999999983991", 40),
+    ("tab/1", "spike"):
+        ("21.25000000001932", "21.249999999999996", "21.25000000001932",
+         "0.99999999999909084", 40),
+    ("tab/1", "wide"):
+        ("1671.1537403646416", "1671.1537403633513", "1671.1537403646416",
+         "0.99999999999999578", 40),
+}
+
+GOLDEN_CURVE = (
+    (0, "2.7805579639766007"),
+    (1, "2.7805579639766007"),
+    (2, "2.7301978440623786"),
+    (3, "0.15372444547835751"),
+    (4, "0.15372444547835751"),
+    (5, "0.084584467974757896"),
+    (6, "0.084584467974757896"),
+    (7, "0"),
+)
+
+GOLDEN_COVERING = (
+    3,
+    "bf57f45a6b94030832631b145f2407871abd590f905e43549a64f9be141c8814",
+    ("2.7615026751992286e-38", "3.3303910278593547e-37", "5.747198581609124e-31",
+     "9.7706092503791006e-37", "6.2525107122898373e-29", "1.7274257552441371e-09",
+     "3.4355638066519286e-40", "1.1493888680381967e-05", "1.6822192101081052e-40",
+     "1.0847442913844698e-36", "2.351865118403064e-40", "2.6992165252109893e-34"),
+    ("4.1544430370044162e-20", "1.4427388099358366e-19", "1.8953125926296338e-16",
+     "2.4711602237754691e-19", "1.9768310318183591e-15", "1.0470151738692293e-05",
+     "4.6338186919230949e-21", "0.00088220324165893009", "3.2425199249287182e-21",
+     "2.6037768511100484e-19", "3.8339481315856512e-21", "4.1073248328063575e-18"),
+)
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+@pytest.mark.parametrize("vector", sorted(VECTORS))
+def test_norm_fields_are_pinned(space, vector):
+    res = luxemburg_norm(SPACES[space], VECTORS[vector])
+    assert _norm_record(res) == GOLDEN_NORMS[space, vector]
+
+
+def test_schauder_curve_is_pinned():
+    curve = schauder_curve(SPACES["explin/0.5"], HAND)
+    assert tuple((m, _g(r)) for m, r in curve) == GOLDEN_CURVE
+
+
+def test_covering_report_is_pinned():
+    assert _covering_report() == GOLDEN_COVERING
