@@ -21,7 +21,8 @@ from .spaces import (GeometricEnvelope, MembershipReport, SeqVector,
                      geometric_envelope, modular, modular_tail_bound, mu,
                      parse_weights, weight_poly_bound)
 from .luxemburg import (AxiomReport, NormResult, luxemburg_norm,
-                        schauder_curve, schauder_truncate, verify_norm_axioms)
+                        luxemburg_norms, schauder_curve, schauder_truncate,
+                        verify_norm_axioms)
 from .embeddings import (BallTailCertificate, ChainLink, ChainReport,
                          CoveringReport, DominationWitness,
                          EmbeddingCertificate, EmbeddingCheck,
@@ -41,7 +42,8 @@ __all__ = [
     "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "mu",
     "modular", "GeometricEnvelope", "geometric_envelope", "weight_poly_bound",
     "modular_tail_bound", "TailCertificate", "MembershipReport", "classify",
-    "NormResult", "luxemburg_norm", "AxiomReport", "verify_norm_axioms",
+    "NormResult", "luxemburg_norm", "luxemburg_norms", "AxiomReport",
+    "verify_norm_axioms",
     "schauder_truncate", "schauder_curve",
     "DominationWitness", "check_domination", "EmbeddingCertificate",
     "embedding_constant", "EmbeddingCheck", "verify_embedding",

@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, ComputationOverflowError, DomainError,
-                     PreconditionError)
+                     OrliczSeqError, PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, GeometricProbe, OrliczFunction,
-                        ThetaBound, delta2_at_zero, theta_bound)
-from .luxemburg import DEFAULT_TOL_REL, luxemburg_norm
+                        ThetaBound, _safe_pow, delta2_at_zero, theta_bound)
+from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, modular, mu
 
 GLOBAL_DOMINATION_SPAN = 1e6
@@ -188,13 +188,6 @@ class BallTailCertificate:
         return 2 * self.m_eps_kappa + 1
 
 
-def _pow_or_inf(base: float, exp: float) -> float:
-    try:
-        return base ** exp
-    except OverflowError:
-        return math.inf
-
-
 def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
                        epsilon: float, t_theta: float = 1.0,
                        probe: GeometricProbe | None = None) -> BallTailCertificate:
@@ -255,12 +248,12 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     phi_at_tt = phi.eval(tb.t_theta)
 
     m2 = 0
-    while _pow_or_inf(1.0 + phi.eval(float(m2)), gap) < tb.c_theta:
+    while _safe_pow(1.0 + phi.eval(float(m2)), gap) < tb.c_theta:
         m2 += 1
         if m2 > _SEARCH_CAP:
             raise CertificateError("measure growth did not absorb c_theta at desk scale")
     m1 = 0
-    while inv_w * _pow_or_inf(1.0 + phi.eval(float(m1)), -source.k) > phi_at_tt:
+    while inv_w * _safe_pow(1.0 + phi.eval(float(m1)), -source.k) > phi_at_tt:
         m1 += 1
         if m1 > _SEARCH_CAP:
             raise CertificateError("ball entries did not enter the scaling window at desk scale")
@@ -278,7 +271,9 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
     dyadically up to max_support), random complex values over several decades,
     and is rescaled to u*kappa/||p|| with u uniform in (0, 1], so the computed
     norm is at most kappa.  Indices whose measure overflows are halved toward
-    0 before use, keeping the draw deterministic for a given seed.
+    0 before use, keeping the draw deterministic for a given seed.  All draws
+    come first and the radii are solved in one batch afterwards; the solver
+    draws nothing, so the samples are those of drawing and solving in turn.
     """
     if int(count) != count or count < 1:
         raise DomainError("sample count must be a positive integer")
@@ -289,7 +284,7 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
         raise DomainError("kappa must be finite and positive")
     rng = random.Random(seed)
     log2_top = math.log2(max_support + 1)
-    out = []
+    drawn, fractions = [], []
     for _ in range(int(count)):
         n_pts = rng.randint(1, min(MAX_SAMPLE_SUPPORT, 2 * max_support + 1))
         entries = {}
@@ -309,11 +304,10 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
             entries.setdefault(m, z)
         if not entries:
             entries[0] = 1.0 + 0.0j
-        p = SeqVector(entries)
-        radius = luxemburg_norm(source, p, norm_tol).value
-        u = 1.0 - rng.random()
-        out.append(p.scaled(u * kappa / radius))
-    return out
+        drawn.append(SeqVector(entries))
+        fractions.append(1.0 - rng.random())
+    radii = luxemburg_norms(source, drawn, norm_tol)
+    return [p.scaled(u * kappa / r.value) for p, u, r in zip(drawn, fractions, radii)]
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,9 @@ def covering_check(cert: BallTailCertificate, samples,
     For each sample the tail beyond m_eps_kappa must have modular at most 1
     at scale epsilon/2 and residual target norm at most epsilon/2 (both with
     relative slack 1+1e-9 for the solver tolerance).  A violation raises
-    CertificateRefutedError carrying the offending sample index.
+    CertificateRefutedError carrying the offending sample index.  The
+    residual norms are solved in one batch; samples are then checked in
+    order, so the first failing sample is the one reported.
     """
     expected = cert.target_params
     if target is None:
@@ -349,12 +345,15 @@ def covering_check(cert: BallTailCertificate, samples,
             "target parameters do not match the certificate's target space")
     rho = cert.epsilon / 2.0
     cut = cert.m_eps_kappa
+    tails = [p.tail(cut) for p in samples]
+    solved = _solve(target, tails, norm_tol)
     tail_mods = []
     resids = []
-    for i, p in enumerate(samples):
-        tail = p.tail(cut)
+    for i, (tail, res) in enumerate(zip(tails, solved)):
         tail_mod = modular(target, tail, rho) if tail else 0.0
-        resid = luxemburg_norm(target, tail, norm_tol).value
+        if isinstance(res, OrliczSeqError):
+            raise res
+        resid = res.value
         tail_mods.append(tail_mod)
         resids.append(resid)
         if tail_mod > _CHECK_SLACK:

@@ -48,7 +48,8 @@ def _safe_pow(base: float, exp: float) -> float:
 def _check_point(t):
     """Validate an evaluation point (float or ndarray): finite and >= 0."""
     if isinstance(t, np.ndarray):
-        if t.size and (not np.all(np.isfinite(t)) or np.any(t < 0)):
+        # min and max are nan when any entry is, failing both comparisons
+        if t.size and not (t.min() >= 0 and t.max() < math.inf):
             raise DomainError("evaluation points must be finite and nonnegative")
         return t
     t = float(t)
@@ -100,8 +101,9 @@ class OrliczFunction:
         if y == 0.0:
             return 0.0
         hi = 1.0
+        # bracket points are finite nonnegative floats: no need for eval's check
         for _ in range(_MAX_DOUBLINGS):
-            if self.eval(hi) >= y:
+            if self._raw_eval(hi) >= y:
                 break
             nxt = hi * 2.0
             if math.isinf(nxt):
@@ -116,7 +118,7 @@ class OrliczFunction:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if self.eval(mid) < y:
+            if self._raw_eval(mid) < y:
                 lo = mid
             else:
                 hi = mid

@@ -1,15 +1,44 @@
-"""Luxemburg norm of finitely supported sequences.
+"""Luxemburg norms of finitely supported sequences, solved in batches.
 
 The norm is inf{rho > 0 : modular(p, rho) <= 1}.  For a finite support the
 modular is continuous and strictly decreasing in rho wherever positive, so
 the infimum is attained and bracketed bisection resolves it.
 
-The lower bracket comes from single-term necessity: each term alone forces
-mu(m) * phi(|p_m|/rho) <= 1, i.e. rho >= |p_m| / phi^{-1}(1/mu(m)).  At or
-above the largest such rho every individual term is at most 1, so no modular
-evaluation inside the bracket can overflow.  The upper bracket doubles from
-there.  The returned value is the smallest scale found with modular <= 1,
+``luxemburg_norms`` solves a batch of vectors in one pass and
+``luxemburg_norm`` is a batch of one.  The batch is padded to (rows, L)
+arrays of |p_m| and mu(m); padding is 0, so a padded term is exactly 0.
+Within one call mu(m) and phi^{-1}(1/mu(m)) are computed once per distinct
+index, by the scalar code of ``spaces.mu`` and ``phi.inverse``.
+
+Each row is bracketed on its own.  The lower bracket comes from single-term
+necessity: each term alone forces mu(m) * phi(|p_m|/rho) <= 1, i.e.
+rho >= |p_m| / phi^{-1}(1/mu(m)).  At or above the largest such rho every
+individual term is at most 1, so no modular evaluation inside the bracket
+can overflow.  The upper bracket doubles from there, and bisection halves
+the bracket to relative width tol_rel.  The rho_low check, the doubling and
+the bisection each run in lock-step across the rows: a step evaluates phi
+once, on the rows still open, and every row keeps its own bracket, step
+count and stopping test.
+
+Summation decision rule.  Each step asks, per row, whether the correctly
+rounded modular math.fsum(terms) is at most 1.  The row's np.sum s answers
+that unless it lies within its rounding-error bound of 1.  For n terms
+summed in any order, |s - sum(terms)| <= gamma_{n-1} * sum|terms| with
+gamma_j = j*u / (1 - j*u) and u = 2**-53 (Higham, *Accuracy and Stability of
+Numerical Algorithms*, section 4.2).  s is trusted when
+
+    |s - 1| > gamma_{n-1} * sum|terms| + 2**-52,
+
+where sum|terms| is bounded above by its own computed sum over
+(1 - gamma_{n-1}), and the 2**-52 covers fsum's final rounding (an exact
+sum in (1, 1 + 2**-53] rounds to 1.0).  Otherwise that row falls back to
+math.fsum.  Every decision therefore equals the fsum decision, and so does
+every bracket, step count and value.  The returned value is the smallest
+scale found with modular <= 1, and ``modular_at_value`` is the fsum there,
 hence modular(p, value) <= 1 holds exactly for the reported value.
+
+A row that fails does not stop the others.  The batch then raises the error
+of the lowest failing row, the one a loop over the vectors would meet first.
 """
 
 from __future__ import annotations
@@ -19,12 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationOverflowError, DomainError
-from .spaces import SeqVector, SpaceParams, modular, mu
+from .errors import ComputationOverflowError, DomainError, OrliczSeqError
+from .functions import _MAX_DOUBLINGS
+from .spaces import SeqVector, SpaceParams, first_overflow, mu
 
 DEFAULT_TOL_REL = 1e-12
-_MAX_DOUBLINGS = 1100
 _MAX_BISECTIONS = 4000
+_U = 2.0 ** -53
+_FSUM_ROUNDING = 2.0 ** -52
+_WHERE = "during norm solve"
 
 
 @dataclass(frozen=True)
@@ -43,77 +75,223 @@ class NormResult:
     iterations: int
 
 
-def luxemburg_norm(params: SpaceParams, p: SeqVector,
-                   tol_rel: float = DEFAULT_TOL_REL) -> NormResult:
-    """Solve the Luxemburg norm to relative bracket width tol_rel."""
+_ZERO_NORM = NormResult(0.0, (0.0, 0.0), 0.0, 0)
+_NOT_REPRESENTABLE = ("norm bracket not representable: measure weights underflowed "
+                      "or single-term scale overflowed double range")
+
+
+def _sum_slack(n: np.ndarray) -> np.ndarray:
+    """Bound factor on |np.sum - exact sum| per unit of computed sum|terms|.
+
+    gamma_{n-1} bounds the error relative to the exact sum|terms|, which is
+    itself at most its computed value over (1 - gamma_{n-1}).
+    """
+    gamma = (n - 1) * _U / (1.0 - (n - 1) * _U)
+    return gamma / (1.0 - gamma)
+
+
+def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """math.fsum(row[:n]) <= 1 for each row of terms, from np.sum where it decides.
+
+    Entries past n in a row must be 0; ``slack`` is ``_sum_slack(n)``.
+    """
+    s = terms.sum(axis=1)
+    ok = s <= 1.0
+    # s is trusted unless |s - 1| <= bound; a nan or inf s is not, and its
+    # fsum gives the same answer
+    near = np.abs(s - 1.0) <= slack * np.abs(terms).sum(axis=1) + _FSUM_ROUNDING
+    if near.any():
+        for j in np.flatnonzero(near):
+            ok[j] = math.fsum(terms[j, :n[j]].tolist()) <= 1.0
+    return ok
+
+
+class _Batch:
+    """Padded term arrays of the nonempty vectors of one batch, and their errors."""
+
+    def __init__(self, params: SpaceParams, vecs):
+        phi = params.phi
+        mu_of, scale_of = {}, {}
+
+        def mu_at(m):
+            w = mu_of.get(m)
+            if w is None:
+                w = mu_of[m] = mu(params, m)
+            return w
+
+        def scale_at(m, w):
+            # phi^{-1}(1/mu(m)); 0 marks an underflowed measure, whose term
+            # never binds
+            t = scale_of.get(m)
+            if t is None:
+                t = scale_of[m] = phi.inverse(1.0 / w) if w != 0.0 else 0.0
+            return t
+
+        self.phi = phi
+        self.errors = {}  # position in the batch -> typed error
+        self.pos, self.supports, cols = [], [], []
+        for i, p in enumerate(vecs):
+            if not p:
+                continue
+            support = p.support
+            try:
+                mus = [mu_at(m) for m in support]
+                scales = [scale_at(m, w) for m, w in zip(support, mus)]
+            except OrliczSeqError as exc:
+                self.errors[i] = exc
+                continue
+            self.pos.append(i)
+            self.supports.append(support)
+            cols.append((p.abs_values(), mus, scales))
+        n = np.array([len(s) for s in self.supports], dtype=np.int64)
+        shape = (n.size, int(n.max(initial=0)))
+        self.avals, self.mus, scales = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        for r, (a, w, t) in enumerate(cols):
+            self.avals[r, :n[r]] = a
+            self.mus[r, :n[r]] = w
+            scales[r, :n[r]] = t
+        ratio = np.divide(self.avals, scales, out=np.zeros(shape), where=scales > 0.0)
+        self.rho_low = ratio.max(axis=1, initial=0.0)
+        self.n = n
+        self.slack = _sum_slack(n)
+
+    def fail(self, rows, message: str) -> None:
+        for r in rows:
+            self.errors[self.pos[r]] = ComputationOverflowError(message)
+
+    def terms(self, rows: np.ndarray, avals: np.ndarray, mus: np.ndarray,
+              rho: np.ndarray):
+        """Modular terms of ``rows`` at scales ``rho``, and the rows that overflowed.
+
+        ``avals`` and ``mus`` hold the arrays of ``rows``.  A row whose scaled
+        argument or term leaves double range fails with the error naming its
+        first offending index; its terms come back as zeros and it is marked
+        in the returned mask, which is None when no row overflowed.
+        """
+        args = avals / rho[:, None]
+        lost = None
+        if not np.isfinite(args).all():
+            lost = self._overflow(rows, args, "scaled argument")
+            args[lost] = 0.0
+        terms = mus * self.phi.eval(args)
+        if not np.isfinite(terms).all():
+            more = self._overflow(rows, terms, "modular term")
+            terms[more] = 0.0
+            lost = more if lost is None else lost | more
+        return terms, lost
+
+    def _overflow(self, rows, values, what):
+        bad = ~np.isfinite(values).all(axis=1)
+        for j in np.flatnonzero(bad):
+            r = int(rows[j])
+            self.errors[self.pos[r]] = first_overflow(values[j], self.supports[r],
+                                                      what, _WHERE)
+        return bad
+
+    def probe(self, rows: np.ndarray, rho: np.ndarray):
+        """Split ``rows`` into those with modular <= 1 at ``rho`` and the rest.
+
+        Rows that overflow fail and are in neither part.
+        """
+        terms, lost = self.terms(rows, self.avals[rows], self.mus[rows], rho)
+        ok = _at_most_one(terms, self.n[rows], self.slack[rows])
+        if lost is not None:
+            rows, ok = rows[~lost], ok[~lost]
+        return rows[ok], rows[~ok]
+
+
+# overflow, underflow and inf * 0 surface as typed errors naming the index
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
+    """The NormResult, or the typed error, of each vector in ``vecs``."""
     tol_rel = float(tol_rel)
     if not math.isfinite(tol_rel) or tol_rel <= 0:
         raise DomainError("tol_rel must be finite and positive")
-    if not p:
-        return NormResult(0.0, (0.0, 0.0), 0.0, 0)
+    batch = _Batch(params, vecs)
+    rho_low = batch.rho_low
+    lo, hi = rho_low.copy(), rho_low.copy()
+    iters = np.zeros(rho_low.size, dtype=np.int64)
+    valid = (rho_low > 0.0) & np.isfinite(rho_low)
+    batch.fail(np.flatnonzero(~valid), _NOT_REPRESENTABLE)
 
-    phi = params.phi
-    support = p.support
-    mus = np.array([mu(params, m) for m in support], dtype=float)
-    avals = p.abs_values()
+    # rho_low itself may already satisfy the modular
+    closed, live = batch.probe(np.flatnonzero(valid), rho_low[valid])
+    done = [closed]
 
-    # Single-term necessity: rho >= |p_m| / phi^{-1}(1/mu(m)) for each m.
-    rho_low = 0.0
-    for a, w in zip(avals.tolist(), mus.tolist()):
-        if w == 0.0:
-            continue  # underflowed measure; the term never binds
-        t = phi.inverse(1.0 / w)
-        if t > 0.0:
-            rho_low = max(rho_low, a / t)
-    if rho_low == 0.0 or math.isinf(rho_low):
-        raise ComputationOverflowError(
-            "norm bracket not representable: measure weights underflowed "
-            "or single-term scale overflowed double range")
-
-    def modular_at(rho: float) -> float:
-        args = avals / rho
-        bad = np.flatnonzero(~np.isfinite(args))
-        if bad.size:
-            m = support[int(bad[0])]
-            raise ComputationOverflowError(
-                f"scaled argument overflow at index {m} during norm solve", index=m)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            terms = mus * phi.eval(args)
-        bad = np.flatnonzero(~np.isfinite(terms))
-        if bad.size:
-            m = support[int(bad[0])]
-            raise ComputationOverflowError(
-                f"modular term overflow at index {m} during norm solve", index=m)
-        return math.fsum(terms)
-
-    m_low = modular_at(rho_low)
-    if m_low <= 1.0:
-        return NormResult(rho_low, (rho_low, rho_low), m_low, 0)
-
-    lo, hi = rho_low, rho_low
-    m_hi = m_low
+    # double the upper end until the modular drops to at most 1
+    bisect = []
     for _ in range(_MAX_DOUBLINGS):
-        lo, hi = hi, hi * 2.0
-        if math.isinf(hi):
-            raise ComputationOverflowError("upper norm bracket overflowed double range")
-        m_hi = modular_at(hi)
-        if m_hi <= 1.0:
+        if not live.size:
             break
+        lo[live] = hi[live]
+        hi[live] *= 2.0
+        blown = np.isinf(hi[live])
+        if blown.any():
+            batch.fail(live[blown], "upper norm bracket overflowed double range")
+            live = live[~blown]
+        closed, live = batch.probe(live, hi[live])
+        bisect.append(closed)
     else:
-        raise ComputationOverflowError("norm bracket did not close after doubling")
+        batch.fail(live, "norm bracket did not close after doubling")
 
-    iters = 0
-    while hi - lo > tol_rel * hi and iters < _MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket exhausted at float resolution
-        m_mid = modular_at(mid)
-        if m_mid <= 1.0:
-            hi, m_hi = mid, m_mid
-        else:
-            lo = mid
-        iters += 1
-    return NormResult(hi, (lo, hi), m_hi, iters)
+    # bisect every closed bracket in lock-step; each row stops on its own test
+    live = np.concatenate(bisect) if bisect else live[:0]
+    live.sort()
+    l, h = lo[live], hi[live]
+    avals, mus, n, slack = (x[live] for x in (batch.avals, batch.mus, batch.n, batch.slack))
+    it = 0
+    while live.size:
+        mid = 0.5 * (l + h)
+        go = (h - l > tol_rel * h) & (mid > l) & (mid < h)
+        if it == _MAX_BISECTIONS:
+            go[:] = False
+        if not go.all():
+            stop = live[~go]
+            lo[stop], hi[stop], iters[stop] = l[~go], h[~go], it
+            done.append(stop)
+            live, l, h, avals, mus, n, slack = (
+                x[go] for x in (live, l, h, avals, mus, n, slack))
+            continue
+        terms, lost = batch.terms(live, avals, mus, mid)
+        ok = _at_most_one(terms, n, slack)
+        h = np.where(ok, mid, h)
+        l = np.where(ok, l, mid)
+        it += 1
+        if lost is not None:
+            live, l, h, avals, mus, n, slack = (
+                x[~lost] for x in (live, l, h, avals, mus, n, slack))
+
+    out = [_ZERO_NORM if not p else None for p in vecs]
+    fin = np.sort(np.concatenate(done))
+    terms, _ = batch.terms(fin, batch.avals[fin], batch.mus[fin], hi[fin])
+    for r, row in zip(fin.tolist(), terms):
+        out[batch.pos[r]] = NormResult(float(hi[r]), (float(lo[r]), float(hi[r])),
+                                       math.fsum(row[:batch.n[r]].tolist()),
+                                       int(iters[r]))
+    for i, exc in batch.errors.items():
+        out[i] = exc
+    return out
+
+
+def luxemburg_norms(params: SpaceParams, vecs,
+                    tol_rel: float = DEFAULT_TOL_REL) -> list:
+    """Solve the Luxemburg norms of a batch of vectors to relative width tol_rel.
+
+    Returns one NormResult per vector, in order, each equal to what
+    ``luxemburg_norm`` returns for that vector alone.  If any vector fails,
+    the error of the first failing vector is raised.
+    """
+    out = _solve(params, list(vecs), tol_rel)
+    for res in out:
+        if isinstance(res, OrliczSeqError):
+            raise res
+    return out
+
+
+def luxemburg_norm(params: SpaceParams, p: SeqVector,
+                   tol_rel: float = DEFAULT_TOL_REL) -> NormResult:
+    """Solve the Luxemburg norm to relative bracket width tol_rel (a batch of one)."""
+    return luxemburg_norms(params, [p], tol_rel)[0]
 
 
 @dataclass(frozen=True)
@@ -144,10 +322,8 @@ def verify_norm_axioms(params: SpaceParams, p: SeqVector, q: SeqVector,
     if not math.isfinite(tol) or tol <= 0:
         raise DomainError("tolerance must be finite and positive")
     lam = complex(lam)
-    n_p = luxemburg_norm(params, p).value
-    n_q = luxemburg_norm(params, q).value
-    n_sum = luxemburg_norm(params, p + q).value
-    n_scaled = luxemburg_norm(params, p.scaled(lam)).value
+    n_p, n_q, n_sum, n_scaled = (r.value for r in luxemburg_norms(
+        params, [p, q, p + q, p.scaled(lam)]))
     target = abs(lam) * n_p
     hom_ok = abs(n_scaled - target) <= tol * max(1.0, target)
     tri_ok = n_sum <= n_p + n_q + tol * max(1.0, n_p + n_q)
@@ -168,15 +344,16 @@ def schauder_curve(params: SpaceParams, p: SeqVector,
 
     The curve is nonincreasing and its last entry is exactly 0 (the final
     truncation keeps the whole support).  The empty sequence yields [(0, 0)].
+    All tails are solved in one batch, so mu and the single-term inverse run
+    once per support index rather than once per tail.
     """
     if not p:
         return [(0, 0.0)]
-    out = []
-    for m_cut in range(p.max_abs_index + 1):
-        resid = luxemburg_norm(params, p.tail(m_cut + 1), tol_rel).value
-        out.append((m_cut, resid))
-    return out
+    cuts = range(p.max_abs_index + 1)
+    tails = luxemburg_norms(params, [p.tail(m_cut + 1) for m_cut in cuts], tol_rel)
+    return [(m_cut, r.value) for m_cut, r in zip(cuts, tails)]
 
 
-__all__ = ["NormResult", "luxemburg_norm", "AxiomReport", "verify_norm_axioms",
-           "schauder_truncate", "schauder_curve", "DEFAULT_TOL_REL"]
+__all__ = ["NormResult", "luxemburg_norm", "luxemburg_norms", "AxiomReport",
+           "verify_norm_axioms", "schauder_truncate", "schauder_curve",
+           "DEFAULT_TOL_REL"]

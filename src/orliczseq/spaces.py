@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (ExpCompose, ExpLinear, ExpSquare, OrliczFunction,
-                        Power, TabulatedConvex, parse_orlicz)
+                        Power, TabulatedConvex, _safe_pow, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _ENVELOPE_SLACK = 1.0 + 1e-12
@@ -295,12 +295,7 @@ def mu(params: SpaceParams, m: int) -> float:
     w = params.weights.weight(m)
     if params.k == 0:
         return w
-    base = 1.0 + params.phi.eval(float(abs(m)))
-    try:
-        factor = base ** params.k
-    except OverflowError:
-        factor = math.inf
-    val = w * factor
+    val = w * _safe_pow(1.0 + params.phi.eval(float(abs(m))), params.k)
     if math.isinf(val) or math.isnan(val):
         raise ComputationOverflowError(
             f"measure overflow at index {m}: (1 + phi({abs(m)}))**{params.k:g} "
@@ -308,9 +303,18 @@ def mu(params: SpaceParams, m: int) -> float:
     return val
 
 
-def _term_arrays(params: SpaceParams, p: SeqVector):
-    mus = np.array([mu(params, m) for m in p.support], dtype=float)
-    return mus, p.abs_values()
+def first_overflow(values: np.ndarray, support, what: str, where: str):
+    """The error naming the first index whose entry of ``values`` is not finite.
+
+    ``values`` runs parallel to ``support`` (trailing entries past the support
+    are ignored); the message reads "<what> overflow at index <m> <where>".
+    Returns None when every entry is finite.
+    """
+    bad = np.flatnonzero(~np.isfinite(values[:len(support)]))
+    if not bad.size:
+        return None
+    m = support[int(bad[0])]
+    return ComputationOverflowError(f"{what} overflow at index {m} {where}", index=m)
 
 
 def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
@@ -320,19 +324,16 @@ def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
         raise DomainError("scale rho must be finite and positive")
     if not p:
         return 0.0
-    mus, avals = _term_arrays(params, p)
-    args = avals / rho
-    bad = np.flatnonzero(~np.isfinite(args))
-    if bad.size:
-        m = p.support[int(bad[0])]
-        raise ComputationOverflowError(
-            f"scaled argument overflow at index {m} for rho={rho:g}", index=m)
-    terms = mus * params.phi.eval(args)
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        m = p.support[int(bad[0])]
-        raise ComputationOverflowError(
-            f"modular term overflow at index {m} for rho={rho:g}", index=m)
+    support = p.support
+    mus = np.array([mu(params, m) for m in support], dtype=float)
+    where = f"for rho={rho:g}"
+    args = p.abs_values() / rho
+    err = first_overflow(args, support, "scaled argument", where)
+    if err is None:
+        terms = mus * params.phi.eval(args)
+        err = first_overflow(terms, support, "modular term", where)
+    if err is not None:
+        raise err
     return math.fsum(terms)
 
 

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczseq import (ComputationOverflowError, DomainError, ExpLinear,
-                       ExpSquare, Power, SeqVector, SpaceParams,
-                       WeightSequence, luxemburg_norm, modular,
-                       schauder_curve, schauder_truncate, verify_norm_axioms)
+import numpy as np
+
+from orliczseq import (CertificateRefutedError, ComputationOverflowError,
+                       DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
+                       SeqVector, SpaceParams, TabulatedConvex, WeightSequence,
+                       covering_check, luxemburg_norm, luxemburg_norms, modular,
+                       schauder_curve, schauder_truncate, uniform_tail_index,
+                       verify_norm_axioms)
+from orliczseq.luxemburg import _at_most_one, _sum_slack
 from helpers import power_norm_oracle, random_vector
 
 # sqrt(ln 2) and its reciprocal, the unit-weight ExpSquare spike constants
@@ -176,3 +181,99 @@ def test_schauder_curve_nonincreasing_to_zero():
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a * (1.0 + 1e-9) + 1e-15
     assert schauder_curve(params, SeqVector()) == [(0, 0.0)]
+
+
+GENERATORS = (Power(1.0), Power(2.5), ExpSquare(), ExpLinear(), ExpCompose(Power(2.0)),
+              TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0), (4.0, 16.0)]))
+
+
+@pytest.mark.parametrize("phi", GENERATORS, ids=repr)
+def test_batch_rows_equal_single_solves(phi):
+    rng = random.Random(606)
+    weights = WeightSequence(1.0, {0: 0.2, -3: 4.0, 7: 0.5})
+    vecs = [random_vector(rng, n, 12, decades=(-2, 2)) for n in (1, 3, 9, 25, 40)]
+    vecs[2:2] = [SeqVector(), SeqVector({-5: 0.7j})]
+    vecs += [SeqVector(), vecs[0], vecs[3].tail(4)]
+    for k in (0.0, 0.5):
+        params = SpaceParams(k, phi, weights)
+        for tol in (1e-12, 1e-6):
+            batch = luxemburg_norms(params, vecs, tol)
+            assert batch == [luxemburg_norm(params, p, tol) for p in vecs]
+    assert luxemburg_norms(params, []) == []
+
+
+def test_sum_decision_equals_fsum_on_adversarial_terms():
+    rows = ([0.1] * 10,                      # fsum gives exactly 1.0, np.sum less
+            [1.0, 2.0 ** -53, 2.0 ** -53],   # np.sum gives 1.0, fsum more
+            [0.5, 0.5 + 2.0 ** -53],         # exact sum rounds to 1.0
+            [0.75, 0.25 + 2.0 ** -52],
+            [1.0 - 2.0 ** -53],
+            [1.0])
+    width = max(map(len, rows))
+    terms = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    n = np.array([len(r) for r in rows])
+    got = _at_most_one(terms, n, _sum_slack(n))
+    assert got.tolist() == [math.fsum(r) <= 1.0 for r in rows]
+    assert got.tolist() == [True, False, True, False, True, True]
+
+
+def test_sum_decision_equals_fsum_near_one():
+    rng = random.Random(71)
+    rows = []
+    for _ in range(400):
+        r = [rng.random() * 10.0 ** rng.uniform(-8, 0) for _ in range(rng.randint(1, 60))]
+        total = math.fsum(r)
+        r = [x / total for x in r]
+        r[rng.randrange(len(r))] += rng.choice((-1, 0, 1)) * rng.randint(0, 4) * 2.0 ** -53
+        rows.append(r)
+    width = max(map(len, rows))
+    terms = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    n = np.array([len(r) for r in rows])
+    got = _at_most_one(terms, n, _sum_slack(n))
+    assert got.tolist() == [math.fsum(r) <= 1.0 for r in rows]
+
+
+def _error_of(params, p):
+    with pytest.raises(ComputationOverflowError) as exc:
+        luxemburg_norm(params, p)
+    return str(exc.value), exc.value.index
+
+
+def test_batch_raises_the_lowest_failing_row():
+    params = SpaceParams(1.0, ExpSquare(), W1)
+    good = SeqVector({0: 1.0, 3: 0.2})
+    far, farther = SeqVector({1000: 1.0}), SeqVector({2000: 1.0})
+    for order in ((good, far, farther), (good, farther, far)):
+        with pytest.raises(ComputationOverflowError) as exc:
+            luxemburg_norms(params, order)
+        assert (str(exc.value), exc.value.index) == _error_of(params, order[1])
+        assert exc.value.index == order[1].support[0]
+
+    # k < 0: measures underflow to 0, so rows fail inside the solve as well
+    params = SpaceParams(-1.0, ExpSquare(), W1)
+    term_overflow = SeqVector({30: 100.0, 0: 1.0})
+    arg_overflow = SeqVector({30: 1e300, 0: 1e-300})
+    no_bracket = SeqVector({30: 1.0})
+    assert _error_of(params, term_overflow) == (
+        "modular term overflow at index 30 during norm solve", 30)
+    assert _error_of(params, arg_overflow) == (
+        "scaled argument overflow at index 30 during norm solve", 30)
+    for first, second in ((term_overflow, arg_overflow), (arg_overflow, term_overflow),
+                          (term_overflow, no_bracket), (no_bracket, arg_overflow)):
+        with pytest.raises(ComputationOverflowError) as exc:
+            luxemburg_norms(params, [good, first, second, good])
+        want = pytest.raises(ComputationOverflowError, luxemburg_norm, params, first)
+        assert (str(exc.value), exc.value.index) == (str(want.value), want.value.index)
+
+
+def test_covering_check_reports_the_first_failing_sample():
+    cert = uniform_tail_index(SpaceParams(2.0, ExpSquare(), W1), 1.0, 1.0, 0.5)
+    good = SeqVector({0: 0.1})
+    refuted = SeqVector({cert.m_eps_kappa + 1: 0.3})
+    overflow = SeqVector({1000: 1.0})
+    with pytest.raises(CertificateRefutedError) as exc:
+        covering_check(cert, [good, refuted, overflow])
+    assert exc.value.witness[0] == 1
+    with pytest.raises(ComputationOverflowError) as exc:
+        covering_check(cert, [good, overflow, refuted])
+    assert exc.value.index == 1000
