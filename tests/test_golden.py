@@ -4,7 +4,9 @@ Every float is compared as its 17-significant-digit text, so any change to a
 bisection path, a bracket end or a modular sum shows here even when it stays
 inside the other tests' tolerances.  The values were recorded from the
 per-vector solver that preceded the batched engine; the engine must
-reproduce them exactly.
+reproduce them exactly.  ``GOLDEN_INVERSE_NORMS`` was recorded from the
+scalar generic inverse that preceded the lock-step bisection; its vectors put
+the single-term roots phi^{-1}(1/mu(m)) where that inverse is most fragile.
 """
 
 import hashlib
@@ -20,6 +22,12 @@ from helpers import random_vector
 
 W1 = WeightSequence.constant(1.0)
 TABLE = TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
+# knots that are not exact binary fractions; np.interp and the scalar
+# interpolation formula round differently on them
+INEXACT_TABLE = TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)])
+# with k = 0, 1/mu(m) = 1/w_m hits the knot values 1, 0.25, 4, 16, 0.04 and 0.03
+KNOT_WEIGHTS = WeightSequence(1.0, {1: 4.0, 2: 0.25, 3: 16.0, 4: 1.0 / 16.0,
+                                    -5: 1.0 / 0.04, 6: 1.0 / 0.03})
 
 SPACES = {
     "power:2/1": SpaceParams(1.0, Power(2.0), W1),
@@ -32,6 +40,25 @@ VECTORS = {
     "hand": HAND,
     "spike": SeqVector({4: 2.5}),
     "wide": random_vector(random.Random(4242), 25, 40),
+}
+
+
+INVERSE_SPACES = {
+    "tabx/1": SpaceParams(1.0, INEXACT_TABLE, W1),
+    "explin/0.5": SPACES["explin/0.5"],
+    "tab-knots/0": SpaceParams(0.0, TABLE, KNOT_WEIGHTS),
+    "tabx-knots/0": SpaceParams(0.0, INEXACT_TABLE, KNOT_WEIGHTS),
+}
+INVERSE_VECTORS = {
+    **VECTORS,
+    # explin k=0.5 beyond |m| = 300: 1/mu(m) is below 1e-65, and from
+    # |m| ~ 450 on the inverse stops at its 200-step cap
+    "far": SeqVector({2: 0.7, 310: 1e-20, -455: 3e-40 + 1e-40j, 520: 2e-45,
+                      611: -5e-52, 700: 1e-60j}),
+    # explin k=0.5: roots on both sides of 1/2 (1.15 at m=0 down to 0.30 at
+    # m=6); under KNOT_WEIGHTS roots on knots
+    "roots": SeqVector({0: 0.4, 1: -1.1, -2: 0.25j, 3: 0.9, 4: 2.0, -5: 0.03,
+                        6: 0.5 + 0.5j}),
 }
 
 
@@ -93,6 +120,33 @@ GOLDEN_NORMS = {
          "0.99999999999999578", 40),
 }
 
+GOLDEN_INVERSE_NORMS = {
+    ("explin/0.5", "far"):
+        ("7137905773099562", "7137905773095818", "7137905773099562",
+         "0.99999999999910483", 40),
+    ("explin/0.5", "roots"):
+        ("4.9382455290489782", "4.9382455290452452", "4.9382455290489782",
+         "0.99999999999892941", 40),
+    ("tab-knots/0", "roots"):
+        ("21.947613019791632", "21.947613019770195", "21.947613019791632",
+         "0.99999999999927836", 39),
+    ("tabx-knots/0", "roots"):
+        ("4.4422926213678746", "4.4422926213653655", "4.4422926213678746",
+         "0.99999999999988365", 40),
+    ("tabx/1", "hand"):
+        ("4.0467267939466591", "4.0467267939430762", "4.0467267939466591",
+         "0.99999999999767597", 40),
+    ("tabx/1", "roots"):
+        ("5.448324954582894", "5.4483249545783199", "5.448324954582894",
+         "0.99999999999822931", 40),
+    ("tabx/1", "spike"):
+        ("6.2866629773161744", "6.2866629773104563", "6.2866629773161744",
+         "0.99999999999689482", 40),
+    ("tabx/1", "wide"):
+        ("423.6850784433384", "423.68507844295664", "423.6850784433384",
+         "0.99999999999847233", 40),
+}
+
 GOLDEN_CURVE = (
     (0, "2.7805579639766007"),
     (1, "2.7805579639766007"),
@@ -123,6 +177,12 @@ GOLDEN_COVERING = (
 def test_norm_fields_are_pinned(space, vector):
     res = luxemburg_norm(SPACES[space], VECTORS[vector])
     assert _norm_record(res) == GOLDEN_NORMS[space, vector]
+
+
+@pytest.mark.parametrize("space, vector", sorted(GOLDEN_INVERSE_NORMS))
+def test_norm_fields_are_pinned_at_fragile_inverses(space, vector):
+    res = luxemburg_norm(INVERSE_SPACES[space], INVERSE_VECTORS[vector])
+    assert _norm_record(res) == GOLDEN_INVERSE_NORMS[space, vector]
 
 
 def test_schauder_curve_is_pinned():
