@@ -284,6 +284,19 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
         raise DomainError("kappa must be finite and positive")
     rng = random.Random(seed)
     log2_top = math.log2(max_support + 1)
+    finite = {}  # index -> whether its measure is finite, probed once per index
+
+    def has_measure(m):
+        ok = finite.get(m)
+        if ok is None:
+            try:
+                mu(source, m)
+                ok = True
+            except ComputationOverflowError:
+                ok = False
+            finite[m] = ok
+        return ok
+
     drawn, fractions = [], []
     for _ in range(int(count)):
         n_pts = rng.randint(1, min(MAX_SAMPLE_SUPPORT, 2 * max_support + 1))
@@ -295,12 +308,8 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * scale
             if z == 0:
                 continue
-            while True:
-                try:
-                    mu(source, m)
-                    break
-                except ComputationOverflowError:
-                    m = int(m / 2)
+            while not has_measure(m):
+                m = int(m / 2)
             entries.setdefault(m, z)
         if not entries:
             entries[0] = 1.0 + 0.0j

@@ -10,8 +10,10 @@ scaling certificate ``phi(theta*t) <= c_theta * phi(t)`` on ``(0, t_theta]``.
 
 Evaluation accepts a float or a numpy array; overflow saturates to ``inf``
 (consumers that need finiteness convert that to an indexed error).  Inverses
-are scalar: closed forms where the family admits one, otherwise monotone
-bisection on a doubling bracket.
+work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
+one): closed forms where the family admits one, otherwise a bisection on a
+doubling bracket that runs in lock-step over the targets while each target
+keeps the bracket, step count and stopping test of a scalar bisection.
 """
 
 from __future__ import annotations
@@ -58,25 +60,26 @@ def _check_point(t):
     return t
 
 
-def _check_target(y, tol: float = 1e-12) -> float:
-    y = float(y)
-    if not math.isfinite(y) or y < 0:
-        raise DomainError(f"inverse target must be finite and nonnegative, got {y!r}")
-    if tol <= 0 or math.isnan(tol):
-        raise DomainError("inverse tolerance must be positive")
-    return y
-
-
 class OrliczFunction:
     """Base class for Orlicz generators.
 
     Subclasses implement ``_raw_eval`` on validated inputs and may override
-    ``inverse`` with a closed form.  ``eval`` (alias ``__call__``) works on
-    scalars and numpy arrays alike.
+    ``_invert`` with a closed form and ``_eval_exact`` with an array form.
+    ``eval`` (alias ``__call__``) works on scalars and numpy arrays alike.
     """
 
     def _raw_eval(self, t):
         raise NotImplementedError
+
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        """phi at each entry of t, bit for bit the scalar ``_raw_eval``.
+
+        The entries are finite and nonnegative.  The array branch of
+        ``_raw_eval`` may round differently from its scalar branch; the
+        generic inverse evaluates through this method so that it takes the
+        path of the scalar bisection.
+        """
+        return np.array([self._raw_eval(x) for x in t.tolist()], dtype=float)
 
     def eval(self, t):
         t = _check_point(t)
@@ -91,38 +94,93 @@ class OrliczFunction:
         raise NotImplementedError
 
     def inverse(self, y: float, tol: float = 1e-12) -> float:
-        """Solve phi(t) = y for t >= 0 by bisection on a doubling bracket.
+        """Solve phi(t) = y for t >= 0: ``inverses`` on a batch of one.
 
-        Accuracy floor: the bracket is shrunk to relative width 1e-15 in t,
-        which meets |phi(t) - y| <= tol*max(1, y) for any tol >= ~1e-12 on
-        the built-in families.
+        Raises the target's DomainError or CertificateError; ``tol`` must be
+        positive and asks for nothing beyond the accuracy of ``inverses``.
         """
-        y = _check_target(y, tol)
-        if y == 0.0:
-            return 0.0
-        hi = 1.0
+        t, errors = self.inverses([y])
+        if errors:
+            raise errors[0]
+        if tol <= 0 or math.isnan(tol):
+            raise DomainError("inverse tolerance must be positive")
+        return float(t[0])
+
+    def inverses(self, ys):
+        """Solve phi(t) = y for every target y; a failing target stops no other.
+
+        Returns ``(t, errors)``: ``t[i]`` solves the i-th target, and
+        ``errors`` maps the position of each target that has no solution to
+        its typed error (``t`` is nan there).  A target that is not finite
+        and nonnegative gets a DomainError, one whose bracket cannot close a
+        CertificateError.
+
+        Accuracy of the generic bisection: the bracket [lo, hi] starts at
+        [0, 1], or at [2**(j-1), 2**j] for the first j with phi(2**j) >= y,
+        and halves until its relative width is at most 1e-15 or 200 halvings
+        have run; ``hi`` is returned.  Roots above about 1e-45 (2**-150)
+        reach that width.  Below it the cap stops the bisection first, and
+        ``hi`` can be far above the root: ``ExpLinear().inverse(1e-152)``
+        returns 6.2e-61, where phi is 1.9e-121, while the root is 1.4e-76.
+        """
+        ys = np.array(ys, dtype=float).ravel()
+        t = np.full(ys.size, math.nan)
+        ok = (ys >= 0.0) & (ys < math.inf)
+        errors = {int(i): DomainError(
+            f"inverse target must be finite and nonnegative, got {float(ys[i])!r}")
+            for i in np.flatnonzero(~ok)}
+        good = np.flatnonzero(ok)
+        t[good], failed = self._invert(ys[good])
+        for j, exc in failed.items():
+            errors[int(good[j])] = exc
+        return t, errors
+
+    def _invert(self, y: np.ndarray):
+        """``inverses`` on finite nonnegative targets: (t, {position: error}).
+
+        Bisection on a doubling bracket, in lock-step over the targets.  The
+        bracket ends are powers of two, shared by every target still
+        doubling, so each doubling step evaluates phi once; each bisection
+        step evaluates it once per target still open, through
+        ``_eval_exact``.
+        """
+        t = np.zeros(y.size)
+        failed = {}
+        positive = y > 0.0
+        hi = np.ones(y.size)
+        live = np.flatnonzero(positive)
+        top, message = 1.0, "cannot bracket inverse: function grows too slowly"
         # bracket points are finite nonnegative floats: no need for eval's check
         for _ in range(_MAX_DOUBLINGS):
-            if self._raw_eval(hi) >= y:
+            if not live.size:
                 break
-            nxt = hi * 2.0
-            if math.isinf(nxt):
-                raise CertificateError("cannot bracket inverse: target beyond double range")
-            hi = nxt
-        else:
-            raise CertificateError("cannot bracket inverse: function grows too slowly")
-        lo = 0.0 if hi == 1.0 else hi / 2.0
-        for _ in range(200):
-            if hi - lo <= _INVERSE_REL_WIDTH * hi:
+            live = live[~(self._raw_eval(top) >= y[live])]
+            top *= 2.0
+            if math.isinf(top):
+                message = "cannot bracket inverse: target beyond double range"
                 break
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self._raw_eval(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+            hi[live] = top
+        for j in live.tolist():
+            failed[j] = CertificateError(message)
+            t[j] = math.nan
+        positive[live] = False
+        live = np.flatnonzero(positive)
+        h, target = hi[live], y[live]
+        lo = np.where(h == 1.0, 0.0, h / 2.0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for _ in range(200):
+                mid = 0.5 * (lo + h)
+                go = (h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
+                if not go.all():
+                    t[live[~go]] = h[~go]
+                    live, lo, h, mid, target = (x[go] for x in (live, lo, h, mid, target))
+                    if not live.size:
+                        break
+                below = self._eval_exact(mid) < target
+                lo = np.where(below, mid, lo)
+                h = np.where(below, h, mid)
+        t[live] = h
+        return t, failed
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}[{self.descriptor()}]"
@@ -145,9 +203,9 @@ class Power(OrliczFunction):
             return t ** self.s
         return _safe_pow(t, self.s)
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        y = _check_target(y, tol)
-        return y ** (1.0 / self.s)
+    def _invert(self, y: np.ndarray):
+        # scalar pow: np.power differs from it in the last bit at some points
+        return np.array([v ** (1.0 / self.s) for v in y.tolist()]), {}
 
     def descriptor(self) -> str:
         return f"power:{self.s:.17g}"
@@ -162,9 +220,9 @@ class ExpSquare(OrliczFunction):
             return np.expm1(t * t)
         return _safe_expm1(t * t)
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        y = _check_target(y, tol)
-        return math.sqrt(math.log1p(y))
+    def _invert(self, y: np.ndarray):
+        # scalar log1p: np.log1p differs from it in the last bit at some points
+        return np.array([math.sqrt(math.log1p(v)) for v in y.tolist()]), {}
 
     def descriptor(self) -> str:
         return "expsq"
@@ -196,6 +254,22 @@ class ExpLinear(OrliczFunction):
             return acc * t * t
         return _safe_expm1(t) - t
 
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        # the scalar Horner loop in numpy; np.expm1 differs from math.expm1
+        # in the last bit at some points, so entries above 1/2 use math.expm1
+        out = np.empty(t.size)
+        small = t <= _EXPLIN_SWITCH
+        x = t[small]
+        acc = np.full(x.size, _EXPLIN_COEFFS[0])
+        for c in _EXPLIN_COEFFS[1:]:
+            acc *= x
+            acc += c
+        acc *= x
+        acc *= x
+        out[small] = acc
+        out[~small] = [_safe_expm1(v) - v for v in t[~small].tolist()]
+        return out
+
     def descriptor(self) -> str:
         return "explin"
 
@@ -218,10 +292,10 @@ class ExpCompose(OrliczFunction):
             return math.inf
         return _safe_expm1(u)
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone
-        y = _check_target(y, tol)
-        return self.inner.inverse(math.log1p(y), tol)
+    def _invert(self, y: np.ndarray):
+        # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone;
+        # scalar log1p, as np.log1p differs from it in the last bit at some points
+        return self.inner._invert(np.array([math.log1p(v) for v in y.tolist()]))
 
     def descriptor(self) -> str:
         return f"expof:{self.inner.descriptor()}"
@@ -294,6 +368,16 @@ class TabulatedConvex(OrliczFunction):
             return vs[-1]
         frac = (t - ts[i]) / (ts[i + 1] - ts[i])
         return vs[i] + frac * (vs[i + 1] - vs[i])
+
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        # the scalar formula per interval; np.interp rounds differently
+        ts, vs = self._ts_arr, self._vs_arr
+        last = ts.size - 1
+        i = np.minimum(np.searchsorted(ts, t, side="right") - 1, last - 1)
+        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
+        inside = np.where(t == ts[last], vs[last], vs[i] + frac * (vs[i + 1] - vs[i]))
+        beyond = vs[last] + self._final_slope * (t - ts[last])
+        return np.where(t > ts[last], beyond, inside)
 
     def descriptor(self) -> str:
         body = ";".join(f"{t:.17g},{v:.17g}" for t, v in zip(self._ts, self._vs))

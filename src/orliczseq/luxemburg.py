@@ -7,8 +7,10 @@ the infimum is attained and bracketed bisection resolves it.
 ``luxemburg_norms`` solves a batch of vectors in one pass and
 ``luxemburg_norm`` is a batch of one.  The batch is padded to (rows, L)
 arrays of |p_m| and mu(m); padding is 0, so a padded term is exactly 0.
-Within one call mu(m) and phi^{-1}(1/mu(m)) are computed once per distinct
-index, by the scalar code of ``spaces.mu`` and ``phi.inverse``.
+Within one call mu(m) is computed once per distinct index, by
+``spaces.mu``, and phi^{-1}(1/mu(m)) for all distinct indices by one call of
+``phi.inverses``.  Each of its targets takes the path of a scalar bisection,
+so a root does not depend on the batch it is solved in.
 
 Each row is bracketed on its own.  The lower bracket comes from single-term
 necessity: each term alone forces mu(m) * phi(|p_m|/rho) <= 1, i.e.
@@ -106,43 +108,50 @@ def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray) -> np.ndar
     return ok
 
 
+def _first_error(support, errors: dict):
+    """The error of the first index of ``support`` that has one, else None."""
+    if errors:
+        return next((errors[m] for m in support if m in errors), None)
+    return None
+
+
 class _Batch:
     """Padded term arrays of the nonempty vectors of one batch, and their errors."""
 
     def __init__(self, params: SpaceParams, vecs):
         phi = params.phi
-        mu_of, scale_of = {}, {}
-
-        def mu_at(m):
-            w = mu_of.get(m)
-            if w is None:
-                w = mu_of[m] = mu(params, m)
-            return w
-
-        def scale_at(m, w):
-            # phi^{-1}(1/mu(m)); 0 marks an underflowed measure, whose term
-            # never binds
-            t = scale_of.get(m)
-            if t is None:
-                t = scale_of[m] = phi.inverse(1.0 / w) if w != 0.0 else 0.0
-            return t
+        # mu(m), then phi^{-1}(1/mu(m)) in one call, once per distinct index
+        supports = [p.support for p in vecs]
+        mu_of, mu_err = {}, {}
+        for support in supports:
+            for m in support:
+                if m not in mu_of and m not in mu_err:
+                    try:
+                        mu_of[m] = mu(params, m)
+                    except OrliczSeqError as exc:
+                        mu_err[m] = exc
+        # 0 marks an underflowed measure, whose term never binds
+        scale_of = dict.fromkeys(mu_of, 0.0)
+        solvable = [m for m, w in mu_of.items() if w != 0.0]
+        roots, failed = phi.inverses([1.0 / mu_of[m] for m in solvable])
+        scale_of.update(zip(solvable, roots.tolist()))
+        inv_err = {solvable[j]: exc for j, exc in failed.items()}
 
         self.phi = phi
         self.errors = {}  # position in the batch -> typed error
         self.pos, self.supports, cols = [], [], []
-        for i, p in enumerate(vecs):
-            if not p:
+        for i, (p, support) in enumerate(zip(vecs, supports)):
+            if not support:
                 continue
-            support = p.support
-            try:
-                mus = [mu_at(m) for m in support]
-                scales = [scale_at(m, w) for m, w in zip(support, mus)]
-            except OrliczSeqError as exc:
+            # a row fails on its first mu error, else its first inverse error
+            exc = _first_error(support, mu_err) or _first_error(support, inv_err)
+            if exc is not None:
                 self.errors[i] = exc
                 continue
             self.pos.append(i)
             self.supports.append(support)
-            cols.append((p.abs_values(), mus, scales))
+            cols.append((p.abs_values(), [mu_of[m] for m in support],
+                         [scale_of[m] for m in support]))
         n = np.array([len(s) for s in self.supports], dtype=np.int64)
         shape = (n.size, int(n.max(initial=0)))
         self.avals, self.mus, scales = np.zeros(shape), np.zeros(shape), np.zeros(shape)

@@ -295,7 +295,8 @@ def mu(params: SpaceParams, m: int) -> float:
     w = params.weights.weight(m)
     if params.k == 0:
         return w
-    val = w * _safe_pow(1.0 + params.phi.eval(float(abs(m))), params.k)
+    # float(|m|) is finite and nonnegative: no need for eval's check
+    val = w * _safe_pow(1.0 + params.phi._raw_eval(float(abs(m))), params.k)
     if math.isinf(val) or math.isnan(val):
         raise ComputationOverflowError(
             f"measure overflow at index {m}: (1 + phi({abs(m)}))**{params.k:g} "

@@ -2,7 +2,7 @@
 
 import math
 
-from orliczseq import SeqVector
+from orliczseq import CertificateError, SeqVector
 
 
 def power_norm_oracle(k, s, weight_of, p):
@@ -27,3 +27,38 @@ def random_vector(rng, max_points, max_index, decades=(-3.0, 3.0)):
     if not entries:
         entries[0] = complex(1.0, 0.0)
     return SeqVector(entries)
+
+
+def scalar_inverse_oracle(phi, y):
+    """phi^{-1}(y) by the scalar bisection the generic inverse used to run.
+
+    The bracket starts at hi = 1 and doubles (at most 1100 times); then
+    lo = 0 if hi == 1 else hi/2, and at most 200 halvings stop when
+    hi - lo <= 1e-15*hi or the midpoint equals an end.  Returns hi, or raises
+    the CertificateError of a bracket that cannot close.  The lock-step array
+    inverse must return the same float for every finite nonnegative target.
+    """
+    y = float(y)
+    if y == 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(1100):
+        if phi._raw_eval(hi) >= y:
+            break
+        hi *= 2.0
+        if math.isinf(hi):
+            raise CertificateError("cannot bracket inverse: target beyond double range")
+    else:
+        raise CertificateError("cannot bracket inverse: function grows too slowly")
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(200):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if phi._raw_eval(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return hi

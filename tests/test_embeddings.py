@@ -11,6 +11,8 @@ from orliczseq import (CertificateRefutedError, CompositionError, DomainError,
                        WeightSequence, chain_embeddings, check_domination,
                        covering_check, embedding_constant, luxemburg_norm,
                        sample_ball, uniform_tail_index, verify_embedding)
+from orliczseq import embeddings
+from orliczseq.spaces import mu
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -201,6 +203,22 @@ def test_sample_ball_contract():
         sample_ball(src, 0.0, seed=1)
     with pytest.raises(DomainError):
         sample_ball(src, 1.0, seed=1, count=0)
+
+
+def test_sample_ball_probes_each_index_once(monkeypatch):
+    # explin with k = 2: mu overflows beyond |m| ~ 354, so large draws halve
+    src = SpaceParams(2.0, ExpLinear(), W1)
+    want = sample_ball(src, 1.0, seed=5, count=30, max_support=700)
+    probed = []
+
+    def counting_mu(params, m):
+        probed.append(m)
+        return mu(params, m)
+
+    monkeypatch.setattr(embeddings, "mu", counting_mu)
+    assert sample_ball(src, 1.0, seed=5, count=30, max_support=700) == want
+    assert len(probed) == len(set(probed))
+    assert max(p.max_abs_index for p in want) <= 354 < max(map(abs, probed))
 
 
 def test_covering_check_passes_on_sampled_ball():

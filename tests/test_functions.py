@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
-                       ExpSquare, GeometricProbe, Power, TabulatedConvex,
-                       default_probe_grid, delta2_at_zero, parse_orlicz,
-                       theta_bound, validate_orlicz)
+                       ExpSquare, GeometricProbe, OrliczFunction, Power,
+                       TabulatedConvex, default_probe_grid, delta2_at_zero,
+                       parse_orlicz, theta_bound, validate_orlicz)
+from helpers import scalar_inverse_oracle
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -102,6 +103,74 @@ def test_inverse_contract(phi):
     for y in (1e-9, 0.031, 1.0, 47.0, 1e6):
         t = phi.inverse(y)
         assert abs(phi(t) - y) <= 1e-12 * max(1.0, y)
+
+
+class ScalarOnly(OrliczFunction):
+    """t**2 * (t + 1/2), written for scalars only: the base class supplies
+    the exact array evaluation and the inverse."""
+
+    def _raw_eval(self, t):
+        return t * t * (t + 0.5)
+
+    def descriptor(self) -> str:
+        return "scalar-only"
+
+
+TABLE = FAMILIES[-1]
+# knots that are not exact binary fractions, where np.interp and the scalar
+# interpolation formula round differently
+INEXACT_TABLE = TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)])
+BISECTED = [ExpLinear(), TABLE, INEXACT_TABLE, ExpCompose(ExpLinear()), ScalarOnly()]
+
+
+def _targets():
+    rng = np.random.default_rng(20261018)
+    half = ExpLinear()(0.5)
+    near_half = [float(x) for x in np.nextafter(half, [0.0, np.inf])] + [half]
+    knot_values = [v for _, v in TABLE.knots + INEXACT_TABLE.knots]
+    return [0.0, 1e-320, 1e-152, 1e300, *near_half, *knot_values,
+            *10.0 ** rng.uniform(-300.0, 300.0, 60), *rng.uniform(0.0, 20.0, 60)]
+
+
+@pytest.mark.parametrize("phi", BISECTED, ids=lambda f: f.descriptor()[:24])
+def test_inverses_equal_the_scalar_bisection(phi):
+    ys = _targets()
+    # exp(inner(t)) - 1 = y is solved as inner(t) = log1p(y)
+    inner, arg = ((phi.inner, math.log1p) if isinstance(phi, ExpCompose)
+                  else (phi, float))
+    want = [scalar_inverse_oracle(inner, arg(y)) for y in ys]
+    t, errors = phi.inverses(ys)
+    assert errors == {}
+    assert t.tolist() == want
+    assert [phi.inverse(y) for y in ys] == want
+
+
+@pytest.mark.parametrize("phi", FAMILIES + BISECTED[2:], ids=lambda f: f.descriptor()[:24])
+def test_eval_exact_equals_scalar_raw_eval(phi):
+    rng = np.random.default_rng(7)
+    knots = [t for t, _ in TABLE.knots + INEXACT_TABLE.knots]
+    ts = np.array([0.0, 0.5, *knots, 4.5, 1e3, 1e300,
+                   *rng.uniform(0.0, 5.0, 500), *10.0 ** rng.uniform(-300.0, 2.0, 500)])
+    with np.errstate(over="ignore"):
+        got = phi._eval_exact(ts)
+    assert got.tolist() == [phi._raw_eval(t) for t in ts.tolist()]
+
+
+def test_failing_targets_fail_alone():
+    with pytest.raises(DomainError):
+        ExpLinear().inverse(math.inf)
+    t, errors = ExpLinear().inverses([0.5, math.inf, -1.0, 2.0])
+    assert sorted(errors) == [1, 2]
+    assert all(isinstance(e, DomainError) for e in errors.values())
+    assert [t[0], t[3]] == [ExpLinear().inverse(0.5), ExpLinear().inverse(2.0)]
+    # phi stays at 1 beyond t = 1, so the bracket for 2 never closes
+    bounded = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    with pytest.raises(CertificateError, match="target beyond double range"):
+        bounded.inverse(2.0)
+    t, errors = bounded.inverses([0.25, 2.0, 1.0])
+    assert list(errors) == [1] and isinstance(errors[1], CertificateError)
+    assert [t[0], t[2]] == [scalar_inverse_oracle(bounded, 0.25),
+                            scalar_inverse_oracle(bounded, 1.0)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from orliczseq import (CertificateRefutedError, ComputationOverflowError,
-                       DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
+from orliczseq import (CertificateError, CertificateRefutedError,
+                       ComputationOverflowError, DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
                        SeqVector, SpaceParams, TabulatedConvex, WeightSequence,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
-from orliczseq.luxemburg import _at_most_one, _sum_slack
+from orliczseq.luxemburg import _at_most_one, _solve, _sum_slack
 from helpers import power_norm_oracle, random_vector
 
 # sqrt(ln 2) and its reciprocal, the unit-weight ExpSquare spike constants
@@ -264,6 +264,27 @@ def test_batch_raises_the_lowest_failing_row():
             luxemburg_norms(params, [good, first, second, good])
         want = pytest.raises(ComputationOverflowError, luxemburg_norm, params, first)
         assert (str(exc.value), exc.value.index) == (str(want.value), want.value.index)
+
+
+def test_row_without_an_inverse_fails_alone():
+    # phi stays at 1 beyond t = 1, and 1/mu(3) = 4 is never reached
+    bounded = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    params = SpaceParams(0.0, bounded, WeightSequence(1.0, {3: 0.25, -2: 1e-320}))
+    stuck, good = SeqVector({0: 1.0, 3: 0.5}), SeqVector({0: 0.5, 1: 0.2})
+    with pytest.raises(CertificateError) as alone:
+        luxemburg_norm(params, stuck)
+    # 1/mu(-2) is inf, a DomainError, and -2 precedes 3 in support order
+    unbounded = SeqVector({3: 0.5, -2: 1.0})
+    with pytest.raises(DomainError) as target:
+        luxemburg_norm(params, unbounded)
+    out = _solve(params, [good, stuck, SeqVector(), good.tail(1), unbounded], TOL)
+    assert out[0] == luxemburg_norm(params, good)
+    assert out[3] == luxemburg_norm(params, good.tail(1))
+    assert out[2].value == 0.0
+    for got, want in ((out[1], alone.value), (out[4], target.value)):
+        assert (type(got), str(got)) == (type(want), str(want))
+    with pytest.raises(CertificateError, match=str(alone.value)):
+        luxemburg_norms(params, [good, stuck])
 
 
 def test_covering_check_reports_the_first_failing_sample():
