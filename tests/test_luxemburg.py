@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import numpy as np
 
 from orliczseq import (CertificateError, CertificateRefutedError,
-                       ComputationOverflowError, DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
-                       SeqVector, SpaceParams, TabulatedConvex, WeightSequence,
+                       ComputationOverflowError, DomainError, ExpCompose,
+                       ExpLinear, ExpSquare, Power, SeqVector, SpaceParams,
+                       TabulatedConvex, WeightSequence,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
