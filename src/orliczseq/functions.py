@@ -65,6 +65,8 @@ class OrliczFunction:
 
     Subclasses implement ``_raw_eval`` on validated inputs and may override
     ``_invert`` with a closed form and ``_eval_exact`` with an array form.
+    ``inverses``, the norm engine and ``ExpCompose`` call ``_invert``, so an
+    override of ``inverse`` alone is not seen by them.
     ``eval`` (alias ``__call__``) works on scalars and numpy arrays alike.
     """
 
@@ -255,18 +257,13 @@ class ExpLinear(OrliczFunction):
         return _safe_expm1(t) - t
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # the scalar Horner loop in numpy; np.expm1 differs from math.expm1
-        # in the last bit at some points, so entries above 1/2 use math.expm1
+        # np.polyval runs the scalar Horner loop (y = y*x + c from 0), so it
+        # matches it bit for bit; np.expm1 differs from math.expm1 in the
+        # last bit at some points, so entries above 1/2 use math.expm1
         out = np.empty(t.size)
         small = t <= _EXPLIN_SWITCH
         x = t[small]
-        acc = np.full(x.size, _EXPLIN_COEFFS[0])
-        for c in _EXPLIN_COEFFS[1:]:
-            acc *= x
-            acc += c
-        acc *= x
-        acc *= x
-        out[small] = acc
+        out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
         out[~small] = [_safe_expm1(v) - v for v in t[~small].tolist()]
         return out
 
