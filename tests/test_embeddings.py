@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from orliczseq import (CertificateRefutedError, CompositionError, DomainError,
-                       ExpCompose, ExpLinear, ExpSquare, GeometricProbe, Power,
-                       PreconditionError, SeqVector, SpaceParams,
-                       WeightSequence, chain_embeddings, check_domination,
-                       covering_check, embedding_constant, luxemburg_norm,
-                       sample_ball, uniform_tail_index, verify_embedding)
+from orliczseq import (CertificateError, CertificateRefutedError,
+                       CompositionError, DomainError, ExpCompose, ExpLinear,
+                       ExpSquare, GeometricProbe, Power, PreconditionError,
+                       SeqVector, SpaceParams, WeightSequence, chain_embeddings,
+                       check_domination, covering_check, embedding_constant,
+                       luxemburg_norm, sample_ball, uniform_tail_index,
+                       verify_embedding)
 from orliczseq import embeddings
+from orliczseq.cli import run
 from orliczseq.spaces import mu
 
 W1 = WeightSequence.constant(1.0)
@@ -63,6 +65,31 @@ def test_check_domination_validation():
         check_domination(Power(2.0), Power(2.0), 1.0, t0=0.0)
     with pytest.raises(DomainError):
         check_domination(Power(2.0), Power(2.0), 1.0, grid_points=16)
+    with pytest.raises(DomainError, match="t0=1e-310"):
+        check_domination(Power(2.0), ExpSquare(), 1.0, t0=1e-310)
+
+
+def test_tiny_probe_window():
+    src = SpaceParams(1.0, ExpSquare(), W1)
+    with pytest.raises(DomainError, match="t_theta=1e-310"):
+        uniform_tail_index(src, 0.0, 1.0, 0.1, t_theta=1e-310)
+    # expsq underflows on every grid down to the last one t_theta can halve
+    # to; the search stops there instead of asking for an empty grid
+    with pytest.raises(CertificateError, match="underflows on the whole probe grid"):
+        uniform_tail_index(src, 0.0, 1.0, 0.1, t_theta=1e-300)
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("dominate --phi power:2 --psi expsq --gamma 1 --t0 1e-310", "t0"),
+    ("tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1 "
+     "--t-theta 1e-310", "t_theta"),
+    ("embed --mode b --phi power:3 --psi power:2 --gamma 1 --t0 1e-310 --k 1", "t0"),
+])
+def test_tiny_probe_window_cli_exits_two(capsys, argv, name):
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {name}=1e-310 is too small") and err.count("\n") == 1
 
 
 def test_mode_a_constant_is_gamma():

@@ -277,6 +277,14 @@ def test_theta_bound_grid_sup_frozen():
     assert tb.c_theta == pytest.approx(SAFETY * EXPSQ_RATIO_AT_HALF, rel=1e-9)
 
 
+def test_theta_bound_underflowing_grid_is_domain_error():
+    # t_theta * 1e-18 underflows to 0: no geometric probe grid exists
+    with pytest.raises(DomainError, match="t_theta=1e-310"):
+        theta_bound(ExpSquare(), 2.0, 1e-310)
+    # a power needs no grid, so the same t_theta still certifies
+    assert theta_bound(Power(2.0), 2.0, 1e-310).t_theta == 1e-310
+
+
 def test_theta_bound_overflow_is_certificate_error():
     with pytest.raises(CertificateError):
         theta_bound(ExpSquare(), 100.0, 10.0)
