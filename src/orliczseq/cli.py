@@ -18,8 +18,10 @@ import csv
 import io
 import math
 import sys
+from operator import attrgetter
 
-from .embeddings import (chain_embeddings, check_domination, covering_check,
+from .embeddings import (BallTailCertificate, EmbeddingCertificate,
+                         chain_embeddings, check_domination, covering_check,
                          embedding_constant, sample_ball, uniform_tail_index,
                          verify_embedding)
 from .errors import (CertificateError, CertificateRefutedError,
@@ -27,8 +29,8 @@ from .errors import (CertificateError, CertificateRefutedError,
                      PreconditionError)
 from .functions import GeometricProbe, delta2_at_zero, parse_orlicz
 from .luxemburg import DEFAULT_TOL_REL, luxemburg_norm, schauder_curve
-from .spaces import (SeqVector, SpaceParams, classify, geometric_envelope,
-                     modular, parse_weights)
+from .spaces import (SeqVector, SpaceParams, WeightSequence, classify,
+                     geometric_envelope, modular, parse_weights)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,42 +49,22 @@ def _fmt(x: float) -> str:
 
 def dump_json(obj) -> str:
     """Minimal JSON emitter with deterministic key order and .17g floats."""
-    out: list[str] = []
-
-    def write(o) -> None:
-        if o is None:
-            out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
-        elif isinstance(o, int):
-            out.append(str(o))
-        elif isinstance(o, float):
-            out.append(_fmt(o))
-        elif isinstance(o, str):
-            out.append('"' + o.replace("\\", "\\\\").replace('"', '\\"') + '"')
-        elif isinstance(o, dict):
-            out.append("{")
-            for i, (k, v) in enumerate(o.items()):
-                if i:
-                    out.append(", ")
-                write(str(k))
-                out.append(": ")
-                write(v)
-            out.append("}")
-        elif isinstance(o, (list, tuple)):
-            out.append("[")
-            for i, v in enumerate(o):
-                if i:
-                    out.append(", ")
-                write(v)
-            out.append("]")
-        else:
-            raise TypeError(f"cannot serialize {type(o).__name__}")
-
-    write(obj)
-    return "".join(out)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{dump_json(str(k))}: {dump_json(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(dump_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _csv_text(header, rows) -> str:
@@ -105,53 +87,68 @@ def _emit(args, record: dict, csv_header=None, csv_rows=None) -> None:
     sys.stdout.write(_csv_text(csv_header, csv_rows))
 
 
-def _space_from(args, order_attr: str = "k") -> SpaceParams:
+def _fields(obj, names: str) -> dict:
+    """Output record of ``obj``'s named attributes, in order; ``a.b`` is keyed ``b``."""
+    return {name.rpartition(".")[2]: attrgetter(name)(obj) for name in names.split()}
+
+
+def _weights(args) -> WeightSequence:
+    return parse_weights(args.weights, inf_override=args.inf_w)
+
+
+def _space_from(args, k: float) -> SpaceParams:
     phi = parse_orlicz(args.phi)
-    weights = parse_weights(args.weights, inf_override=args.inf_w)
-    return SpaceParams(getattr(args, order_attr), phi, weights)
+    return SpaceParams(k, phi, _weights(args))
 
 
-def _vector_from(args) -> SeqVector:
-    if args.infile is None:
-        raise DomainError("this subcommand needs --in <sequence.csv>")
-    return SeqVector.from_csv(args.infile)
+def _pair_from(args, mode: str, label: str) -> tuple:
+    """(phi, psi, weights, window end): the window is global for a, a finite --t0 for b."""
+    pair = (parse_orlicz(args.phi), parse_orlicz(args.psi), _weights(args))
+    if mode == "a":
+        return pair + (math.inf,)
+    if args.t0 is None or math.isinf(args.t0):
+        raise DomainError(f"{label} b needs a finite --t0")
+    return pair + (args.t0,)
 
 
-def _add_space_flags(sp, k_help="space order k"):
-    sp.add_argument("--k", type=float, default=0.0, help=k_help)
-    sp.add_argument("--phi", required=True, help="generator descriptor, e.g. power:2, expsq")
-    sp.add_argument("--weights", default="const:1",
-                    help="weight descriptor: const:<w> or table:<csv>[:<default>]")
-    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None,
-                    help="certified weight infimum overriding the listed minimum")
+def _ball_certificate(args, source: SpaceParams, target_k: float) -> BallTailCertificate:
+    """Uniform tail index of the --kappa ball of ``source`` in order target_k."""
+    return uniform_tail_index(source, target_k, args.kappa, args.epsilon, args.t_theta)
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+def _embedding(args, pair, mode, source_k, target_k, record: dict,
+               fields: str) -> EmbeddingCertificate | None:
+    """Witness to certificate: probe phi(t) <= psi(gamma*t) on (0, t0] and add
+    the witness ``fields`` to ``record``; if it holds, certify (source_k, psi,
+    weights) -> order target_k, else emit ``record`` and give None.
+    """
+    phi, psi, weights, t0 = pair
+    witness = check_domination(phi, psi, args.gamma, t0, args.grid_points)
+    record |= _fields(witness, fields)
+    if not witness.holds:
+        _emit(args, record)
+        return None
+    return embedding_constant(mode, witness, SpaceParams(source_k, psi, weights),
+                              target_k, args.inf_w)
 
 
 def _cmd_norm(args) -> int:
-    params = _space_from(args)
-    res = luxemburg_norm(params, _vector_from(args), args.tol)
-    _emit(args, {
-        "value": res.value,
-        "rho_low": res.bracket[0],
-        "rho_high": res.bracket[1],
-        "modular_at_value": res.modular_at_value,
-        "iterations": res.iterations,
-    })
+    res = luxemburg_norm(_space_from(args, args.k), SeqVector.from_csv(args.infile), args.tol)
+    rho_low, rho_high = res.bracket
+    _emit(args, {"value": res.value, "rho_low": rho_low, "rho_high": rho_high,
+                 **_fields(res, "modular_at_value iterations")})
     return EXIT_OK
 
 
 def _cmd_modular(args) -> int:
-    params = _space_from(args)
-    value = modular(params, _vector_from(args), args.rho)
+    params = _space_from(args, args.k)
+    value = modular(params, SeqVector.from_csv(args.infile), args.rho)
     _emit(args, {"rho": args.rho, "modular": value})
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    params = _space_from(args)
+    params = _space_from(args, args.k)
     p = SeqVector.from_csv(args.infile) if args.infile else SeqVector()
     envelope = None
     if args.env_c is not None or args.env_r is not None:
@@ -161,33 +158,17 @@ def _cmd_classify(args) -> int:
     elif args.infile is None:
         raise DomainError("classify needs --in and/or an envelope (--env-c/--env-r)")
     report = classify(params, p, envelope)
-    record = {
-        "in_class": report.in_class,
-        "in_large": report.in_large,
-        "in_small": report.in_small,
-        "large_witness_rho": report.large_witness_rho,
-        "note": report.note,
-        "certificates": [
-            {"rho": c.rho, "trunc": c.trunc, "tail_bound": c.tail_bound,
-             "modular_upper": c.modular_upper} for c in report.certificates],
-    }
-    rows = [(c.rho, c.trunc, c.tail_bound,
-             "" if c.modular_upper is None else c.modular_upper)
-            for c in report.certificates]
+    record = _fields(report, "in_class in_large in_small large_witness_rho note")
+    record["certificates"] = [_fields(c, "rho trunc tail_bound modular_upper")
+                              for c in report.certificates]
+    rows = [list(c.values()) for c in record["certificates"]]
     _emit(args, record, ("rho", "trunc", "tail_bound", "modular_upper"), rows)
     return EXIT_OK
 
 
 def _cmd_delta2(args) -> int:
-    phi = parse_orlicz(args.phi)
-    rep = delta2_at_zero(phi, GeometricProbe(args.t_start, args.depth))
-    _emit(args, {
-        "limsup_estimate": rep.limsup_estimate,
-        "sup_ratio": rep.sup_ratio,
-        "holds": rep.holds,
-        "probes_used": rep.probes_used,
-        "truncated": rep.truncated,
-    })
+    rep = delta2_at_zero(parse_orlicz(args.phi), GeometricProbe(args.t_start, args.depth))
+    _emit(args, _fields(rep, "limsup_estimate sup_ratio holds probes_used truncated"))
     return EXIT_OK
 
 
@@ -195,53 +176,25 @@ def _cmd_dominate(args) -> int:
     phi = parse_orlicz(args.phi)
     psi = parse_orlicz(args.psi)
     w = check_domination(phi, psi, args.gamma, args.t0, args.grid_points)
-    _emit(args, {
-        "holds": w.holds,
-        "gamma": w.gamma,
-        "t0": w.t0,
-        "grid_checked": w.grid_checked,
-        "first_violation": w.first_violation,
-    })
+    _emit(args, _fields(w, "holds gamma t0 grid_checked first_violation"))
     return EXIT_OK if w.holds else EXIT_CHECK_FAILED
 
 
 def _cmd_embed(args) -> int:
-    phi = parse_orlicz(args.phi)
-    psi = parse_orlicz(args.psi)
-    weights = parse_weights(args.weights, inf_override=args.inf_w)
+    pair = _pair_from(args, args.mode, "mode")
     if args.mode == "a":
-        source_k = args.kprime if args.kprime is not None else args.k
-        target_k = args.k
-        t0 = math.inf
+        orders = (args.kprime if args.kprime is not None else args.k, args.k)
     else:
-        if args.t0 is None or math.isinf(args.t0):
-            raise DomainError("mode b needs a finite --t0")
-        source_k = args.k
-        target_k = 0.0
-        t0 = args.t0
-    witness = check_domination(phi, psi, args.gamma, t0, args.grid_points)
-    record = {
-        "mode": args.mode,
-        "holds": witness.holds,
-        "gamma": witness.gamma,
-        "t0": witness.t0,
-        "first_violation": witness.first_violation,
-    }
-    if not witness.holds:
-        _emit(args, record)
+        orders = (args.k, 0.0)
+    record = {"mode": args.mode}
+    cert = _embedding(args, pair, args.mode, *orders, record, "holds gamma t0 first_violation")
+    if cert is None:
         return EXIT_CHECK_FAILED
-    source = SpaceParams(source_k, psi, weights)
-    cert = embedding_constant(args.mode, witness, source, target_k, args.inf_w)
-    record.update({"c": cert.c, "source_k": cert.source.k, "target_k": cert.target.k})
+    record |= {"c": cert.c, "source_k": cert.source.k, "target_k": cert.target.k}
     code = EXIT_OK
     if args.infile is not None:
         check = verify_embedding(cert, SeqVector.from_csv(args.infile), args.tol)
-        record.update({
-            "target_norm": check.target_norm,
-            "source_norm": check.source_norm,
-            "bound": check.bound,
-            "ok": check.ok,
-        })
+        record |= _fields(check, "target_norm source_norm bound ok")
         if not check.ok:
             code = EXIT_CHECK_FAILED
     _emit(args, record)
@@ -249,39 +202,19 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_tail_index(args) -> int:
-    psi = parse_orlicz(args.phi)
-    weights = parse_weights(args.weights, inf_override=args.inf_w)
-    source = SpaceParams(args.kprime, psi, weights)
-    cert = uniform_tail_index(source, args.k, args.kappa, args.epsilon, args.t_theta)
-    _emit(args, {
-        "m_eps_kappa": cert.m_eps_kappa,
-        "m1": cert.m1,
-        "m2": cert.m2,
-        "theta": cert.theta,
-        "c_theta": cert.bound.c_theta,
-        "t_theta": cert.bound.t_theta,
-        "covering_dim": cert.covering_dim,
-    })
+    cert = _ball_certificate(args, _space_from(args, args.kprime), args.k)
+    _emit(args, _fields(cert, "m_eps_kappa m1 m2 theta bound.c_theta bound.t_theta "
+                              "covering_dim"))
     return EXIT_OK
 
 
 def _cmd_covering(args) -> int:
-    psi = parse_orlicz(args.phi)
-    weights = parse_weights(args.weights, inf_override=args.inf_w)
-    source = SpaceParams(args.kprime, psi, weights)
-    cert = uniform_tail_index(source, args.k, args.kappa, args.epsilon, args.t_theta)
-    samples = sample_ball(source, args.kappa, args.seed, args.samples,
+    cert = _ball_certificate(args, _space_from(args, args.kprime), args.k)
+    samples = sample_ball(cert.source, args.kappa, args.seed, args.samples,
                           args.max_support, args.tol)
     report = covering_check(cert, samples, norm_tol=args.tol)
-    record = {
-        "samples": report.samples,
-        "covering_dim": report.covering_dim,
-        "m_eps_kappa": report.m_eps_kappa,
-        "epsilon": report.epsilon,
-        "kappa": report.kappa,
-        "max_tail_modular": report.max_tail_modular,
-        "max_residual": report.max_residual,
-    }
+    record = _fields(report, "samples covering_dim m_eps_kappa epsilon kappa "
+                             "max_tail_modular max_residual")
     rows = [(i, tm, rs) for i, (tm, rs)
             in enumerate(zip(report.tail_modulars, report.residuals))]
     _emit(args, record, ("sample", "tail_modular", "residual"), rows)
@@ -289,50 +222,72 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_schauder_curve(args) -> int:
-    params = _space_from(args)
-    curve = schauder_curve(params, _vector_from(args), args.tol)
+    curve = schauder_curve(_space_from(args, args.k), SeqVector.from_csv(args.infile), args.tol)
     record = {"points": [{"m": m, "residual": r} for m, r in curve]}
     _emit(args, record, ("m", "residual"), curve)
     return EXIT_OK
 
 
 def _cmd_chain(args) -> int:
-    phi = parse_orlicz(args.phi)
-    psi = parse_orlicz(args.psi)
-    weights = parse_weights(args.weights, inf_override=args.inf_w)
+    pair = _pair_from(args, args.form, "form")
+    if args.form == "a" and args.kpp is None:
+        raise DomainError("form a needs --kpp (outer source order)")
+    # compact link k0 -> k1, then continuous link k1 -> k2
     if args.form == "a":
-        if args.kpp is None:
-            raise DomainError("form a needs --kpp (outer source order)")
-        compact_src = SpaceParams(args.kpp, psi, weights)
-        compact = uniform_tail_index(compact_src, args.kprime, args.kappa,
-                                     args.epsilon, args.t_theta)
-        witness = check_domination(phi, psi, args.gamma, math.inf, args.grid_points)
-        if not witness.holds:
-            _emit(args, {"holds": False, "first_violation": witness.first_violation})
-            return EXIT_CHECK_FAILED
-        cont = embedding_constant("a", witness, SpaceParams(args.kprime, psi, weights),
-                                  args.k, args.inf_w)
+        k0, k1, k2 = args.kpp, args.kprime, args.k
     else:
-        if args.t0 is None or math.isinf(args.t0):
-            raise DomainError("form b needs a finite --t0")
-        compact_src = SpaceParams(args.kprime, psi, weights)
-        compact = uniform_tail_index(compact_src, args.k, args.kappa,
-                                     args.epsilon, args.t_theta)
-        witness = check_domination(phi, psi, args.gamma, args.t0, args.grid_points)
-        if not witness.holds:
-            _emit(args, {"holds": False, "first_violation": witness.first_violation})
-            return EXIT_CHECK_FAILED
-        cont = embedding_constant("b", witness, SpaceParams(args.k, psi, weights),
-                                  0.0, args.inf_w)
+        k0, k1, k2 = args.kprime, args.k, 0.0
+    psi, weights = pair[1:3]
+    compact = _ball_certificate(args, SpaceParams(k0, psi, weights), k1)
+    cont = _embedding(args, pair, args.form, k1, k2, {}, "holds first_violation")
+    if cont is None:
+        return EXIT_CHECK_FAILED
     report = chain_embeddings(compact, cont)
-    _emit(args, {
-        "constant": report.constant,
-        "compact": report.compact,
-        "form": report.form,
-        "links": [{"kind": l.kind, "constant": l.constant, "detail": l.detail}
-                  for l in report.links],
-    })
+    _emit(args, _fields(report, "constant compact form") | {
+        "links": [_fields(link, "kind constant detail") for link in report.links]})
     return EXIT_OK
+
+
+def _weight_flags(sp) -> None:
+    sp.add_argument("--weights", default="const:1",
+                    help="weight descriptor: const:<w> or table:<csv>[:<default>]")
+    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None,
+                    help="certified weight infimum overriding the listed minimum")
+
+
+def _phi_flag(sp) -> None:
+    sp.add_argument("--phi", required=True, help="generator descriptor, e.g. power:2, expsq")
+
+
+def _space_flags(sp) -> None:
+    """Space group: one weighted space."""
+    sp.add_argument("--k", type=float, default=0.0, help="space order k")
+    _phi_flag(sp)
+    _weight_flags(sp)
+
+
+def _vector_flag(sp, required=True, text="sequence CSV (m,re,im rows)") -> None:
+    sp.add_argument("--in", dest="infile", required=required, default=None, help=text)
+
+
+def _pair_flags(sp, t0_default=None) -> None:
+    """Pair group: phi(t) <= psi(gamma*t) on (0, t0], probed on a grid."""
+    sp.add_argument("--phi", required=True, help="dominated (target) generator")
+    sp.add_argument("--psi", required=True, help="dominating (source) generator")
+    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--t0", type=float, default=t0_default, help="domination window end")
+    sp.add_argument("--grid-points", dest="grid_points", type=int, default=4096)
+
+
+def _ball_flags(sp) -> None:
+    """Ball group: the kappa-ball of order k' and the accuracy epsilon in order k."""
+    sp.add_argument("--kprime", type=float, required=True,
+                    help="source order k' (chain form a: middle order)")
+    sp.add_argument("--k", type=float, required=True, help="target order k < k'")
+    _weight_flags(sp)
+    sp.add_argument("--kappa", type=float, required=True, help="ball radius")
+    sp.add_argument("--epsilon", type=float, required=True, help="target accuracy")
+    sp.add_argument("--t-theta", dest="t_theta", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,119 +297,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "embedding and compactness certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("norm", help="Luxemburg norm of a sequence CSV")
-    _add_space_flags(sp)
-    sp.add_argument("--in", dest="infile", required=True, help="sequence CSV (m,re,im rows)")
+    def command(name, handler, summary, *groups):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        for group in groups:
+            group(sp)
+        return sp
+
+    sp = command("norm", _cmd_norm, "Luxemburg norm of a sequence CSV",
+                 _space_flags, _vector_flag)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_norm)
 
-    sp = sub.add_parser("modular", help="weighted modular at a given scale")
-    _add_space_flags(sp)
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("modular", _cmd_modular, "weighted modular at a given scale",
+                 _space_flags, _vector_flag)
     sp.add_argument("--rho", type=float, required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_modular)
 
-    sp = sub.add_parser("classify", help="membership in the class and the large/small spaces")
-    _add_space_flags(sp)
-    sp.add_argument("--in", dest="infile", default=None)
+    sp = command("classify", _cmd_classify, "membership in the class and the large/small spaces",
+                 _space_flags)
+    _vector_flag(sp, required=False)
     sp.add_argument("--env-c", dest="env_c", type=float, default=None,
                     help="envelope amplitude C with |p_m| <= C*r^|m|")
     sp.add_argument("--env-r", dest="env_r", type=float, default=None,
                     help="envelope ratio r in (0,1)")
     sp.add_argument("--env-from", dest="env_from", type=int, default=0,
                     help="index the envelope is valid from")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("delta2", help="doubling-condition probe at zero")
-    sp.add_argument("--phi", required=True)
+    sp = command("delta2", _cmd_delta2, "doubling-condition probe at zero", _phi_flag)
     sp.add_argument("--t-start", dest="t_start", type=float, default=1.0)
     sp.add_argument("--depth", type=int, default=60)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_delta2)
 
-    sp = sub.add_parser("dominate", help="probe phi(t) <= psi(gamma*t) on (0, t0]")
-    sp.add_argument("--phi", required=True, help="dominated generator")
-    sp.add_argument("--psi", required=True, help="dominating generator")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--t0", type=float, default=math.inf)
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=4096)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_dominate)
+    sp = command("dominate", _cmd_dominate, "probe phi(t) <= psi(gamma*t) on (0, t0]")
+    _pair_flags(sp, t0_default=math.inf)
 
-    sp = sub.add_parser("embed", help="continuous embedding certificate (modes a/b)")
+    sp = command("embed", _cmd_embed, "continuous embedding certificate (modes a/b)")
     sp.add_argument("--mode", choices=("a", "b"), required=True)
-    sp.add_argument("--phi", required=True, help="target generator")
-    sp.add_argument("--psi", required=True, help="source generator")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--t0", type=float, default=None, help="domination window end (mode b)")
+    _pair_flags(sp)
     sp.add_argument("--k", type=float, default=0.0,
                     help="target order (mode a) or source order (mode b)")
     sp.add_argument("--kprime", type=float, default=None, help="source order (mode a)")
-    sp.add_argument("--weights", default="const:1")
-    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None)
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=4096)
-    sp.add_argument("--in", dest="infile", default=None,
-                    help="optionally verify the inequality on this sequence")
+    _weight_flags(sp)
+    _vector_flag(sp, required=False, text="optionally verify the inequality on this sequence")
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_embed)
 
-    sp = sub.add_parser("tail-index", help="uniform ball truncation index")
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--kprime", type=float, required=True, help="source order k'")
-    sp.add_argument("--k", type=float, required=True, help="target order k < k'")
-    sp.add_argument("--weights", default="const:1")
-    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None)
-    sp.add_argument("--kappa", type=float, required=True, help="ball radius")
-    sp.add_argument("--epsilon", type=float, required=True, help="target accuracy")
-    sp.add_argument("--t-theta", dest="t_theta", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_tail_index)
+    command("tail-index", _cmd_tail_index, "uniform ball truncation index",
+            _phi_flag, _ball_flags)
 
-    sp = sub.add_parser("covering", help="sample the ball and check the tail certificate")
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--kprime", type=float, required=True)
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--weights", default="const:1")
-    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None)
-    sp.add_argument("--kappa", type=float, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--t-theta", dest="t_theta", type=float, default=1.0)
+    sp = command("covering", _cmd_covering, "sample the ball and check the tail certificate",
+                 _phi_flag, _ball_flags)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-support", dest="max_support", type=int, default=64)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_covering)
 
-    sp = sub.add_parser("schauder-curve", help="truncation residual norms")
-    _add_space_flags(sp)
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("schauder-curve", _cmd_schauder_curve, "truncation residual norms",
+                 _space_flags, _vector_flag)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_schauder_curve)
 
-    sp = sub.add_parser("chain", help="compose a compact link with a continuous one")
+    sp = command("chain", _cmd_chain, "compose a compact link with a continuous one")
     sp.add_argument("--form", choices=("a", "b"), required=True)
-    sp.add_argument("--phi", required=True, help="target generator")
-    sp.add_argument("--psi", required=True, help="source generator")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--t0", type=float, default=None)
+    _pair_flags(sp)
     sp.add_argument("--kpp", type=float, default=None, help="outer source order k'' (form a)")
-    sp.add_argument("--kprime", type=float, required=True)
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--weights", default="const:1")
-    sp.add_argument("--inf-w", dest="inf_w", type=float, default=None)
-    sp.add_argument("--kappa", type=float, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--t-theta", dest="t_theta", type=float, default=1.0)
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=4096)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_chain)
+    _ball_flags(sp)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
