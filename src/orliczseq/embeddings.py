@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, ComputationOverflowError, DomainError,
                      OrliczSeqError, PreconditionError)
-from .functions import (GRID_POINTS_DEFAULT, PROBE_DEPTH, GeometricProbe,
-                        OrliczFunction, ThetaBound, _safe_pow, delta2_at_zero,
-                        log_probe_grid, theta_bound)
+from .functions import (GRID_POINTS_DEFAULT, GeometricProbe, OrliczFunction,
+                        ThetaBound, _PROBE_DEPTH, _probe_grid, _safe_pow,
+                        delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, modular, mu
 
@@ -74,7 +74,7 @@ def check_domination(phi: OrliczFunction, psi: OrliczFunction, gamma: float,
     if grid_points < 256:
         raise DomainError("domination grid needs at least 256 points")
     span = GLOBAL_DOMINATION_SPAN if math.isinf(t0) else t0
-    ts = log_probe_grid(span, grid_points, "t0")
+    ts = _probe_grid(span, grid_points, "t0")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         lhs = phi.eval(ts)
         rhs = psi.eval(gamma * ts)
@@ -239,7 +239,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             break
         except CertificateError as exc:
             last_err = exc
-            if tt * 0.5 * PROBE_DEPTH == 0:
+            if tt * 0.5 * _PROBE_DEPTH == 0:
                 break  # no probe grid below this t_theta
             tt *= 0.5
     if tb is None:

@@ -31,7 +31,7 @@ GRID_POINTS_DEFAULT = 4096
 SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
-PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*PROBE_DEPTH, top]
+_PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 
 
 def _safe_expm1(x: float) -> float:
@@ -422,16 +422,16 @@ def default_probe_grid(n: int = 256, lo: float = 1e-6, hi: float = 10.0) -> np.n
     return np.geomspace(lo, hi, n)
 
 
-def log_probe_grid(top: float, n: int, name: str) -> np.ndarray:
-    """Log-uniform grid of n points over [top*PROBE_DEPTH, top].
+def _probe_grid(top: float, n: int, name: str) -> np.ndarray:
+    """Log-uniform grid of n points over [top*_PROBE_DEPTH, top].
 
     A positive ``top`` so small that its low end underflows to 0 leaves no
     geometric grid; that raises DomainError naming ``name`` and its value.
     """
-    lo = top * PROBE_DEPTH
+    lo = top * _PROBE_DEPTH
     if lo == 0:
         raise DomainError(f"{name}={top:g} is too small: the probe grid from "
-                          f"{name}*{PROBE_DEPTH:g} underflows to 0")
+                          f"{name}*{_PROBE_DEPTH:g} underflows to 0")
     return np.geomspace(lo, top, n)
 
 
@@ -607,7 +607,7 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
         raise DomainError("grid_points must be at least 16")
     if isinstance(phi, Power):
         return ThetaBound(theta, SAFETY_FACTOR * theta ** phi.s, t_theta)
-    ts = log_probe_grid(t_theta, grid_points, "t_theta")
+    ts = _probe_grid(t_theta, grid_points, "t_theta")
     num = phi.eval(theta * ts)
     den = phi.eval(ts)
     mask = den > 0
