@@ -145,6 +145,30 @@ def test_inverses_equal_the_scalar_bisection(phi):
     assert [phi.inverse(y) for y in ys] == want
 
 
+# phi(2**-j) rises again between 2**-40 and 2**-30 and between 2**-20 and
+# 2**-12, so the values the bisection meets while it halves hi from 1 are
+# not monotone in j
+NON_MONOTONE_TABLE = TabulatedConvex([(0.0, 0.0), (2.0 ** -40, 1e-6), (2.0 ** -30, 1e-9),
+                                      (2.0 ** -20, 1e-3), (2.0 ** -12, 1e-5), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("phi", BISECTED + [NON_MONOTONE_TABLE],
+                         ids=lambda f: f.descriptor()[:24])
+def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
+    # targets phi(2**-j) and their neighbours, where a bisection that halves
+    # hi from 1 turns, for j up to and past the 200-halving cap
+    at = [phi._raw_eval(2.0 ** -j) for j in range(1, 211)]
+    ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
+                 if 0.0 <= y < math.inf})
+    ys += [0.9 * at[-1], at[-1] / 3.0, 1e-320]
+    inner, arg = ((phi.inner, math.log1p) if isinstance(phi, ExpCompose)
+                  else (phi, float))
+    want = [scalar_inverse_oracle(inner, arg(y)) for y in ys]
+    t, errors = phi.inverses(ys)
+    assert errors == {}
+    assert t.tolist() == want
+
+
 @pytest.mark.parametrize("phi", FAMILIES + BISECTED[2:], ids=lambda f: f.descriptor()[:24])
 def test_eval_exact_equals_scalar_raw_eval(phi):
     rng = np.random.default_rng(7)

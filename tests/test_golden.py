@@ -7,6 +7,9 @@ per-vector solver that preceded the batched engine; the engine must
 reproduce them exactly.  ``GOLDEN_INVERSE_NORMS`` was recorded from the
 scalar generic inverse that preceded the lock-step bisection; its vectors put
 the single-term roots phi^{-1}(1/mu(m)) where that inverse is most fragile.
+``GOLDEN_LARGE`` was recorded from the engine that computed mu one index at a
+time; its supports of 1000 indices on |m| <= 20000 pin the per-support
+measure and |p_m| arrays, including weights that differ between m and -m.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import pytest
 
 from orliczseq import (ExpLinear, ExpSquare, Power, SeqVector, SpaceParams,
                        TabulatedConvex, WeightSequence, covering_check,
-                       luxemburg_norm, sample_ball, schauder_curve,
+                       luxemburg_norm, modular, sample_ball, schauder_curve,
                        uniform_tail_index)
 from helpers import random_vector
 
@@ -147,6 +150,49 @@ GOLDEN_INVERSE_NORMS = {
          "0.99999999999847233", 40),
 }
 
+# weights that differ between m and -m unless 7 divides m
+SIGNED_WEIGHTS = WeightSequence(1.0, {m: 1.0 + (m % 7) / 8.0
+                                      for m in range(-20000, 20001, 3)})
+LARGE_SPACES = {
+    "power:2/1": SPACES["power:2/1"],
+    "tab/1-signed": SpaceParams(1.0, TABLE, SIGNED_WEIGHTS),
+}
+
+
+def _large_vector(seed, n=1000, max_abs=20000):
+    """n distinct indices with |m| <= max_abs, values over four decades."""
+    rng = random.Random(seed)
+    entries = {}
+    for m in rng.sample(range(-max_abs, max_abs + 1), n):
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        entries[m] = z * 10.0 ** rng.uniform(-2.0, 2.0) if z != 0 else 1.0
+    return SeqVector(entries)
+
+
+LARGE_VECTORS = {"big-a": _large_vector(1000), "big-b": _large_vector(1001)}
+# modular scales as multiples of max |p_m|
+LARGE_SCALES = (1.0, 4.0, 16.0)
+
+# (space, vector) -> (norm record, modular at each scale of LARGE_SCALES)
+GOLDEN_LARGE = {
+    ("power:2/1", "big-a"):
+        (("6263342.8844965789", "6263342.8844928425", "6263342.8844965789",
+          "0.99999999999912847", 40),
+         ("2677206916.8333397", "167325432.30208373", "10457839.518880233")),
+    ("power:2/1", "big-b"):
+        (("6749492.7611574288", "6749492.7611538675", "6749492.7611574288",
+          "0.9999999999995195", 40),
+         ("2955217620.0677409", "184701101.25423381", "11543818.828389613")),
+    ("tab/1-signed", "big-a"):
+        (("262905926.99937481", "262905926.99924031", "262905926.99937481",
+          "0.99999999999948919", 40),
+         ("2399780.61419767", "542969.16545056342", "135742.29136264086")),
+    ("tab/1-signed", "big-b"):
+        (("279541610.50098336", "279541610.50081241", "279541610.50098336",
+          "0.99999999999964428", 40),
+         ("2555771.5942905429", "562872.54975289351", "140718.13743822338")),
+}
+
 GOLDEN_CURVE = (
     (0, "2.7805579639766007"),
     (1, "2.7805579639766007"),
@@ -183,6 +229,15 @@ def test_norm_fields_are_pinned(space, vector):
 def test_norm_fields_are_pinned_at_fragile_inverses(space, vector):
     res = luxemburg_norm(INVERSE_SPACES[space], INVERSE_VECTORS[vector])
     assert _norm_record(res) == GOLDEN_INVERSE_NORMS[space, vector]
+
+
+@pytest.mark.parametrize("space, vector", sorted(GOLDEN_LARGE))
+def test_large_support_norm_and_modulars_are_pinned(space, vector):
+    params, p = LARGE_SPACES[space], LARGE_VECTORS[vector]
+    top = max(abs(v) for v in p.values)
+    got = (_norm_record(luxemburg_norm(params, p)),
+           tuple(_g(modular(params, p, f * top)) for f in LARGE_SCALES))
+    assert got == GOLDEN_LARGE[space, vector]
 
 
 def test_schauder_curve_is_pinned():
