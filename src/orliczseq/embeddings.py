@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CertificateError, CertificateRefutedError,
-                     CompositionError, ComputationOverflowError, DomainError,
-                     OrliczSeqError, PreconditionError)
-from .functions import (GRID_POINTS_DEFAULT, GeometricProbe, OrliczFunction,
-                        ThetaBound, _PROBE_DEPTH, _probe_grid, _safe_pow,
-                        delta2_at_zero, theta_bound)
+                     CompositionError, DomainError, OrliczSeqError,
+                     PreconditionError)
+from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
+                        OrliczFunction, ThetaBound, _PROBE_DEPTH, _probe_grid,
+                        _safe_pow, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
-from .spaces import SeqVector, SpaceParams, modular, mu
+from .spaces import SeqVector, SpaceParams, measures, modular
 
 GLOBAL_DOMINATION_SPAN = 1e6
 _DOMINATION_SLACK = 1.0 + 1e-12
@@ -73,6 +73,8 @@ def check_domination(phi: OrliczFunction, psi: OrliczFunction, gamma: float,
         raise DomainError("t0 must be positive (inf allowed for global checks)")
     if grid_points < 256:
         raise DomainError("domination grid needs at least 256 points")
+    if grid_points > MAX_GRID_POINTS:
+        raise DomainError(f"domination grid allows at most {MAX_GRID_POINTS} points")
     span = GLOBAL_DOMINATION_SPAN if math.isinf(t0) else t0
     ts = _probe_grid(span, grid_points, "t0")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -265,6 +267,24 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
                                max(m1, m2), source, target_k)
 
 
+def _finite_measure_index(params: SpaceParams, indices) -> dict:
+    """Each index m mapped to the first of m, int(m/2), int(int(m/2)/2), ...
+    whose measure is finite; the measures are probed in batches."""
+    finite = {}
+    todo = list(indices)
+    while todo:
+        _, errors = measures(params, todo)
+        finite.update((m, j not in errors) for j, m in enumerate(todo))
+        todo = list({int(m / 2) for m in todo if not finite[m]} - finite.keys())
+    usable = {}
+    for m in indices:
+        h = m
+        while not finite[h]:
+            h = int(h / 2)
+        usable[m] = h
+    return usable
+
+
 def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
                 max_support: int = MAX_SAMPLE_SUPPORT,
                 norm_tol: float = DEFAULT_TOL_REL):
@@ -287,37 +307,27 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
         raise DomainError("kappa must be finite and positive")
     rng = random.Random(seed)
     log2_top = math.log2(max_support + 1)
-    finite = {}  # index -> whether its measure is finite, probed once per index
-
-    def has_measure(m):
-        ok = finite.get(m)
-        if ok is None:
-            try:
-                mu(source, m)
-                ok = True
-            except ComputationOverflowError:
-                ok = False
-            finite[m] = ok
-        return ok
-
-    drawn, fractions = [], []
+    draws, fractions = [], []
     for _ in range(int(count)):
         n_pts = rng.randint(1, min(MAX_SAMPLE_SUPPORT, 2 * max_support + 1))
-        entries = {}
+        points = []
         for _ in range(n_pts):
             mag = min(max_support, int(2.0 ** rng.uniform(0.0, log2_top)) - 1)
             m = mag if rng.random() < 0.5 else -mag
             scale = 10.0 ** rng.uniform(-2.0, 2.0)
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * scale
-            if z == 0:
-                continue
-            while not has_measure(m):
-                m = int(m / 2)
-            entries.setdefault(m, z)
-        if not entries:
-            entries[0] = 1.0 + 0.0j
-        drawn.append(SeqVector(entries))
+            if z != 0:
+                points.append((m, z))
+        draws.append(points)
         fractions.append(1.0 - rng.random())
+    # halving draws nothing, so it can run after the draws, on all indices at once
+    usable = _finite_measure_index(source, {m for points in draws for m, _ in points})
+    drawn = []
+    for points in draws:
+        entries = {}
+        for m, z in points:
+            entries.setdefault(usable[m], z)
+        drawn.append(SeqVector(entries or {0: 1.0 + 0.0j}))
     radii = luxemburg_norms(source, drawn, norm_tol)
     return [p.scaled(u * kappa / r.value) for p, u, r in zip(drawn, fractions, radii)]
 

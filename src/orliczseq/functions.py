@@ -28,9 +28,11 @@ import numpy as np
 from .errors import CertificateError, DomainError
 
 GRID_POINTS_DEFAULT = 4096
+MAX_GRID_POINTS = 2 ** 20  # desk scale: a grid of this size takes 8 MiB per array
 SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
+_MAX_HALVINGS = 200  # bisection steps of one generic inverse
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 
 
@@ -143,9 +145,16 @@ class OrliczFunction:
 
         Bisection on a doubling bracket, in lock-step over the targets.  The
         bracket ends are powers of two, shared by every target still
-        doubling, so each doubling step evaluates phi once; each bisection
-        step evaluates it once per target still open, through
-        ``_eval_exact``.
+        doubling, so each doubling step evaluates phi once.  A target
+        bracketed by [0, 1] first halves hi through 2**-1, 2**-2, ... while
+        phi there is not below it; phi is evaluated once at all 200 of these
+        points, and the first j whose running minimum of phi(2**-i), i <= j,
+        is below the target is where that target's halving stops, so the
+        prefix needs no monotone phi.  Each target then carries its own step
+        count into the lock-step bisection, which evaluates phi once per
+        step on the targets still open, through ``_eval_exact``.  Every
+        target keeps the path, the accuracy and the 200-step cap of a scalar
+        bisection.
         """
         t = np.zeros(y.size)
         failed = {}
@@ -170,19 +179,32 @@ class OrliczFunction:
         live = np.flatnonzero(positive)
         h, target = hi[live], y[live]
         lo = np.where(h == 1.0, 0.0, h / 2.0)
+        steps = np.zeros(live.size, dtype=np.int64)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for _ in range(200):
+            unit = np.flatnonzero(h == 1.0)
+            if unit.size:
+                # halvings that keep hi: the leading j with min phi(2**-i) >= target;
+                # a nan phi is not below the target, as in the comparison below
+                at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
+                floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
+                keep = np.searchsorted(-floor, -target[unit], side="right")
+                h[unit] = np.ldexp(1.0, -keep)
+                lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
+                steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
+            while live.size:
                 mid = 0.5 * (lo + h)
-                go = (h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
+                go = ((h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
+                      & (steps < _MAX_HALVINGS))
                 if not go.all():
                     t[live[~go]] = h[~go]
-                    live, lo, h, mid, target = (x[go] for x in (live, lo, h, mid, target))
+                    live, lo, h, mid, target, steps = (
+                        x[go] for x in (live, lo, h, mid, target, steps))
                     if not live.size:
                         break
                 below = self._eval_exact(mid) < target
                 lo = np.where(below, mid, lo)
                 h = np.where(below, h, mid)
-        t[live] = h
+                steps += 1
         return t, failed
 
     def __repr__(self) -> str:
@@ -205,6 +227,14 @@ class Power(OrliczFunction):
         if isinstance(t, np.ndarray):
             return t ** self.s
         return _safe_pow(t, self.s)
+
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        # scalar pow, as in _invert; one pass without a call per entry
+        s, ts = self.s, t.tolist()
+        try:
+            return np.array([x ** s for x in ts])
+        except OverflowError:
+            return np.array([_safe_pow(x, s) for x in ts])
 
     def _invert(self, y: np.ndarray):
         # scalar pow: np.power differs from it in the last bit at some points
@@ -605,6 +635,8 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
         raise DomainError("t_theta must be finite and positive")
     if grid_points < 16:
         raise DomainError("grid_points must be at least 16")
+    if grid_points > MAX_GRID_POINTS:
+        raise DomainError(f"grid_points must be at most {MAX_GRID_POINTS}")
     if isinstance(phi, Power):
         return ThetaBound(theta, SAFETY_FACTOR * theta ** phi.s, t_theta)
     ts = _probe_grid(t_theta, grid_points, "t_theta")

@@ -7,10 +7,11 @@ the infimum is attained and bracketed bisection resolves it.
 ``luxemburg_norms`` solves a batch of vectors in one pass and
 ``luxemburg_norm`` is a batch of one.  The batch is padded to (rows, L)
 arrays of |p_m| and mu(m); padding is 0, so a padded term is exactly 0.
-Within one call mu(m) is computed once per distinct index, by
-``spaces.mu``, and phi^{-1}(1/mu(m)) for all distinct indices by one call of
-``phi.inverses``.  Each of its targets takes the path of a scalar bisection,
-so a root does not depend on the batch it is solved in.
+Within one call mu(m) comes from one call of ``spaces.measures`` on every
+entry of the batch, which evaluates phi once per distinct |m|, and
+phi^{-1}(1/mu(m)) from one call of ``phi.inverses`` on the distinct values
+of 1/mu(m).  Each of its targets takes the path of a scalar bisection, so a
+root does not depend on the batch it is solved in.
 
 Each row is bracketed on its own.  The lower bracket comes from single-term
 necessity: each term alone forces mu(m) * phi(|p_m|/rho) <= 1, i.e.
@@ -45,6 +46,7 @@ of the lowest failing row, the one a loop over the vectors would meet first.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import ComputationOverflowError, DomainError, OrliczSeqError
 from .functions import _MAX_DOUBLINGS
-from .spaces import SeqVector, SpaceParams, first_overflow, mu
+from .spaces import SeqVector, SpaceParams, first_overflow, measures
 
 DEFAULT_TOL_REL = 1e-12
 _MAX_BISECTIONS = 4000
@@ -108,10 +110,10 @@ def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray) -> np.ndar
     return ok
 
 
-def _first_error(support, errors: dict):
-    """The error of the first index of ``support`` that has one, else None."""
+def _first_error(positions: range, errors: dict):
+    """The error of the first of ``positions`` that has one, else None."""
     if errors:
-        return next((errors[m] for m in support if m in errors), None)
+        return next((errors[q] for q in positions if q in errors), None)
     return None
 
 
@@ -120,45 +122,50 @@ class _Batch:
 
     def __init__(self, params: SpaceParams, vecs):
         phi = params.phi
-        # mu(m), then phi^{-1}(1/mu(m)) in one call, once per distinct index
+        # mu(m) of every entry of the batch, in one call, and phi^{-1}(1/mu(m))
+        # in one call, once per distinct measure
         supports = [p.support for p in vecs]
-        mu_of, mu_err = {}, {}
-        for support in supports:
-            for m in support:
-                if m not in mu_of and m not in mu_err:
-                    try:
-                        mu_of[m] = mu(params, m)
-                    except OrliczSeqError as exc:
-                        mu_err[m] = exc
+        lengths = [len(support) for support in supports]
+        mus, mu_err = measures(params, list(itertools.chain.from_iterable(supports)))
         # 0 marks an underflowed measure, whose term never binds
-        scale_of = dict.fromkeys(mu_of, 0.0)
-        solvable = [m for m, w in mu_of.items() if w != 0.0]
-        roots, failed = phi.inverses([1.0 / mu_of[m] for m in solvable])
-        scale_of.update(zip(solvable, roots.tolist()))
-        inv_err = {solvable[j]: exc for j, exc in failed.items()}
+        scale = np.zeros(mus.size)
+        solvable = np.flatnonzero(np.isfinite(mus) & (mus != 0.0))
+        targets, which = np.unique(1.0 / mus[solvable], return_inverse=True)
+        roots, failed = phi.inverses(targets)
+        scale[solvable] = roots[which]
+        inv_err = {}
+        for j, exc in failed.items():
+            inv_err.update(dict.fromkeys(solvable[which == j].tolist(), exc))
 
         self.phi = phi
         self.errors = {}  # position in the batch -> typed error
-        self.pos, self.supports, cols = [], [], []
+        self.pos, self.supports, rows = [], [], []
+        kept = np.zeros(len(vecs), dtype=bool)
+        end = 0
         for i, (p, support) in enumerate(zip(vecs, supports)):
+            end += len(support)
             if not support:
                 continue
             # a row fails on its first mu error, else its first inverse error
-            exc = _first_error(support, mu_err) or _first_error(support, inv_err)
+            span = range(end - len(support), end)
+            exc = _first_error(span, mu_err) or _first_error(span, inv_err)
             if exc is not None:
                 self.errors[i] = exc
                 continue
             self.pos.append(i)
             self.supports.append(support)
-            cols.append((p.abs_values(), [mu_of[m] for m in support],
-                         [scale_of[m] for m in support]))
+            rows.append(p)
+            kept[i] = True
         n = np.array([len(s) for s in self.supports], dtype=np.int64)
         shape = (n.size, int(n.max(initial=0)))
+        # the filled part of each row, in row-major order, and its batch entries
+        filled = np.arange(shape[1]) < n[:, None]
+        taken = np.repeat(kept, lengths)
         self.avals, self.mus, scales = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        for r, (a, w, t) in enumerate(cols):
-            self.avals[r, :n[r]] = a
-            self.mus[r, :n[r]] = w
-            scales[r, :n[r]] = t
+        if rows:
+            self.avals[filled] = np.concatenate([p.abs_values() for p in rows])
+        self.mus[filled] = mus[taken]
+        scales[filled] = scale[taken]
         ratio = np.divide(self.avals, scales, out=np.zeros(shape), where=scales > 0.0)
         self.rho_low = ratio.max(axis=1, initial=0.0)
         self.n = n

@@ -20,6 +20,7 @@ without truncating blindly.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -76,6 +77,13 @@ class WeightSequence:
     def weight(self, m: int) -> float:
         return self._table.get(int(m), self._default)
 
+    def weights(self, support) -> np.ndarray:
+        """w_m for each integer index of ``support``."""
+        if not self._table:
+            return np.full(len(support), self._default)
+        get, default = self._table.get, self._default
+        return np.array([get(m, default) for m in support], dtype=float)
+
     @property
     def inf_w(self) -> float:
         return self._inf
@@ -121,9 +129,11 @@ def parse_weights(descriptor: str, inf_override: float | None = None) -> WeightS
     desc = descriptor.strip()
     if desc.startswith("const:"):
         try:
-            return WeightSequence(float(desc[len("const:"):]), inf_override=inf_override)
+            weights = WeightSequence(float(desc[len("const:"):]))
         except ValueError as exc:
             raise DomainError(f"bad constant weight descriptor {descriptor!r}") from exc
+        # a bad override raises its own DomainError, not the descriptor's
+        return weights if inf_override is None else weights.with_inf(inf_override)
     if desc.startswith("table:"):
         rest = desc[len("table:"):]
         path, default = rest, 1.0
@@ -172,8 +182,13 @@ class SpaceParams:
         return (self.k, self.phi.descriptor(), self.weights.descriptor())
 
 
-def _canonical_key(m: int):
+def _canonical_key(item):
+    m = item[0]
     return (abs(m), m >= 0)
+
+
+def _abs_index(item) -> int:
+    return abs(item[0])
 
 
 class SeqVector:
@@ -181,10 +196,11 @@ class SeqVector:
 
     Construction accepts an iterable of (index, value) pairs or a dict.
     Duplicate indices are a hard error; exact zero values are dropped so the
-    stored support is the true support.
+    stored support is the true support.  The support tuple and the read-only
+    |p_m| array are built on first use and kept.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_support", "_abs")
 
     def __init__(self, items=()):
         pairs = items.items() if isinstance(items, dict) else items
@@ -200,7 +216,9 @@ class SeqVector:
                 raise DomainError(f"value at index {m} must be finite")
             seen[m] = v
         self._items = tuple(sorted(
-            ((m, v) for m, v in seen.items() if v != 0), key=lambda kv: _canonical_key(kv[0])))
+            ((m, v) for m, v in seen.items() if v != 0), key=_canonical_key))
+        self._support = None
+        self._abs = None
 
     @classmethod
     def from_csv(cls, path) -> "SeqVector":
@@ -225,14 +243,21 @@ class SeqVector:
 
     @property
     def support(self):
-        return tuple(m for m, _ in self._items)
+        if self._support is None:
+            self._support = tuple(m for m, _ in self._items)
+        return self._support
 
     @property
     def values(self):
         return tuple(v for _, v in self._items)
 
     def abs_values(self) -> np.ndarray:
-        return np.array([abs(v) for _, v in self._items], dtype=float)
+        """|p_m| in support order; the array is shared, so it is read-only."""
+        if self._abs is None:
+            a = np.array([abs(v) for _, v in self._items], dtype=float)
+            a.flags.writeable = False
+            self._abs = a
+        return self._abs
 
     @property
     def max_abs_index(self) -> int:
@@ -269,13 +294,22 @@ class SeqVector:
             return NotImplemented
         return self + other.scaled(-1.0)
 
+    def _slice(self, cut: slice) -> "SeqVector":
+        """The vector of a slice of the canonical items, viewing this one's arrays."""
+        out = SeqVector.__new__(SeqVector)
+        out._items = self._items[cut]
+        out._support = self.support[cut]
+        out._abs = self.abs_values()[cut]
+        return out
+
     def restrict(self, max_abs: int) -> "SeqVector":
-        """Keep indices with |m| <= max_abs."""
-        return SeqVector([(m, v) for m, v in self._items if abs(m) <= max_abs])
+        """Keep indices with |m| <= max_abs: a prefix in canonical order."""
+        return self._slice(slice(bisect.bisect_right(self._items, max_abs, key=_abs_index)))
 
     def tail(self, min_abs: int) -> "SeqVector":
-        """Keep indices with |m| >= min_abs."""
-        return SeqVector([(m, v) for m, v in self._items if abs(m) >= min_abs])
+        """Keep indices with |m| >= min_abs: a suffix in canonical order."""
+        return self._slice(slice(bisect.bisect_left(self._items, min_abs, key=_abs_index),
+                                 None))
 
     def __repr__(self):
         body = ", ".join(f"{m}: {v}" for m, v in self._items[:6])
@@ -283,25 +317,71 @@ class SeqVector:
         return f"SeqVector({{{body}{more}}})"
 
 
-def mu(params: SpaceParams, m: int) -> float:
-    """Measure of index m: w_m * (1 + phi(|m|))**k.
+def _abs_float(m: int) -> float:
+    """float(|m|), or inf for an index beyond double range."""
+    try:
+        return float(abs(m))
+    except OverflowError:
+        return math.inf
 
-    Raises ComputationOverflowError naming m when the factor leaves double
-    range (k > 0 with a fast-growing generator).  For k < 0 the factor may
-    underflow to exactly 0.0; that is accepted, the true value being below
-    anything representable.
+
+@np.errstate(over="ignore")
+def measures(params: SpaceParams, support):
+    """The measure w_m * (1 + phi(|m|))**k of each integer index of ``support``.
+
+    Returns ``(mus, errors)``: ``mus[i]`` is the measure of ``support[i]``,
+    and ``errors`` maps each position whose measure leaves double range to a
+    ComputationOverflowError naming its index, in support order (``mus`` is
+    not finite there).  For k < 0 the factor may underflow to exactly 0.0;
+    that is accepted, the true value being below anything representable.
+
+    phi is evaluated once per distinct |m|, through ``_eval_exact``, and the
+    factor is the scalar power, which np.power can differ from in the last
+    bit; each measure equals w_m * (1.0 + phi._raw_eval(float(|m|)))**k bit
+    for bit.  At k = 0 every integer index works; otherwise an index beyond
+    double range is an overflow.
     """
-    m = int(m)
-    w = params.weights.weight(m)
-    if params.k == 0:
-        return w
-    # float(|m|) is finite and nonnegative: no need for eval's check
-    val = w * _safe_pow(1.0 + params.phi._raw_eval(float(abs(m))), params.k)
-    if math.isinf(val) or math.isnan(val):
-        raise ComputationOverflowError(
-            f"measure overflow at index {m}: (1 + phi({abs(m)}))**{params.k:g} "
-            "exceeds double range", index=m)
-    return val
+    support = list(map(int, support))
+    w = params.weights.weights(support)
+    k = params.k
+    if k == 0 or not support:
+        return w, {}
+    # float(|m|) once per distinct value; an index beyond double range is inf
+    try:
+        ts, slot = np.unique(np.abs(np.array(support, dtype=float)), return_inverse=True)
+    except OverflowError:
+        ts, slot = np.unique([_abs_float(m) for m in support], return_inverse=True)
+    huge = ts == math.inf
+    base = (params.phi._eval_exact(np.where(huge, 0.0, ts)) + 1.0).tolist()
+    try:
+        factor = np.array([b ** k for b in base])
+    except OverflowError:
+        factor = np.array([_safe_pow(b, k) for b in base])
+    factor[huge] = math.nan
+    mus = w * factor[slot]
+    errors = {}
+    for i in np.flatnonzero(~np.isfinite(mus)).tolist():
+        m = support[i]
+        if huge[slot[i]]:
+            why = "|m| exceeds double range"
+        else:
+            why = f"(1 + phi({abs(m)}))**{k:g} exceeds double range"
+        errors[i] = ComputationOverflowError(f"measure overflow at index {m}: {why}",
+                                             index=m)
+    return mus, errors
+
+
+def mu(params: SpaceParams, m: int) -> float:
+    """Measure of index m: ``measures`` on a batch of one.
+
+    Raises the ComputationOverflowError naming m when the measure leaves
+    double range (k > 0 with a fast-growing generator, or k != 0 with |m|
+    beyond double range).
+    """
+    mus, errors = measures(params, (m,))
+    if errors:
+        raise errors[0]
+    return float(mus[0])
 
 
 def first_overflow(values: np.ndarray, support, what: str, where: str):
@@ -326,7 +406,9 @@ def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
     if not p:
         return 0.0
     support = p.support
-    mus = np.array([mu(params, m) for m in support], dtype=float)
+    mus, errors = measures(params, support)
+    if errors:
+        raise next(iter(errors.values()))
     where = f"for rho={rho:g}"
     args = p.abs_values() / rho
     err = first_overflow(args, support, "scaled argument", where)
@@ -530,10 +612,15 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
         upper: float | None
         try:
             explicit = modular(params, p, rho)
-            off = math.fsum(
-                mu(params, m) * params.phi.eval(envelope.bound_at(m) / rho)
-                for m in range(-trunc, trunc + 1) if m not in supp)
-            upper = explicit + off + tail
+            off = [m for m in range(-trunc, trunc + 1) if m not in supp]
+            mus, errors = measures(params, off)
+            # the terms before the first overflow, as a sum in index order meets them
+            first = next(iter(errors), len(off))
+            terms = [w * params.phi.eval(envelope.bound_at(m) / rho)
+                     for w, m in zip(mus[:first].tolist(), off)]
+            if errors:
+                raise errors[first]
+            upper = explicit + math.fsum(terms) + tail
         except ComputationOverflowError:
             upper = None
         return TailCertificate(rho, trunc, tail, upper)
@@ -564,8 +651,8 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
 
 
 __all__ = [
-    "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "mu",
-    "modular", "GeometricEnvelope", "geometric_envelope", "weight_poly_bound",
+    "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "measures",
+    "mu", "modular", "GeometricEnvelope", "geometric_envelope", "weight_poly_bound",
     "modular_tail_bound", "TailCertificate", "MembershipReport", "classify",
     "parse_orlicz",
 ]

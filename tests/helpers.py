@@ -14,6 +14,23 @@ def power_norm_oracle(k, s, weight_of, p):
     return total ** (1.0 / s)
 
 
+def scalar_mu_oracle(params, m):
+    """w_m * (1 + phi(|m|))**k by the scalar formula, one index at a time.
+
+    Returns None where the value leaves double range, including an index
+    beyond double range at k != 0.  ``spaces.measures`` must return the same
+    float for every other index.
+    """
+    w = params.weights.weight(m)
+    if params.k == 0:
+        return w
+    try:
+        val = w * (1.0 + params.phi._raw_eval(float(abs(m)))) ** params.k
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def random_vector(rng, max_points, max_index, decades=(-3.0, 3.0)):
     """Random finitely supported vector with values spread over decades."""
     n = rng.randint(1, max_points)

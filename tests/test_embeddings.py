@@ -10,11 +10,12 @@ from orliczseq import (CertificateError, CertificateRefutedError,
                        ExpSquare, GeometricProbe, Power, PreconditionError,
                        SeqVector, SpaceParams, WeightSequence, chain_embeddings,
                        check_domination, covering_check, embedding_constant,
-                       luxemburg_norm, sample_ball, uniform_tail_index,
-                       verify_embedding)
+                       luxemburg_norm, sample_ball, theta_bound,
+                       uniform_tail_index, verify_embedding)
 from orliczseq import embeddings
 from orliczseq.cli import run
-from orliczseq.spaces import mu
+from orliczseq.functions import MAX_GRID_POINTS
+from orliczseq.spaces import measures
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -67,6 +68,27 @@ def test_check_domination_validation():
         check_domination(Power(2.0), Power(2.0), 1.0, grid_points=16)
     with pytest.raises(DomainError, match="t0=1e-310"):
         check_domination(Power(2.0), ExpSquare(), 1.0, t0=1e-310)
+
+
+def test_grid_points_upper_bound():
+    with pytest.raises(DomainError, match=f"at most {MAX_GRID_POINTS} points"):
+        check_domination(Power(2.0), ExpSquare(), 1.0, grid_points=MAX_GRID_POINTS + 1)
+    with pytest.raises(DomainError, match=f"at most {MAX_GRID_POINTS}"):
+        theta_bound(ExpSquare(), 2.0, 1.0, grid_points=MAX_GRID_POINTS + 1)
+    w = check_domination(Power(2.0), ExpSquare(), 1.0, grid_points=MAX_GRID_POINTS)
+    assert w.holds and w.grid_checked == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("argv", [
+    "dominate --phi power:2 --psi expsq --gamma 1 --grid-points 100000000000",
+    "embed --mode b --phi power:3 --psi power:2 --gamma 1 --t0 1 --k 1 "
+    "--grid-points 1048577",
+])
+def test_grid_points_upper_bound_cli_exits_two(capsys, argv):
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: domination grid allows at most {MAX_GRID_POINTS} points\n"
 
 
 def test_tiny_probe_window():
@@ -238,11 +260,12 @@ def test_sample_ball_probes_each_index_once(monkeypatch):
     want = sample_ball(src, 1.0, seed=5, count=30, max_support=700)
     probed = []
 
-    def counting_mu(params, m):
-        probed.append(m)
-        return mu(params, m)
+    def counting_measures(params, support):
+        support = list(support)
+        probed.extend(support)
+        return measures(params, support)
 
-    monkeypatch.setattr(embeddings, "mu", counting_mu)
+    monkeypatch.setattr(embeddings, "measures", counting_measures)
     assert sample_ball(src, 1.0, seed=5, count=30, max_support=700) == want
     assert len(probed) == len(set(probed))
     assert max(p.max_abs_index for p in want) <= 354 < max(map(abs, probed))

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from orliczseq import (CertificateError, ComputationOverflowError,
                        DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
                        SeqVector, SpaceParams, TabulatedConvex,
-                       WeightSequence, classify, geometric_envelope, modular,
-                       modular_tail_bound, mu, parse_weights,
-                       weight_poly_bound)
+                       WeightSequence, classify, geometric_envelope,
+                       luxemburg_norm, measures, modular, modular_tail_bound,
+                       mu, parse_weights, weight_poly_bound)
+from orliczseq.cli import run
+from helpers import scalar_mu_oracle
 
 HALF_E_SQUARED = 3.69452804946532511362  # 0.5 * e**2
 
@@ -56,6 +58,29 @@ def test_parse_weights(tmp_path):
         parse_weights("table:/nonexistent.csv")
 
 
+INF_OVERRIDE_ERROR = "inf override must be positive and no larger than every listed weight"
+
+
+def test_bad_inf_override_reports_itself():
+    for bad in (0.0, math.nan, 2.0):
+        with pytest.raises(DomainError, match=INF_OVERRIDE_ERROR):
+            parse_weights("const:1", inf_override=bad)
+    with pytest.raises(DomainError, match="bad constant weight descriptor 'const:0'"):
+        parse_weights("const:0", inf_override=0.5)
+    assert parse_weights("const:2", inf_override=0.5) == WeightSequence(2.0, inf_override=0.5)
+
+
+@pytest.mark.parametrize("argv", [
+    "embed --mode a --phi power:2 --psi expsq --gamma 1 --inf-w 0",
+    "tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1 --inf-w nan",
+])
+def test_bad_inf_w_cli_names_the_override(capsys, argv):
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {INF_OVERRIDE_ERROR}\n"
+
+
 def test_seqvector_canonical_order():
     p = SeqVector([(2, 1.0), (-1, 2.0), (0, 3.0), (1, 4.0), (-2, 5.0)])
     assert p.support == (0, -1, 1, -2, 2)
@@ -83,6 +108,26 @@ def test_seqvector_arithmetic():
     assert p.scaled(2j).values == (2j, 4j)
     assert p.restrict(0).support == (0,)
     assert p.tail(1).support == (2,)
+
+
+def test_seqvector_keeps_support_and_read_only_abs_values():
+    p = SeqVector({3: 3 + 4j, -1: -2.0, 0: 0.5, 1: 1j, -3: 0.25})
+    a = p.abs_values()
+    assert a.tolist() == [0.5, 2.0, 1.0, 0.25, 5.0]
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+    assert p.abs_values() is a
+    assert p.support is p.support
+    # tails and truncations slice the items and arrays of the vector
+    for cut in range(-1, 5):
+        for part, keep in ((p.tail(cut), lambda m: abs(m) >= cut),
+                           (p.restrict(cut), lambda m: abs(m) <= cut)):
+            fresh = SeqVector([(m, v) for m, v in p.items if keep(m)])
+            assert part == fresh
+            assert part.support == fresh.support
+            assert part.abs_values().tolist() == fresh.abs_values().tolist()
+            assert not part.abs_values().flags.writeable
 
 
 def test_seqvector_csv_round_trip(tmp_path):
@@ -113,6 +158,73 @@ def test_mu_overflow_names_index():
     assert exc.value.index == 1000
     # negative order: the factor underflows to zero instead of overflowing
     assert mu(SpaceParams(-1.0, ExpSquare(), W1), 1000) == 0.0
+
+
+MEASURE_FAMILIES = [Power(2.0), Power(1.5), ExpSquare(), ExpLinear(),
+                    ExpCompose(Power(1.0)),
+                    TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0),
+                                     (4.0, 16.0)])]
+# weights that differ between m and -m unless 5 divides m
+SIGNED_WEIGHTS = WeightSequence(0.75, {m: 1.0 + (m % 5) / 4.0 for m in range(-900, 901, 3)})
+
+
+def _measure_support():
+    rng = random.Random(77)
+    # duplicates, both signs, indices past int64 that fit a float, and some past it
+    return [3, -3, 0, 3, *rng.sample(range(-900, 901), 300), 2 ** 70, -(2 ** 70),
+            10 ** 400, 7, -(10 ** 400)]
+
+
+@pytest.mark.parametrize("phi", MEASURE_FAMILIES, ids=lambda f: f.descriptor()[:12])
+@pytest.mark.parametrize("k", [-1.5, 0.0, 0.5, 1.0, 3.0])
+def test_measures_equal_the_scalar_formula(phi, k):
+    params = SpaceParams(k, phi, SIGNED_WEIGHTS)
+    support = _measure_support()
+    want = [scalar_mu_oracle(params, m) for m in support]
+    mus, errors = measures(params, support)
+    # one error per overflowing position, in support order, naming its index
+    assert list(errors) == [i for i, w in enumerate(want) if w is None]
+    assert all(errors[i].index == support[i] for i in errors)
+    assert ([mus[i] for i in range(len(support)) if i not in errors]
+            == [w for w in want if w is not None])
+    if k < 0 and isinstance(phi, (ExpSquare, ExpLinear, ExpCompose)):
+        assert 0.0 in mus.tolist()  # factors that underflow to 0
+    if errors:
+        first = next(iter(errors))
+        with pytest.raises(ComputationOverflowError) as exc:
+            mu(params, support[first])
+        assert str(exc.value) == str(errors[first])
+    else:
+        assert [mu(params, m) for m in support] == mus.tolist()
+
+
+def test_huge_index_has_a_typed_overflow_unless_k_is_zero():
+    huge = 10 ** 400
+    square = SpaceParams(1.0, Power(2.0), W1)
+    assert mu(square, 2 ** 70) == 1.393796574908164e+42
+    for params in (square, SpaceParams(-1.0, Power(2.0), W1)):
+        with pytest.raises(ComputationOverflowError, match="exceeds double range") as exc:
+            mu(params, -huge)
+        assert exc.value.index == -huge
+    p = SeqVector({0: 1.0, huge: 0.5})
+    for solve in (lambda: luxemburg_norm(square, p), lambda: modular(square, p, 1.0)):
+        with pytest.raises(ComputationOverflowError) as exc:
+            solve()
+        assert exc.value.index == huge
+    flat = SpaceParams(0.0, Power(2.0), W1)
+    assert mu(flat, huge) == 1.0
+    assert modular(flat, p, 1.0) == 1.25
+    assert luxemburg_norm(flat, p).value == pytest.approx(math.sqrt(1.25), rel=1e-12)
+
+
+def test_huge_index_cli_exits_three(capsys, tmp_path):
+    f = tmp_path / "huge.csv"
+    f.write_text(f"{10 ** 400},1.0,0\n")
+    assert run(["norm", "--phi", "power:2", "--k", "1", "--in", str(f)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: measure overflow at index 1000")
+    assert err.count("\n") == 1
 
 
 def test_modular_worked_values():
