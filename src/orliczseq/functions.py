@@ -82,7 +82,8 @@ class OrliczFunction:
         The entries are finite and nonnegative.  The array branch of
         ``_raw_eval`` may round differently from its scalar branch; the
         generic inverse evaluates through this method so that it takes the
-        path of the scalar bisection.
+        path of the scalar bisection, and ``spaces.measures`` so that each
+        measure equals the scalar formula.
         """
         return np.array([self._raw_eval(x) for x in t.tolist()], dtype=float)
 
@@ -229,7 +230,8 @@ class Power(OrliczFunction):
         return _safe_pow(t, self.s)
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # scalar pow, as in _invert; one pass without a call per entry
+        # scalar pow, which np.power can differ from in the last bit; the
+        # first pass makes no call per entry
         s, ts = self.s, t.tolist()
         try:
             return np.array([x ** s for x in ts])
@@ -293,8 +295,9 @@ class ExpLinear(OrliczFunction):
         # last bit at some points, so entries above 1/2 use math.expm1
         out = np.empty(t.size)
         small = t <= _EXPLIN_SWITCH
-        x = t[small]
-        out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
+        if small.any():  # polyval costs two ufunc calls per coefficient
+            x = t[small]
+            out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
         out[~small] = [_safe_expm1(v) - v for v in t[~small].tolist()]
         return out
 
