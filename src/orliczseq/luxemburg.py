@@ -139,10 +139,9 @@ class _Batch:
 
         self.phi = phi
         self.errors = {}  # position in the batch -> typed error
-        self.pos, self.supports, rows = [], [], []
-        kept = np.zeros(len(vecs), dtype=bool)
+        self.pos, self.supports = [], []
         end = 0
-        for i, (p, support) in enumerate(zip(vecs, supports)):
+        for i, support in enumerate(supports):
             end += len(support)
             if not support:
                 continue
@@ -154,16 +153,16 @@ class _Batch:
                 continue
             self.pos.append(i)
             self.supports.append(support)
-            rows.append(p)
-            kept[i] = True
         n = np.array([len(s) for s in self.supports], dtype=np.int64)
         shape = (n.size, int(n.max(initial=0)))
         # the filled part of each row, in row-major order, and its batch entries
         filled = np.arange(shape[1]) < n[:, None]
+        kept = np.zeros(len(vecs), dtype=bool)
+        kept[self.pos] = True
         taken = np.repeat(kept, lengths)
         self.avals, self.mus, scales = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        if rows:
-            self.avals[filled] = np.concatenate([p.abs_values() for p in rows])
+        if self.pos:
+            self.avals[filled] = np.concatenate([vecs[i].abs_values() for i in self.pos])
         self.mus[filled] = mus[taken]
         scales[filled] = scale[taken]
         ratio = np.divide(self.avals, scales, out=np.zeros(shape), where=scales > 0.0)

@@ -11,6 +11,8 @@ and the modular of a finitely supported complex sequence p at scale rho > 0 is
 summed in canonical support order: increasing |m|, negative index before
 positive at equal |m|.  Canonical order plus exact summation (math.fsum)
 makes modular values reproducible bit for bit across runs and input orders.
+``measures`` computes mu for a whole support at once, and every caller in
+the package goes through it.
 
 Geometric envelopes |p_m| <= C * r**|m| with a certified polynomial bound on
 the measure give closed-form tail majorants, which in turn certify membership
@@ -614,7 +616,8 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
             explicit = modular(params, p, rho)
             off = [m for m in range(-trunc, trunc + 1) if m not in supp]
             mus, errors = measures(params, off)
-            # the terms before the first overflow, as a sum in index order meets them
+            # terms up to the first overflow only: an error that phi.eval raises
+            # before it comes first, as in a loop over the indices
             first = next(iter(errors), len(off))
             terms = [w * params.phi.eval(envelope.bound_at(m) / rho)
                      for w, m in zip(mus[:first].tolist(), off)]
