@@ -252,19 +252,32 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     inv_w = 1.0 / source.weights.inf_w
     phi_at_tt = phi.eval(tb.t_theta)
 
-    m2 = 0
-    while _safe_pow(1.0 + phi.eval(float(m2)), gap) < tb.c_theta:
-        m2 += 1
-        if m2 > _SEARCH_CAP:
-            raise CertificateError("measure growth did not absorb c_theta at desk scale")
-    m1 = 0
-    while inv_w * _safe_pow(1.0 + phi.eval(float(m1)), -source.k) > phi_at_tt:
-        m1 += 1
-        if m1 > _SEARCH_CAP:
-            raise CertificateError("ball entries did not enter the scaling window at desk scale")
+    # negated comparisons, so that a nan stops each search
+    m2 = _least_index(phi, lambda f: not _safe_pow(1.0 + f, gap) < tb.c_theta,
+                      "measure growth did not absorb c_theta at desk scale")
+    m1 = _least_index(phi, lambda f: not inv_w * _safe_pow(1.0 + f, -source.k) > phi_at_tt,
+                      "ball entries did not enter the scaling window at desk scale")
 
     return BallTailCertificate(kappa, epsilon, theta, tb, m1, m2,
                                max(m1, m2), source, target_k)
+
+
+def _least_index(phi: OrliczFunction, holds, message: str) -> int:
+    """The least n in [0, _SEARCH_CAP] with holds(phi(n)), else CertificateError.
+
+    phi is evaluated exactly on chunks of consecutive n that grow to at most
+    4096 indices, and each n is tested in turn, so no monotonicity is assumed.
+    """
+    start, size = 0, 8
+    while start <= _SEARCH_CAP:
+        stop = min(start + size, _SEARCH_CAP + 1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            values = phi._eval_exact(np.arange(start, stop, dtype=float))
+        for n, f in enumerate(values.tolist(), start):
+            if holds(f):
+                return n
+        start, size = stop, min(2 * size, 4096)
+    raise CertificateError(message)
 
 
 def _finite_measure_index(params: SpaceParams, indices) -> dict:

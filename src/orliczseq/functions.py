@@ -8,8 +8,10 @@ validation of the defining axioms on probe grids, a probe for the doubling
 condition at zero (``limsup_{t->0+} phi(2t)/phi(t) < oo``) and the local
 scaling certificate ``phi(theta*t) <= c_theta * phi(t)`` on ``(0, t_theta]``.
 
-Evaluation accepts a float or a numpy array; overflow saturates to ``inf``
-(consumers that need finiteness convert that to an indexed error).  Inverses
+Each generator evaluates exactly through ``_eval_exact`` on an array (``eval``
+on a float is a batch of one) and fast through its numpy form ``_raw_eval``
+(``eval`` on an array); overflow saturates to ``inf`` (consumers that need
+finiteness convert that to an indexed error).  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
 doubling bracket that runs in lock-step over the targets while each target
@@ -18,7 +20,6 @@ keeps the bracket, step count and stopping test of a scalar bisection.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -50,49 +51,46 @@ def _safe_pow(base: float, exp: float) -> float:
         return math.inf
 
 
-def _check_point(t):
-    """Validate an evaluation point (float or ndarray): finite and >= 0."""
-    if isinstance(t, np.ndarray):
-        # min and max are nan when any entry is, failing both comparisons
-        if t.size and not (t.min() >= 0 and t.max() < math.inf):
-            raise DomainError("evaluation points must be finite and nonnegative")
-        return t
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"evaluation point must be finite and nonnegative, got {t!r}")
+def _check_point(t: np.ndarray) -> np.ndarray:
+    """Validate evaluation points: every entry finite and >= 0."""
+    bad = t[~((t >= 0) & (t < math.inf))]
+    if bad.size:
+        raise DomainError(f"evaluation point must be finite and nonnegative, got {float(bad[0])}")
     return t
 
 
 class OrliczFunction:
     """Base class for Orlicz generators.
 
-    Subclasses implement ``_raw_eval`` on validated inputs and may override
-    ``_invert`` with a closed form and ``_eval_exact`` with an array form.
-    ``inverses``, the norm engine and ``ExpCompose`` call ``_invert``, so an
-    override of ``inverse`` alone is not seen by them.
-    ``eval`` (alias ``__call__``) works on scalars and numpy arrays alike.
+    A subclass defines ``_raw_eval(t)`` on an array of finite nonnegative
+    points and ``descriptor``.  ``_eval_exact`` is the reference evaluation;
+    it defaults to ``_raw_eval`` and is overridden only where numpy rounds
+    differently from the reference formula.  A subclass may override
+    ``_invert`` with a closed form.  ``inverses``, the norm engine and
+    ``ExpCompose`` call ``_invert``, so an override of ``inverse`` alone is
+    not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
+    numpy array.
     """
 
-    def _raw_eval(self, t):
+    def _raw_eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        """phi at each entry of t, bit for bit the scalar ``_raw_eval``.
+        """phi at each entry of t by the reference formula.
 
-        The entries are finite and nonnegative.  The array branch of
-        ``_raw_eval`` may round differently from its scalar branch; the
-        generic inverse evaluates through this method so that it takes the
-        path of the scalar bisection, and ``spaces.measures`` so that each
-        measure equals the scalar formula.
+        The entries are finite and nonnegative.  ``eval`` on a float, the
+        generic inverse, ``spaces.measures`` and the probes evaluate through
+        this method, so a value does not depend on the batch it is in.
         """
-        return np.array([self._raw_eval(x) for x in t.tolist()], dtype=float)
+        return self._raw_eval(t)
 
     def eval(self, t):
-        t = _check_point(t)
-        if isinstance(t, np.ndarray):
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                return self._raw_eval(t)
-        return self._raw_eval(t)
+        """phi(t): ``_eval_exact`` on a batch of one for a float, a float back;
+        the numpy form ``_raw_eval`` for an array."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            if isinstance(t, np.ndarray):
+                return self._raw_eval(_check_point(t))
+            return float(self._eval_exact(_check_point(np.array([float(t)])))[0])
 
     __call__ = eval
 
@@ -141,6 +139,7 @@ class OrliczFunction:
             errors[int(good[j])] = exc
         return t, errors
 
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def _invert(self, y: np.ndarray):
         """``inverses`` on finite nonnegative targets: (t, {position: error}).
 
@@ -163,11 +162,10 @@ class OrliczFunction:
         hi = np.ones(y.size)
         live = np.flatnonzero(positive)
         top, message = 1.0, "cannot bracket inverse: function grows too slowly"
-        # bracket points are finite nonnegative floats: no need for eval's check
         for _ in range(_MAX_DOUBLINGS):
             if not live.size:
                 break
-            live = live[~(self._raw_eval(top) >= y[live])]
+            live = live[~(self._eval_exact(np.array([top])) >= y[live])]
             top *= 2.0
             if math.isinf(top):
                 message = "cannot bracket inverse: target beyond double range"
@@ -181,31 +179,30 @@ class OrliczFunction:
         h, target = hi[live], y[live]
         lo = np.where(h == 1.0, 0.0, h / 2.0)
         steps = np.zeros(live.size, dtype=np.int64)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            unit = np.flatnonzero(h == 1.0)
-            if unit.size:
-                # halvings that keep hi: the leading j with min phi(2**-i) >= target;
-                # a nan phi is not below the target, as in the comparison below
-                at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
-                floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
-                keep = np.searchsorted(-floor, -target[unit], side="right")
-                h[unit] = np.ldexp(1.0, -keep)
-                lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
-                steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
-            while live.size:
-                mid = 0.5 * (lo + h)
-                go = ((h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
-                      & (steps < _MAX_HALVINGS))
-                if not go.all():
-                    t[live[~go]] = h[~go]
-                    live, lo, h, mid, target, steps = (
-                        x[go] for x in (live, lo, h, mid, target, steps))
-                    if not live.size:
-                        break
-                below = self._eval_exact(mid) < target
-                lo = np.where(below, mid, lo)
-                h = np.where(below, h, mid)
-                steps += 1
+        unit = np.flatnonzero(h == 1.0)
+        if unit.size:
+            # halvings that keep hi: the leading j with min phi(2**-i) >= target;
+            # a nan phi is not below the target, as in the comparison below
+            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
+            floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
+            keep = np.searchsorted(-floor, -target[unit], side="right")
+            h[unit] = np.ldexp(1.0, -keep)
+            lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
+            steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
+        while live.size:
+            mid = 0.5 * (lo + h)
+            go = ((h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
+                  & (steps < _MAX_HALVINGS))
+            if not go.all():
+                t[live[~go]] = h[~go]
+                live, lo, h, mid, target, steps = (
+                    x[go] for x in (live, lo, h, mid, target, steps))
+                if not live.size:
+                    break
+            below = self._eval_exact(mid) < target
+            lo = np.where(below, mid, lo)
+            h = np.where(below, h, mid)
+            steps += 1
         return t, failed
 
     def __repr__(self) -> str:
@@ -225,9 +222,7 @@ class Power(OrliczFunction):
         object.__setattr__(self, "s", s)
 
     def _raw_eval(self, t):
-        if isinstance(t, np.ndarray):
-            return t ** self.s
-        return _safe_pow(t, self.s)
+        return t ** self.s
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
         # scalar pow, which np.power can differ from in the last bit; the
@@ -251,9 +246,11 @@ class ExpSquare(OrliczFunction):
     """phi(t) = exp(t^2) - 1, computed as expm1(t^2) to keep small-t accuracy."""
 
     def _raw_eval(self, t):
-        if isinstance(t, np.ndarray):
-            return np.expm1(t * t)
-        return _safe_expm1(t * t)
+        return np.expm1(t * t)
+
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        # math.expm1: np.expm1 differs from it in the last bit at some points
+        return np.array([_safe_expm1(x * x) for x in t.tolist()])
 
     def _invert(self, y: np.ndarray):
         # scalar log1p: np.log1p differs from it in the last bit at some points
@@ -279,20 +276,13 @@ class ExpLinear(OrliczFunction):
     """
 
     def _raw_eval(self, t):
-        if isinstance(t, np.ndarray):
-            small = np.polyval(_EXPLIN_COEFFS, t) * t * t
-            return np.where(t <= _EXPLIN_SWITCH, small, np.expm1(t) - t)
-        if t <= _EXPLIN_SWITCH:
-            acc = 0.0
-            for c in _EXPLIN_COEFFS:
-                acc = acc * t + c
-            return acc * t * t
-        return _safe_expm1(t) - t
+        small = np.polyval(_EXPLIN_COEFFS, t) * t * t
+        return np.where(t <= _EXPLIN_SWITCH, small, np.expm1(t) - t)
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # np.polyval runs the scalar Horner loop (y = y*x + c from 0), so it
-        # matches it bit for bit; np.expm1 differs from math.expm1 in the
-        # last bit at some points, so entries above 1/2 use math.expm1
+        # the Horner loop (y = y*x + c from 0, as np.polyval runs it) at or
+        # below 1/2; above it math.expm1, which np.expm1 differs from in the
+        # last bit at some points
         out = np.empty(t.size)
         small = t <= _EXPLIN_SWITCH
         if small.any():  # polyval costs two ufunc calls per coefficient
@@ -316,12 +306,11 @@ class ExpCompose(OrliczFunction):
             raise DomainError("inner generator must be an OrliczFunction")
 
     def _raw_eval(self, t):
-        u = self.inner._raw_eval(t)
-        if isinstance(u, np.ndarray):
-            return np.expm1(u)
-        if math.isinf(u):
-            return math.inf
-        return _safe_expm1(u)
+        return np.expm1(self.inner._raw_eval(t))
+
+    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
+        # math.expm1: np.expm1 differs from it in the last bit at some points
+        return np.array([_safe_expm1(u) for u in self.inner._eval_exact(t).tolist()])
 
     def _invert(self, y: np.ndarray):
         # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone;
@@ -353,15 +342,13 @@ class TabulatedConvex(OrliczFunction):
             raise DomainError("knots must be finite with nonnegative values")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError("knot abscissae must be strictly increasing")
-        self._ts = tuple(ts)
-        self._vs = tuple(vs)
-        self._ts_arr = np.array(ts)
-        self._vs_arr = np.array(vs)
+        self._ts = np.array(ts)
+        self._vs = np.array(vs)
         self._final_slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
 
     @property
     def knots(self):
-        return tuple(zip(self._ts, self._vs))
+        return tuple(zip(self._ts.tolist(), self._vs.tolist()))
 
     @property
     def final_slope(self) -> float:
@@ -369,7 +356,7 @@ class TabulatedConvex(OrliczFunction):
 
     @property
     def final_value(self) -> float:
-        return self._vs[-1]
+        return float(self._vs[-1])
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedConvex":
@@ -388,21 +375,13 @@ class TabulatedConvex(OrliczFunction):
 
     def _raw_eval(self, t):
         ts, vs = self._ts, self._vs
-        if isinstance(t, np.ndarray):
-            inside = np.interp(t, self._ts_arr, self._vs_arr)
-            beyond = vs[-1] + self._final_slope * (t - ts[-1])
-            return np.where(t > ts[-1], beyond, inside)
-        if t > ts[-1]:
-            return vs[-1] + self._final_slope * (t - ts[-1])
-        i = bisect.bisect_right(ts, t) - 1
-        if i >= len(ts) - 1:
-            return vs[-1]
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return vs[i] + frac * (vs[i + 1] - vs[i])
+        inside = np.interp(t, ts, vs)
+        beyond = vs[-1] + self._final_slope * (t - ts[-1])
+        return np.where(t > ts[-1], beyond, inside)
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # the scalar formula per interval; np.interp rounds differently
-        ts, vs = self._ts_arr, self._vs_arr
+        # the interpolation formula per interval; np.interp rounds differently
+        ts, vs = self._ts, self._vs
         last = ts.size - 1
         i = np.minimum(np.searchsorted(ts, t, side="right") - 1, last - 1)
         frac = (t - ts[i]) / (ts[i + 1] - ts[i])
@@ -411,7 +390,7 @@ class TabulatedConvex(OrliczFunction):
         return np.where(t > ts[last], beyond, inside)
 
     def descriptor(self) -> str:
-        body = ";".join(f"{t:.17g},{v:.17g}" for t, v in zip(self._ts, self._vs))
+        body = ";".join(f"{t:.17g},{v:.17g}" for t, v in self.knots)
         return f"tab[{body}]"
 
     def __eq__(self, other):
@@ -507,35 +486,28 @@ def validate_orlicz(phi: OrliczFunction, grid=None, divergence_target: float = 1
         violations.append(("zero_at_zero", 0.0, phi.eval(0.0)))
 
     vals = phi.eval(grid)
-    mono_ok = True
-    for i in range(len(grid) - 1):
-        if not vals[i + 1] > vals[i]:
-            mono_ok = False
-            violations.append(("strictly_increasing", float(grid[i + 1]), float(vals[i + 1])))
-            break
+    bad = np.flatnonzero(~(vals[1:] > vals[:-1]))
+    mono_ok = not bad.size
+    if bad.size:
+        i = bad[0] + 1
+        violations.append(("strictly_increasing", float(grid[i]), float(vals[i])))
 
-    convex_ok = True
     mids = 0.5 * (grid[:-1] + grid[1:])
     mid_vals = phi.eval(mids)
-    for i in range(len(grid) - 1):
-        chord = 0.5 * (vals[i] + vals[i + 1])
-        slack = 1e-12 * (1.0 + abs(vals[i]) + abs(vals[i + 1]))
-        if mid_vals[i] > chord + slack:
-            convex_ok = False
-            violations.append(("midpoint_convex", float(mids[i]), float(mid_vals[i] - chord)))
-            break
+    chord = 0.5 * (vals[:-1] + vals[1:])
+    bad = np.flatnonzero(mid_vals > chord + 1e-12 * (1.0 + np.abs(vals[:-1]) + np.abs(vals[1:])))
+    convex_ok = not bad.size
+    if bad.size:
+        i = bad[0]
+        violations.append(("midpoint_convex", float(mids[i]), float(mid_vals[i] - chord[i])))
 
-    div_ok = False
-    t = float(grid[-1])
-    for _ in range(_MAX_DOUBLINGS):
-        if phi.eval(t) > divergence_target:
-            div_ok = True
-            break
-        t *= 2.0
-        if math.isinf(t):
-            break
+    # the doublings grid[-1] * 2**i up to the first that overflows, in one call
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ladder = np.ldexp(grid[-1], np.arange(_MAX_DOUBLINGS + 1))
+        n = min(_MAX_DOUBLINGS, int(np.count_nonzero(ladder < math.inf)))
+        div_ok = bool(np.any(phi._eval_exact(ladder[:n]) > divergence_target))
     if not div_ok:
-        violations.append(("divergent", t, divergence_target))
+        violations.append(("divergent", float(ladder[n]), divergence_target))
 
     return ValidationReport(zero_ok, mono_ok, convex_ok, div_ok, tuple(violations))
 
@@ -583,16 +555,14 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
     """
     if probe is None:
         probe = GeometricProbe()
-    ts, ratios = [], []
-    truncated = False
-    for j in range(probe.depth + 1):
-        t = probe.t_start * 2.0 ** (-j)
-        ft = phi.eval(t)
-        if ft == 0.0 or math.isinf(ft):
-            truncated = True
-            break
-        ts.append(t)
-        ratios.append(phi.eval(2.0 * t) / ft)
+    # t_start * 2**-j is 0 from j = 1075 on, where phi(0) = 0 ends the probe
+    ts = probe.t_start * np.ldexp(1.0, -np.arange(min(probe.depth, 1075) + 1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ft, f2t = np.split(phi._eval_exact(np.concatenate((ts, 2.0 * ts))), 2)
+        stop = np.flatnonzero((ft == 0.0) | np.isinf(ft))
+        used = int(stop[0]) if stop.size else ts.size
+        ratios = (f2t[:used] / ft[:used]).tolist()
+    ts = ts[:used].tolist()
     if not ratios:
         return Delta2Report((), (), math.nan, math.nan, False, True)
     sup_ratio = max(ratios)
@@ -601,7 +571,7 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
     prev = ratios[-2 * q:-q] or last
     estimate = max(last)
     holds = math.isfinite(sup_ratio) and max(last) <= max(prev) * (1.0 + 1e-3)
-    return Delta2Report(tuple(ts), tuple(ratios), sup_ratio, estimate, holds, truncated)
+    return Delta2Report(tuple(ts), tuple(ratios), sup_ratio, estimate, holds, stop.size > 0)
 
 
 @dataclass(frozen=True)
@@ -643,12 +613,13 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     if isinstance(phi, Power):
         return ThetaBound(theta, SAFETY_FACTOR * theta ** phi.s, t_theta)
     ts = _probe_grid(t_theta, grid_points, "t_theta")
-    num = phi.eval(theta * ts)
-    den = phi.eval(ts)
-    mask = den > 0
-    if not np.any(mask):
-        raise CertificateError("generator underflows on the whole probe grid")
-    ratios = num[mask] / den[mask]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        num = phi.eval(theta * ts)
+        den = phi.eval(ts)
+        mask = den > 0
+        if not np.any(mask):
+            raise CertificateError("generator underflows on the whole probe grid")
+        ratios = num[mask] / den[mask]
     if not np.all(np.isfinite(ratios)):
         raise CertificateError(
             f"scaling ratio overflows on (0, {t_theta:g}] at theta={theta:g}")

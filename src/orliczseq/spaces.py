@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ComputationOverflowError, DomainError
-from .functions import (ExpCompose, ExpLinear, ExpSquare, OrliczFunction,
-                        Power, TabulatedConvex, _safe_pow, parse_orlicz)
+from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
+                        OrliczFunction, Power, TabulatedConvex, _check_point,
+                        _safe_pow, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _ENVELOPE_SLACK = 1.0 + 1e-12
@@ -278,10 +279,15 @@ class SeqVector:
         return hash(self._items)
 
     def scaled(self, lam: complex) -> "SeqVector":
+        """lam * p; products that underflow to 0 leave the support."""
         lam = complex(lam)
         if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
             raise DomainError("scale factor must be finite")
-        return SeqVector([(m, lam * v) for m, v in self._items])
+        items = tuple((m, lam * v) for m, v in self._items)
+        for m, v in items:
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise DomainError(f"value at index {m} must be finite")
+        return SeqVector._canonical(tuple(item for item in items if item[1]))
 
     def __add__(self, other: "SeqVector") -> "SeqVector":
         if not isinstance(other, SeqVector):
@@ -296,13 +302,17 @@ class SeqVector:
             return NotImplemented
         return self + other.scaled(-1.0)
 
+    @classmethod
+    def _canonical(cls, items: tuple, support=None, abs_values=None) -> "SeqVector":
+        """The vector of items already in canonical order, nonzero and finite."""
+        out = cls.__new__(cls)
+        out._items, out._support, out._abs = items, support, abs_values
+        return out
+
     def _slice(self, cut: slice) -> "SeqVector":
         """The vector of a slice of the canonical items, viewing this one's arrays."""
-        out = SeqVector.__new__(SeqVector)
-        out._items = self._items[cut]
-        out._support = self.support[cut]
-        out._abs = self.abs_values()[cut]
-        return out
+        return SeqVector._canonical(self._items[cut], self.support[cut],
+                                    self.abs_values()[cut])
 
     def restrict(self, max_abs: int) -> "SeqVector":
         """Keep indices with |m| <= max_abs: a prefix in canonical order."""
@@ -339,8 +349,8 @@ def measures(params: SpaceParams, support):
 
     phi is evaluated once per distinct |m|, through ``_eval_exact``, and the
     factor is the scalar power, which np.power can differ from in the last
-    bit; each measure equals w_m * (1.0 + phi._raw_eval(float(|m|)))**k bit
-    for bit.  At k = 0 every integer index works; otherwise an index beyond
+    bit; each measure equals w_m * (1.0 + phi.eval(float(|m|)))**k bit for
+    bit.  At k = 0 every integer index works; otherwise an index beyond
     double range is an overflow.
     """
     support = list(map(int, support))
@@ -589,7 +599,8 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
     down to 2**-probe_depth.  The truncation index is chosen per scale so the
     linearization point stays at or below 1; explicit partial sums may still
     overflow at tiny scales, which is reported (modular_upper = None) without
-    affecting the finiteness verdict.
+    affecting the finiteness verdict; so is a window -trunc..trunc of more
+    than MAX_GRID_POINTS indices, whose explicit part is not summed.
     """
     if p is None:
         p = SeqVector()
@@ -610,17 +621,21 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
             need = math.ceil(math.log(rho / envelope.amplitude) / log_r)
             trunc = max(trunc, int(need))
         tail = modular_tail_bound(params, envelope, rho, trunc)
+        if 2 * trunc + 1 > MAX_GRID_POINTS:
+            return TailCertificate(rho, trunc, tail, None)
         supp = set(p.support)
         upper: float | None
         try:
             explicit = modular(params, p, rho)
             off = [m for m in range(-trunc, trunc + 1) if m not in supp]
             mus, errors = measures(params, off)
-            # terms up to the first overflow only: an error that phi.eval raises
-            # before it comes first, as in a loop over the indices
+            # terms up to the first overflow only: a bad point before it raises
+            # first, as in a loop over the indices
             first = next(iter(errors), len(off))
-            terms = [w * params.phi.eval(envelope.bound_at(m) / rho)
-                     for w, m in zip(mus[:first].tolist(), off)]
+            # the envelope in scalar arithmetic: np.power can differ in the last bit
+            args = _check_point(np.array([envelope.bound_at(m) / rho for m in off[:first]]))
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                terms = mus[:first] * params.phi._eval_exact(args)
             if errors:
                 raise errors[first]
             upper = explicit + math.fsum(terms) + tail

@@ -1,8 +1,65 @@
 """Shared builders and independent oracles for the test suite."""
 
+import bisect
 import math
 
-from orliczseq import CertificateError, SeqVector
+from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, Power,
+                       SeqVector, TabulatedConvex)
+
+# explin below 1/2: the Taylor polynomial sum_{n=2..26} t**n/n! by Horner
+_EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
+
+
+def _expm1_or_inf(x):
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def scalar_phi_oracle(phi, t):
+    """phi(t) for a finite t >= 0 by each family's scalar formula.
+
+    Python float arithmetic and the math module, one point at a time:
+    overflow gives inf.  ``_eval_exact`` and ``eval`` on a float must return
+    the same float.  A generator of another family is evaluated by its
+    ``_raw_eval`` on the float t, so it must be written with arithmetic that
+    floats support too.
+    """
+    t = float(t)
+    if isinstance(phi, Power):
+        try:
+            return t ** phi.s
+        except OverflowError:
+            return math.inf
+    if isinstance(phi, ExpSquare):
+        return _expm1_or_inf(t * t)
+    if isinstance(phi, ExpLinear):
+        if t <= 0.5:
+            acc = 0.0
+            for c in _EXPLIN_COEFFS:
+                acc = acc * t + c
+            return acc * t * t
+        return _expm1_or_inf(t) - t
+    if isinstance(phi, ExpCompose):
+        return _expm1_or_inf(scalar_phi_oracle(phi.inner, t))
+    if isinstance(phi, TabulatedConvex):
+        ts, vs = zip(*phi.knots)
+        if t > ts[-1]:
+            return vs[-1] + phi.final_slope * (t - ts[-1])
+        i = bisect.bisect_right(ts, t) - 1
+        if i >= len(ts) - 1:
+            return vs[-1]
+        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return vs[i] + frac * (vs[i + 1] - vs[i])
+    return float(phi._raw_eval(t))
+
+
+# phi(2**-j) rises again between 2**-40 and 2**-30 and between 2**-20 and
+# 2**-12, so the values the bisection meets while it halves hi from 1 are
+# not monotone in j
+NON_MONOTONE_TABLE = TabulatedConvex([(0.0, 0.0), (2.0 ** -40, 1e-6), (2.0 ** -30, 1e-9),
+                                      (2.0 ** -20, 1e-3), (2.0 ** -12, 1e-5), (1.0, 1.0)])
 
 
 def power_norm_oracle(k, s, weight_of, p):
@@ -25,7 +82,7 @@ def scalar_mu_oracle(params, m):
     if params.k == 0:
         return w
     try:
-        val = w * (1.0 + params.phi._raw_eval(float(abs(m)))) ** params.k
+        val = w * (1.0 + scalar_phi_oracle(params.phi, abs(m))) ** params.k
     except OverflowError:
         return None
     return val if math.isfinite(val) else None
@@ -60,7 +117,7 @@ def scalar_inverse_oracle(phi, y):
         return 0.0
     hi = 1.0
     for _ in range(1100):
-        if phi._raw_eval(hi) >= y:
+        if scalar_phi_oracle(phi, hi) >= y:
             break
         hi *= 2.0
         if math.isinf(hi):
@@ -74,7 +131,7 @@ def scalar_inverse_oracle(phi, y):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if phi._raw_eval(mid) < y:
+        if scalar_phi_oracle(phi, mid) < y:
             lo = mid
         else:
             hi = mid

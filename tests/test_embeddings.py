@@ -7,28 +7,30 @@ import pytest
 
 from orliczseq import (CertificateError, CertificateRefutedError,
                        CompositionError, DomainError, ExpCompose, ExpLinear,
-                       ExpSquare, GeometricProbe, Power, PreconditionError,
-                       SeqVector, SpaceParams, WeightSequence, chain_embeddings,
+                       ExpSquare, GeometricProbe, OrliczFunction, Power,
+                       PreconditionError, SeqVector, SpaceParams,
+                       TabulatedConvex, WeightSequence, chain_embeddings,
                        check_domination, covering_check, embedding_constant,
                        luxemburg_norm, sample_ball, theta_bound,
                        uniform_tail_index, verify_embedding)
 from orliczseq import embeddings
 from orliczseq.cli import run
-from orliczseq.functions import MAX_GRID_POINTS
+from orliczseq.functions import MAX_GRID_POINTS, _safe_pow
 from orliczseq.spaces import measures
+from helpers import NON_MONOTONE_TABLE, scalar_phi_oracle
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
 
 
-class Collapsing(Power):
+class Collapsing(OrliczFunction):
     """exp(-1/t) near zero: convexity-shaped but the doubling ratio explodes."""
 
     def _raw_eval(self, t):
-        if isinstance(t, np.ndarray):
-            with np.errstate(divide="ignore"):
-                return np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        return math.exp(-1.0 / t) if t > 0 else 0.0
+        return np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+
+    def descriptor(self):
+        return "collapsing"
 
 
 def test_identity_domination_holds_globally():
@@ -211,6 +213,64 @@ def test_tail_index_frozen_exponential_cases():
     assert c2.theta == 20.0
 
 
+def _linear_tail_index(cert):
+    """(m1, m2) by the search one index at a time, on the scalar formulas."""
+    src = cert.source
+    phi, c, gap = src.phi, cert.bound.c_theta, src.k - cert.target_k
+    inv_w, at_tt = 1.0 / src.weights.inf_w, scalar_phi_oracle(src.phi, cert.bound.t_theta)
+    m2 = 0
+    while _safe_pow(1.0 + scalar_phi_oracle(phi, m2), gap) < c:
+        m2 += 1
+    m1 = 0
+    while inv_w * _safe_pow(1.0 + scalar_phi_oracle(phi, m1), -src.k) > at_tt:
+        m1 += 1
+    return m1, m2
+
+
+# phi on the integers is 0, 1, 2, 5000, 4, 5, 6, then rises linearly: the
+# tail conditions hold at 3, fail at 4 to 6 and hold again from 7 on
+INTEGER_SPIKE_TABLE = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 5000.0),
+                                       (4.0, 4.0), (5.0, 5.0), (6.0, 6.0), (40.0, 5000.0)])
+
+
+@pytest.mark.parametrize("phi,kp,k,w,tt", [
+    (Power(2.0), 1.0, 0.0, 1e-6, 1.0),  # m1 = 1000: several chunks
+    (Power(1.5), 2.0, 0.5, 1.0, 1.0),
+    (ExpSquare(), 1.0, 0.0, 1e-9, 1.0),
+    (ExpLinear(), 2.0, 0.5, 1e-3, 1.0),
+    (ExpCompose(Power(2.0)), 1.0, 0.0, 0.25, 1.0),
+    (TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+     1.0, 0.0, 1e-4, 1.0),
+    (NON_MONOTONE_TABLE, 1.0, 0.0, 1e-3, 1.0),
+    (INTEGER_SPIKE_TABLE, 1.0, 0.0, 1.0, 0.01),
+], ids=lambda v: v.descriptor()[:24] if isinstance(v, OrliczFunction) else repr(v))
+def test_tail_index_equals_the_linear_search(phi, kp, k, w, tt):
+    cert = uniform_tail_index(SpaceParams(kp, phi, WeightSequence.constant(w)), k, 1.0, 0.1,
+                              t_theta=tt)
+    assert (cert.m1, cert.m2) == _linear_tail_index(cert)
+
+
+def test_tail_index_search_finds_the_first_index_not_a_monotone_one():
+    cert = uniform_tail_index(SpaceParams(1.0, INTEGER_SPIKE_TABLE, W1), 0.0, 1.0, 0.1,
+                              t_theta=0.01)
+    assert (cert.m1, cert.m2) == (3, 3)
+
+
+@pytest.mark.parametrize("w,m1,m2,message", [
+    (1.0, 0, 20, "measure growth did not absorb c_theta at desk scale"),
+    (1e-6, 1000, 20, "ball entries did not enter the scaling window at desk scale"),
+])
+def test_tail_index_search_cap_is_inclusive(monkeypatch, w, m1, m2, message):
+    src = SpaceParams(1.0, Power(2.0), WeightSequence.constant(w))
+    cap = max(m1, m2)
+    monkeypatch.setattr(embeddings, "_SEARCH_CAP", cap)
+    cert = uniform_tail_index(src, 0.0, 1.0, 0.1)
+    assert (cert.m1, cert.m2) == (m1, m2)
+    monkeypatch.setattr(embeddings, "_SEARCH_CAP", cap - 1)
+    with pytest.raises(CertificateError, match=message):
+        uniform_tail_index(src, 0.0, 1.0, 0.1)
+
+
 def test_tail_index_monotone_in_accuracy_and_radius():
     src = SpaceParams(1.0, ExpSquare(), W1)
     idx = [uniform_tail_index(src, 0.0, 1.0, eps).m_eps_kappa
@@ -233,7 +293,7 @@ def test_tail_index_preconditions():
         uniform_tail_index(src, 0.0, 1.0, math.inf)
     # doubling condition at zero is a hard gate for the tail argument
     with pytest.raises(PreconditionError):
-        uniform_tail_index(SpaceParams(1.0, Collapsing(1.0), W1), 0.0, 1.0, 1.0,
+        uniform_tail_index(SpaceParams(1.0, Collapsing(), W1), 0.0, 1.0, 1.0,
                            probe=GeometricProbe(1.0, 25))
 
 

@@ -11,7 +11,7 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        ExpSquare, GeometricProbe, OrliczFunction, Power,
                        TabulatedConvex, default_probe_grid, delta2_at_zero,
                        parse_orlicz, theta_bound, validate_orlicz)
-from helpers import scalar_inverse_oracle
+from helpers import NON_MONOTONE_TABLE, scalar_inverse_oracle, scalar_phi_oracle
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -106,8 +106,9 @@ def test_inverse_contract(phi):
 
 
 class ScalarOnly(OrliczFunction):
-    """t**2 * (t + 1/2), written for scalars only: the base class supplies
-    the exact array evaluation and the inverse."""
+    """t**2 * (t + 1/2) in arithmetic that floats and arrays share: a user
+    generator that defines one evaluation, ``_raw_eval``, and gets the exact
+    evaluation and the inverse from the base class."""
 
     def _raw_eval(self, t):
         return t * t * (t + 0.5)
@@ -145,19 +146,12 @@ def test_inverses_equal_the_scalar_bisection(phi):
     assert [phi.inverse(y) for y in ys] == want
 
 
-# phi(2**-j) rises again between 2**-40 and 2**-30 and between 2**-20 and
-# 2**-12, so the values the bisection meets while it halves hi from 1 are
-# not monotone in j
-NON_MONOTONE_TABLE = TabulatedConvex([(0.0, 0.0), (2.0 ** -40, 1e-6), (2.0 ** -30, 1e-9),
-                                      (2.0 ** -20, 1e-3), (2.0 ** -12, 1e-5), (1.0, 1.0)])
-
-
 @pytest.mark.parametrize("phi", BISECTED + [NON_MONOTONE_TABLE],
                          ids=lambda f: f.descriptor()[:24])
 def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
     # targets phi(2**-j) and their neighbours, where a bisection that halves
     # hi from 1 turns, for j up to and past the 200-halving cap
-    at = [phi._raw_eval(2.0 ** -j) for j in range(1, 211)]
+    at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in range(1, 211)]
     ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
                  if 0.0 <= y < math.inf})
     ys += [0.9 * at[-1], at[-1] / 3.0, 1e-320]
@@ -177,7 +171,10 @@ def test_eval_exact_equals_scalar_raw_eval(phi):
                    *rng.uniform(0.0, 5.0, 500), *10.0 ** rng.uniform(-300.0, 2.0, 500)])
     with np.errstate(over="ignore"):
         got = phi._eval_exact(ts)
-    assert got.tolist() == [phi._raw_eval(t) for t in ts.tolist()]
+    want = [scalar_phi_oracle(phi, t) for t in ts.tolist()]
+    assert got.tolist() == want
+    # eval on a float is a batch of one of _eval_exact
+    assert [phi.eval(t) for t in ts.tolist()[:200]] == want[:200]
 
 
 def test_failing_targets_fail_alone():
@@ -265,17 +262,24 @@ def test_delta2_exponential_families_tend_to_four():
 
 
 def test_delta2_flags_blowup():
-    class Collapsing(Power):
+    class Collapsing(OrliczFunction):
         """phi(t) = exp(-1/t) for t > 0: the doubling ratio explodes at 0."""
 
         def _raw_eval(self, t):
-            if isinstance(t, np.ndarray):
-                with np.errstate(divide="ignore"):
-                    return np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-            return math.exp(-1.0 / t) if t > 0 else 0.0
+            return np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
 
-    rep = delta2_at_zero(Collapsing(1.0), GeometricProbe(1.0, 25))
+        def descriptor(self):
+            return "collapsing"
+
+    rep = delta2_at_zero(Collapsing(), GeometricProbe(1.0, 25))
     assert not rep.holds
+
+
+def test_delta2_depth_beyond_underflow_stops_at_zero():
+    # t_start * 2**-j underflows to 0 at j = 1075, where the probe ends
+    deep = delta2_at_zero(Power(1.0), GeometricProbe(1.0, 10 ** 9))
+    assert deep == delta2_at_zero(Power(1.0), GeometricProbe(1.0, 1100))
+    assert deep.truncated and deep.probes_used == 1075
 
 
 def test_delta2_probe_validation():
@@ -312,6 +316,9 @@ def test_theta_bound_underflowing_grid_is_domain_error():
 def test_theta_bound_overflow_is_certificate_error():
     with pytest.raises(CertificateError):
         theta_bound(ExpSquare(), 100.0, 10.0)
+    # finite over tiny overflows in the division: still no numpy warning
+    with pytest.raises(CertificateError, match="scaling ratio overflows"):
+        theta_bound(ExpSquare(), 800.0, 1.0)
 
 
 @pytest.mark.parametrize("phi,theta,tt", [

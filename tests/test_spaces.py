@@ -13,7 +13,10 @@ from orliczseq import (CertificateError, ComputationOverflowError,
                        WeightSequence, classify, geometric_envelope,
                        luxemburg_norm, measures, modular, modular_tail_bound,
                        mu, parse_weights, weight_poly_bound)
+from orliczseq import spaces
 from orliczseq.cli import run
+from orliczseq.functions import MAX_GRID_POINTS
+from orliczseq.spaces import DYADIC_PROBE_DEPTH
 from helpers import scalar_mu_oracle
 
 HALF_E_SQUARED = 3.69452804946532511362  # 0.5 * e**2
@@ -128,6 +131,30 @@ def test_seqvector_keeps_support_and_read_only_abs_values():
             assert part.support == fresh.support
             assert part.abs_values().tolist() == fresh.abs_values().tolist()
             assert not part.abs_values().flags.writeable
+
+
+def test_scaled_equals_a_fresh_vector():
+    rng = random.Random(11)
+    dropped = overflowed = 0
+    for _ in range(300):
+        p = SeqVector({rng.randint(-30, 30): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(rng.randint(0, 10))})
+        for lam in (1.0, -2.5, 3 - 4j, 1e-300, 1e-200j, 1e300, 0.0):
+            try:
+                want = SeqVector([(m, complex(lam) * v) for m, v in p.items])
+            except DomainError as exc:
+                overflowed += 1
+                with pytest.raises(DomainError, match=f"^{exc}$"):
+                    p.scaled(lam)
+                continue
+            got = p.scaled(lam)
+            dropped += len(got) < len(p)
+            assert got == want
+            assert got.support == want.support
+            assert got.abs_values().tolist() == want.abs_values().tolist()
+    assert dropped and overflowed  # products that underflow to 0, products that overflow
+    with pytest.raises(DomainError, match="scale factor must be finite"):
+        SeqVector({0: 1.0}).scaled(math.inf)
 
 
 def test_seqvector_csv_round_trip(tmp_path):
@@ -394,6 +421,28 @@ def test_classify_with_envelope():
             mu(params, m) * params.phi(env.bound_at(m) / cert.rho)
             for m in range(-2000, 2001))
         assert brute <= cert.modular_upper * (1.0 + 1e-9)
+
+
+def test_classify_skips_the_explicit_part_of_a_huge_window():
+    # trunc is about 6.9e8 at every scale: 1.4e9 indices are not summed, and
+    # the verdicts still come from the tail bound
+    params = SpaceParams(0.0, Power(2.0), W1)
+    rep = classify(params, None, geometric_envelope(params, 1e300, 0.999999))
+    assert rep.in_class and rep.in_large and rep.in_small
+    assert len(rep.certificates) == DYADIC_PROBE_DEPTH + 1
+    for cert in rep.certificates:
+        assert 2 * cert.trunc + 1 > MAX_GRID_POINTS
+        assert cert.modular_upper is None and math.isfinite(cert.tail_bound)
+
+
+def test_classify_window_of_max_grid_points_is_summed(monkeypatch):
+    monkeypatch.setattr(spaces, "MAX_GRID_POINTS", 11)
+    params = SpaceParams(0.0, Power(2.0), W1)
+    rep = classify(params, SeqVector({5: 0.5 ** 5}), geometric_envelope(params, 1.0, 0.5))
+    # trunc is 5 (11 indices) down to rho = 2**-5 and grows below it
+    assert [c.trunc for c in rep.certificates[:7]] == [5] * 6 + [6]
+    for cert in rep.certificates:
+        assert (cert.modular_upper is None) == (cert.trunc > 5)
 
 
 def test_classify_envelope_must_dominate():
