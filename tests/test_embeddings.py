@@ -227,10 +227,10 @@ def _linear_tail_index(cert):
     return m1, m2
 
 
-# phi on the integers is 0, 1, 2, 5000, 4, 5, 6, then rises linearly: the
-# tail conditions hold at 3, fail at 4 to 6 and hold again from 7 on
+# phi(n) = n on the integers except phi(3) = 5000: at t_theta = 0.01 both
+# tail conditions hold at 3, then fail again until n = 20 (m2) and n = 99 (m1)
 INTEGER_SPIKE_TABLE = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 5000.0),
-                                       (4.0, 4.0), (5.0, 5.0), (6.0, 6.0), (40.0, 5000.0)])
+                                       (4.0, 4.0), (100.0, 100.0)])
 
 
 @pytest.mark.parametrize("phi,kp,k,w,tt", [

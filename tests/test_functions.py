@@ -149,9 +149,10 @@ def test_inverses_equal_the_scalar_bisection(phi):
 @pytest.mark.parametrize("phi", BISECTED + [NON_MONOTONE_TABLE],
                          ids=lambda f: f.descriptor()[:24])
 def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
-    # targets phi(2**-j) and their neighbours, where a bisection that halves
-    # hi from 1 turns, for j up to and past the 200-halving cap
-    at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in range(1, 211)]
+    # targets phi(2**-j) and their neighbours, where the doubling bracket
+    # stops (j <= 0) and where a bisection that halves hi from 1 turns, for j
+    # up to and past the 200-halving cap
+    at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in range(-10, 211)]
     ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
                  if 0.0 <= y < math.inf})
     ys += [0.9 * at[-1], at[-1] / 3.0, 1e-320]
@@ -222,6 +223,9 @@ def test_validate_flags_plateau_table():
     report = validate_orlicz(flat)
     assert not report.strictly_increasing
     assert not report.divergent
+    # the doublings stop at the first that overflows, or after 1100 of them
+    assert report.violations[-1] == ("divergent", math.inf, 1e9)
+    assert validate_orlicz(flat, [5e-324]).violations[-1] == ("divergent", 2.0 ** 26, 1e9)
 
 
 def test_validate_rejects_bad_grids():
@@ -273,6 +277,24 @@ def test_delta2_flags_blowup():
 
     rep = delta2_at_zero(Collapsing(), GeometricProbe(1.0, 25))
     assert not rep.holds
+
+
+@pytest.mark.parametrize("phi", FAMILIES + [ScalarOnly(), NON_MONOTONE_TABLE],
+                         ids=lambda f: f.descriptor()[:24])
+def test_delta2_equals_the_probe_loop(phi):
+    # t_start = 0.7 reaches subnormal t, where 2*t_j and t_(j-1) can differ
+    for probe in (GeometricProbe(1.0, 60), GeometricProbe(0.7, 1100)):
+        ts, ratios, truncated = [], [], False
+        for j in range(probe.depth + 1):
+            t = probe.t_start * 2.0 ** (-j)
+            ft = scalar_phi_oracle(phi, t)
+            if ft == 0.0 or math.isinf(ft):
+                truncated = True
+                break
+            ts.append(t)
+            ratios.append(scalar_phi_oracle(phi, 2.0 * t) / ft)
+        rep = delta2_at_zero(phi, probe)
+        assert (list(rep.probes), list(rep.ratios), rep.truncated) == (ts, ratios, truncated)
 
 
 def test_delta2_depth_beyond_underflow_stops_at_zero():

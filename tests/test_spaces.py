@@ -435,14 +435,15 @@ def test_classify_skips_the_explicit_part_of_a_huge_window():
         assert cert.modular_upper is None and math.isfinite(cert.tail_bound)
 
 
-def test_classify_window_of_max_grid_points_is_summed(monkeypatch):
-    monkeypatch.setattr(spaces, "MAX_GRID_POINTS", 11)
+@pytest.mark.parametrize("cap", [11, 10])
+def test_classify_window_of_max_grid_points_is_summed(monkeypatch, cap):
+    monkeypatch.setattr(spaces, "MAX_GRID_POINTS", cap)
     params = SpaceParams(0.0, Power(2.0), W1)
     rep = classify(params, SeqVector({5: 0.5 ** 5}), geometric_envelope(params, 1.0, 0.5))
     # trunc is 5 (11 indices) down to rho = 2**-5 and grows below it
     assert [c.trunc for c in rep.certificates[:7]] == [5] * 6 + [6]
     for cert in rep.certificates:
-        assert (cert.modular_upper is None) == (cert.trunc > 5)
+        assert (cert.modular_upper is None) == (2 * cert.trunc + 1 > cap)
 
 
 def test_classify_envelope_must_dominate():
