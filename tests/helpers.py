@@ -17,6 +17,14 @@ def _expm1_or_inf(x):
         return math.inf
 
 
+def pow_or_inf(base, exp):
+    """base ** exp in float arithmetic, inf where it overflows."""
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
+
+
 def scalar_phi_oracle(phi, t):
     """phi(t) for a finite t >= 0 by each family's scalar formula.
 
@@ -28,10 +36,7 @@ def scalar_phi_oracle(phi, t):
     """
     t = float(t)
     if isinstance(phi, Power):
-        try:
-            return t ** phi.s
-        except OverflowError:
-            return math.inf
+        return pow_or_inf(t, phi.s)
     if isinstance(phi, ExpSquare):
         return _expm1_or_inf(t * t)
     if isinstance(phi, ExpLinear):

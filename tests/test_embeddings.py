@@ -15,9 +15,9 @@ from orliczseq import (CertificateError, CertificateRefutedError,
                        uniform_tail_index, verify_embedding)
 from orliczseq import embeddings
 from orliczseq.cli import run
-from orliczseq.functions import MAX_GRID_POINTS, _safe_pow
+from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
-from helpers import NON_MONOTONE_TABLE, scalar_phi_oracle
+from helpers import NON_MONOTONE_TABLE, pow_or_inf, scalar_phi_oracle
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -219,10 +219,10 @@ def _linear_tail_index(cert):
     phi, c, gap = src.phi, cert.bound.c_theta, src.k - cert.target_k
     inv_w, at_tt = 1.0 / src.weights.inf_w, scalar_phi_oracle(src.phi, cert.bound.t_theta)
     m2 = 0
-    while _safe_pow(1.0 + scalar_phi_oracle(phi, m2), gap) < c:
+    while pow_or_inf(1.0 + scalar_phi_oracle(phi, m2), gap) < c:
         m2 += 1
     m1 = 0
-    while inv_w * _safe_pow(1.0 + scalar_phi_oracle(phi, m1), -src.k) > at_tt:
+    while inv_w * pow_or_inf(1.0 + scalar_phi_oracle(phi, m1), -src.k) > at_tt:
         m1 += 1
     return m1, m2
 
