@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from orliczseq import (CertificateError, CertificateRefutedError,
-                       ComputationOverflowError, DomainError, ExpCompose,
-                       ExpLinear, ExpSquare, Power, SeqVector, SpaceParams,
-                       TabulatedConvex, WeightSequence,
+from orliczseq import (BallTailCertificate, CertificateError,
+                       CertificateRefutedError, ComputationOverflowError,
+                       DomainError, ExpCompose, ExpLinear, ExpSquare,
+                       OrliczFunction, Power, SeqVector, SpaceParams,
+                       TabulatedConvex, ThetaBound, WeightSequence,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
@@ -299,3 +300,67 @@ def test_covering_check_reports_the_first_failing_sample():
     with pytest.raises(ComputationOverflowError) as exc:
         covering_check(cert, [good, overflow, refuted])
     assert exc.value.index == 1000
+
+
+class _SquareWithHole(OrliczFunction):
+    """t**2, except inf on a narrow window: a solve that lands there overflows."""
+
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+
+    def _raw_eval(self, t):
+        return np.where((t >= self.lo) & (t <= self.hi), math.inf, t * t)
+
+    def descriptor(self) -> str:
+        return f"hole:{self.lo:.17g},{self.hi:.17g}"
+
+
+def test_row_that_overflows_inside_the_bisection_fails_alone():
+    # the norm of {0: 1, 1: c} is sqrt(1 + c**2), where c/norm lies inside
+    # the hole; rho_low = 1 and the doubling to 2 both step over it, so only
+    # a bisection midpoint close to the norm lands there
+    params = SpaceParams(0.0, _SquareWithHole(0.3, 0.30001), W1)
+    c = 0.300005 / math.sqrt(1.0 - 0.300005 ** 2)
+    holed = SeqVector({0: 1.0, 1: c})
+    good, other = SeqVector({0: 1.0, 2: 0.5}), SeqVector({-1: 0.25})
+    batch = [good, holed, other]
+    out = _solve(params, batch, TOL)
+    assert isinstance(out[1], ComputationOverflowError)
+    assert (str(out[1]), out[1].index) == (
+        "modular term overflow at index 1 during norm solve", 1)
+    assert out[0] == luxemburg_norm(params, good)
+    assert out[2] == luxemburg_norm(params, other)
+    assert out[0].iterations > 0
+    assert out[0].value == pytest.approx(math.sqrt(1.25), rel=1e-12)
+    with pytest.raises(ComputationOverflowError) as exc:
+        luxemburg_norms(params, batch)
+    assert (str(exc.value), exc.value.index) == (str(out[1]), 1)
+
+
+def _lying_certificate(source, target_k, cut):
+    return BallTailCertificate(1.0, 0.5, 4.0, ThetaBound(4.0, 1.0, 1.0),
+                               cut, cut, cut, source, target_k)
+
+
+def test_covering_check_prefers_the_tail_modular_error_of_a_sample():
+    # k = -1: mu(30) underflows to 0, so 0 * phi(huge) is a nan term
+    cert = _lying_certificate(SpaceParams(0.0, ExpSquare(), W1), -1.0, 1)
+    target = cert.target_params
+    both = SeqVector({30: 100.0, 1: 1.0})  # tail modular and solve both fail
+    solve_only = SeqVector({30: 1.0})  # tail modular 0, solve fails
+    with pytest.raises(ComputationOverflowError) as exc, np.errstate(invalid="ignore"):
+        modular(target, both, 0.25)
+    modular_error = ("modular term overflow at index 30 for rho=0.25", 30)
+    assert (str(exc.value), exc.value.index) == modular_error
+    assert modular(target, solve_only, 0.25) == 0.0
+    assert _error_of(target, both) == (
+        "modular term overflow at index 30 during norm solve", 30)
+    with pytest.raises(ComputationOverflowError) as exc:
+        luxemburg_norm(target, solve_only)
+    solve_error = (str(exc.value), exc.value.index)
+    assert solve_error[0].startswith("norm bracket not representable")
+    for order, want in (([both, solve_only], modular_error),
+                        ([solve_only, both], solve_error)):
+        with pytest.raises(ComputationOverflowError) as exc, np.errstate(invalid="ignore"):
+            covering_check(cert, [SeqVector({0: 0.1}), *order])
+        assert (str(exc.value), exc.value.index) == want

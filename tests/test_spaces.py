@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,28 @@ def test_modular_validation_and_overflow():
     with pytest.raises(ComputationOverflowError) as exc:
         modular(params, SeqVector({4: 1.0}), 1e-2)  # expm1(160000) overflows
     assert exc.value.index == 4
+
+
+def _modular_error(params, p, rho):
+    with pytest.raises(ComputationOverflowError) as exc, np.errstate(all="ignore"):
+        modular(params, p, rho)
+    return str(exc.value), exc.value.index
+
+
+def test_modular_overflow_messages():
+    params = SpaceParams(0.0, ExpSquare(), W1)
+    assert _modular_error(params, SeqVector({0: 0.1, 4: 1.0, -5: 1.0}), 1e-2) == (
+        "modular term overflow at index 4 for rho=0.01", 4)
+    # the scaled argument is checked before any term
+    assert _modular_error(params, SeqVector({3: 1.0, -7: 1e300, 8: 1e300}), 1e-10) == (
+        "scaled argument overflow at index -7 for rho=1e-10", -7)
+    # a measure that overflows comes before both
+    grown = SpaceParams(1.0, ExpSquare(), W1)
+    assert _modular_error(grown, SeqVector({4: 1e300, 1000: 1.0}), 1e-10) == (
+        "measure overflow at index 1000: (1 + phi(1000))**1 exceeds double range", 1000)
+    # k < 0: mu(30) underflows to 0 and 0 * inf is not a number
+    assert _modular_error(SpaceParams(-1.0, ExpSquare(), W1), SeqVector({30: 100.0}),
+                          0.25) == ("modular term overflow at index 30 for rho=0.25", 30)
 
 
 def test_modular_reproducible_across_input_order():
