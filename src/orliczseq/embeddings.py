@@ -29,7 +29,7 @@ from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
                         OrliczFunction, ThetaBound, _PROBE_DEPTH, _probe_grid,
                         _safe_pow, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
-from .spaces import SeqVector, SpaceParams, measures, modular
+from .spaces import SeqVector, SpaceParams, TermBatch, _scale, measures
 
 GLOBAL_DOMINATION_SPAN = 1e6
 _DOMINATION_SLACK = 1.0 + 1e-12
@@ -370,7 +370,9 @@ def covering_check(cert: BallTailCertificate, samples,
     relative slack 1+1e-9 for the solver tolerance).  A violation raises
     CertificateRefutedError carrying the offending sample index.  The
     residual norms are solved in one batch; samples are then checked in
-    order, so the first failing sample is the one reported.
+    order, so the first failing sample is the one reported.  All tail
+    modulars come from one ``TermBatch``; a sample's tail modular error comes
+    before its solve error, and both before its refutations.
     """
     expected = cert.target_params
     if target is None:
@@ -382,14 +384,16 @@ def covering_check(cert: BallTailCertificate, samples,
     cut = cert.m_eps_kappa
     tails = [p.tail(cut) for p in samples]
     solved = _solve(target, tails, norm_tol)
-    tail_mods = []
+    if any(tails):  # an empty tail has modular 0 at any scale
+        rho = _scale(rho)
+    tail_mods, errors = TermBatch(target, tails, f"for rho={rho:g}").modulars(rho)
     resids = []
-    for i, (tail, res) in enumerate(zip(tails, solved)):
-        tail_mod = modular(target, tail, rho) if tail else 0.0
+    for i, (tail_mod, res) in enumerate(zip(tail_mods, solved)):
+        if i in errors:
+            raise errors[i]
         if isinstance(res, OrliczSeqError):
             raise res
         resid = res.value
-        tail_mods.append(tail_mod)
         resids.append(resid)
         if tail_mod > _CHECK_SLACK:
             raise CertificateRefutedError(

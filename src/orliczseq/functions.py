@@ -14,8 +14,10 @@ on a float is a batch of one) and fast through its numpy form ``_raw_eval``
 finiteness convert that to an indexed error).  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
-doubling bracket that runs in lock-step over the targets while each target
-keeps the bracket, step count and stopping test of a scalar bisection.
+doubling bracket.  ``_bisect`` is the one bisection of the package: the
+generic inverse and the Luxemburg norm solver both run it, in lock-step over
+their rows, while each row keeps the bracket, step count and stopping test
+of a scalar bisection.
 """
 
 from __future__ import annotations
@@ -49,6 +51,60 @@ def _safe_pow(base: float, exp: float) -> float:
         return base ** exp
     except OverflowError:
         return math.inf
+
+
+def _bisect(lo, hi, steps, width: float, cap: int, split, carry=()):
+    """Bisect the brackets [lo[i], hi[i]] in lock-step; each row stops on its own.
+
+    Each round halves the open rows at mid = 0.5*(lo + hi); ``split(mid,
+    *carried)``, given the open rows of each array in ``carry``, returns the
+    rows whose root lies above mid (lo moves there, else hi does) and the
+    rows to drop, or None.  A row stops once hi - lo <= width*hi, once mid is
+    not strictly inside, or after ``cap`` steps counted from ``steps[i]``.
+    Writes the final brackets and step counts into lo, hi and steps, which it
+    returns; a dropped row keeps its input values.
+    """
+    rows, l, h = np.arange(lo.size), lo, hi
+    # done: the rounds every open row has run; no row meets its cap before soonest
+    soonest, done = cap - steps.max(initial=0), 0
+    while rows.size:
+        mid = 0.5 * (l + h)
+        go = (h - l > width * h) & (mid > l) & (mid < h)
+        if done >= soonest:
+            go &= steps[rows] + done < cap
+        if not go.all():
+            stop = rows[~go]
+            lo[stop], hi[stop] = l[~go], h[~go]
+            steps[stop] += done
+            rows, l, h, mid, *carry = (x[go] for x in (rows, l, h, mid, *carry))
+            if not rows.size:
+                break
+        up, drop = split(mid, *carry)
+        l, h, done = np.where(up, mid, l), np.where(up, h, mid), done + 1
+        if drop is not None:
+            rows, l, h, *carry = (x[~drop] for x in (rows, l, h, *carry))
+    return lo, hi, steps
+
+
+def _csv_rows(path, kind: str, shape: str, parse) -> list:
+    """``parse(row)`` of each nonblank row of the CSV file ``path``; a row that
+    does not fit ``shape`` (e.g. 'm,re,im') or that ``parse`` rejects raises a
+    DomainError naming the file, the line and the shape."""
+    out = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in filter(lambda row: row and row[0].strip(), reader):
+                try:
+                    if len(row) != shape.count(",") + 1:
+                        raise ValueError(f"{len(row)} fields")
+                    out.append(parse(row))
+                except ValueError as exc:
+                    raise DomainError(f"bad row at line {reader.line_num} of {kind} "
+                                      f"{path!r}: expected '{shape}', got {row!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {kind} {path!r}: {exc}") from exc
+    return out
 
 
 def _check_point(t: np.ndarray) -> np.ndarray:
@@ -97,17 +153,14 @@ class OrliczFunction:
     def descriptor(self) -> str:
         raise NotImplementedError
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
+    def inverse(self, y: float) -> float:
         """Solve phi(t) = y for t >= 0: ``inverses`` on a batch of one.
 
-        Raises the target's DomainError or CertificateError; ``tol`` must be
-        positive and asks for nothing beyond the accuracy of ``inverses``.
+        Raises the target's DomainError or CertificateError.
         """
         t, errors = self.inverses([y])
         if errors:
             raise errors[0]
-        if tol <= 0 or math.isnan(tol):
-            raise DomainError("inverse tolerance must be positive")
         return float(t[0])
 
     def inverses(self, ys):
@@ -143,24 +196,18 @@ class OrliczFunction:
     def _invert(self, y: np.ndarray):
         """``inverses`` on finite nonnegative targets: (t, {position: error}).
 
-        Bisection on a doubling bracket, in lock-step over the targets.  The
-        bracket ends are powers of two, shared by every target still
+        The bracket ends are powers of two shared by every target still
         doubling, so each doubling step evaluates phi once.  A target
         bracketed by [0, 1] first halves hi through 2**-1, 2**-2, ... while
-        phi there is not below it; phi is evaluated once at all 200 of these
-        points, and the first j whose running minimum of phi(2**-i), i <= j,
-        is below the target is where that target's halving stops, so the
-        prefix needs no monotone phi.  Each target then carries its own step
-        count into the lock-step bisection, which evaluates phi once per
-        step on the targets still open, through ``_eval_exact``.  Every
-        target keeps the path, the accuracy and the 200-step cap of a scalar
-        bisection.
+        phi there is not below it: phi is evaluated once at all 200 points,
+        and the first j whose running minimum of phi(2**-i), i <= j, is below
+        the target ends that target's prefix, so no monotone phi is assumed.
+        ``_bisect`` then runs every target from its own step count, through
+        ``_eval_exact``, with the path, accuracy and cap of a scalar bisection.
         """
-        t = np.zeros(y.size)
+        t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
-        positive = y > 0.0
-        hi = np.ones(y.size)
-        live = np.flatnonzero(positive)
+        live = np.flatnonzero(t)
         top, message = 1.0, "cannot bracket inverse: function grows too slowly"
         for _ in range(_MAX_DOUBLINGS):
             if not live.size:
@@ -170,13 +217,12 @@ class OrliczFunction:
             if math.isinf(top):
                 message = "cannot bracket inverse: target beyond double range"
                 break
-            hi[live] = top
+            t[live] = top
         for j in live.tolist():
             failed[j] = CertificateError(message)
-            t[j] = math.nan
-        positive[live] = False
-        live = np.flatnonzero(positive)
-        h, target = hi[live], y[live]
+        t[live] = math.nan
+        live = np.flatnonzero(t > 0.0)
+        h, target = t[live], y[live]
         lo = np.where(h == 1.0, 0.0, h / 2.0)
         steps = np.zeros(live.size, dtype=np.int64)
         unit = np.flatnonzero(h == 1.0)
@@ -189,20 +235,9 @@ class OrliczFunction:
             h[unit] = np.ldexp(1.0, -keep)
             lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
             steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
-        while live.size:
-            mid = 0.5 * (lo + h)
-            go = ((h - lo > _INVERSE_REL_WIDTH * h) & (mid != lo) & (mid != h)
-                  & (steps < _MAX_HALVINGS))
-            if not go.all():
-                t[live[~go]] = h[~go]
-                live, lo, h, mid, target, steps = (
-                    x[go] for x in (live, lo, h, mid, target, steps))
-                if not live.size:
-                    break
-            below = self._eval_exact(mid) < target
-            lo = np.where(below, mid, lo)
-            h = np.where(below, h, mid)
-            steps += 1
+        t[live] = _bisect(lo, h, steps, _INVERSE_REL_WIDTH, _MAX_HALVINGS,
+                          lambda mid, target: (self._eval_exact(mid) < target, None),
+                          (target,))[1]
         return t, failed
 
     def __repr__(self) -> str:
@@ -360,18 +395,8 @@ class TabulatedConvex(OrliczFunction):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedConvex":
-        knots = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
-                if len(row) != 2:
-                    raise DomainError(f"knot rows must be 't,value', got {row!r}")
-                try:
-                    knots.append((float(row[0]), float(row[1])))
-                except ValueError as exc:
-                    raise DomainError(f"bad knot row {row!r}") from exc
-        return cls(knots)
+        return cls(_csv_rows(path, "knot table", "t,value",
+                             lambda row: (float(row[0]), float(row[1]))))
 
     def _raw_eval(self, t):
         ts, vs = self._ts, self._vs
@@ -419,11 +444,7 @@ def parse_orlicz(descriptor: str) -> OrliczFunction:
     if desc.startswith("expof:"):
         return ExpCompose(parse_orlicz(desc[len("expof:"):]))
     if desc.startswith("tab:"):
-        path = desc[len("tab:"):]
-        try:
-            return TabulatedConvex.from_csv(path)
-        except OSError as exc:
-            raise DomainError(f"cannot read knot table {path!r}: {exc}") from exc
+        return TabulatedConvex.from_csv(desc[len("tab:"):])
     raise DomainError(f"unknown function descriptor {descriptor!r}")
 
 

@@ -5,20 +5,20 @@ modular is continuous and strictly decreasing in rho wherever positive, so
 the infimum is attained and bracketed bisection resolves it.
 
 ``luxemburg_norms`` solves a batch of vectors in one pass and
-``luxemburg_norm`` is a batch of one.  The batch is padded to (rows, L)
-arrays of |p_m| and mu(m); padding is 0, so a padded term is exactly 0.
-Within one call mu(m) comes from one call of ``spaces.measures`` on every
-entry of the batch, which evaluates phi once per distinct |m|, and
-phi^{-1}(1/mu(m)) from one call of ``phi.inverses`` on the distinct values
-of 1/mu(m).  Each of its targets takes the path of a scalar bisection, so a
-root does not depend on the batch it is solved in.
+``luxemburg_norm`` is a batch of one.  The terms come from one
+``spaces.TermBatch``, the padded arrays of |p_m| and mu(m) that ``modular``
+and ``covering_check`` sum as well, and phi^{-1}(1/mu(m)) from one call of
+``phi.inverses`` on the distinct values of 1/mu(m).  Each of its targets
+takes the path of a scalar bisection, so a root does not depend on the
+batch it is solved in.
 
 Each row is bracketed on its own.  The lower bracket comes from single-term
 necessity: each term alone forces mu(m) * phi(|p_m|/rho) <= 1, i.e.
 rho >= |p_m| / phi^{-1}(1/mu(m)).  At or above the largest such rho every
 individual term is at most 1, so no modular evaluation inside the bracket
-can overflow.  The upper bracket doubles from there, and bisection halves
-the bracket to relative width tol_rel.  The rho_low check, the doubling and
+can overflow.  The upper bracket doubles from there, and
+``functions._bisect``, which the generic inverse runs as well, halves the
+bracket to relative width tol_rel.  The rho_low check, the doubling and
 the bisection each run in lock-step across the rows: a step evaluates phi
 once, on the rows still open, and every row keeps its own bracket, step
 count and stopping test.
@@ -37,8 +37,10 @@ where sum|terms| is bounded above by its own computed sum over
 sum in (1, 1 + 2**-53] rounds to 1.0).  Otherwise that row falls back to
 math.fsum.  Every decision therefore equals the fsum decision, and so does
 every bracket, step count and value.  The returned value is the smallest
-scale found with modular <= 1, and ``modular_at_value`` is the fsum there,
-hence modular(p, value) <= 1 holds exactly for the reported value.
+scale found with modular <= 1, and ``modular_at_value`` is the fsum there:
+the correctly rounded sum of the computed terms is at most 1 at the
+reported value.  Each term carries its own rounding, so the modular in exact
+arithmetic can exceed 1 by a few units in the last place.
 
 A row that fails does not stop the others.  The batch then raises the error
 of the lowest failing row, the one a loop over the vectors would meet first.
@@ -46,15 +48,14 @@ of the lowest failing row, the one a loop over the vectors would meet first.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComputationOverflowError, DomainError, OrliczSeqError
-from .functions import _MAX_DOUBLINGS
-from .spaces import SeqVector, SpaceParams, first_overflow, measures
+from .functions import _MAX_DOUBLINGS, _bisect
+from .spaces import SeqVector, SpaceParams, TermBatch
 
 DEFAULT_TOL_REL = 1e-12
 _MAX_BISECTIONS = 4000
@@ -110,109 +111,28 @@ def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray) -> np.ndar
     return ok
 
 
-def _first_error(positions: range, errors: dict):
-    """The error of the first of ``positions`` that has one, else None."""
-    if errors:
-        return next((errors[q] for q in positions if q in errors), None)
-    return None
-
-
-class _Batch:
-    """Padded term arrays of the nonempty vectors of one batch, and their errors."""
+class _Batch(TermBatch):
+    """The term batch of a solve, with each row's lower bracket ``rho_low``."""
 
     def __init__(self, params: SpaceParams, vecs):
-        phi = params.phi
-        # mu(m) of every entry of the batch, in one call, and phi^{-1}(1/mu(m))
-        # in one call, once per distinct measure
-        supports = [p.support for p in vecs]
-        lengths = [len(support) for support in supports]
-        mus, mu_err = measures(params, list(itertools.chain.from_iterable(supports)))
-        # 0 marks an underflowed measure, whose term never binds
-        scale = np.zeros(mus.size)
-        solvable = np.flatnonzero(np.isfinite(mus) & (mus != 0.0))
-        targets, which = np.unique(1.0 / mus[solvable], return_inverse=True)
-        roots, failed = phi.inverses(targets)
+        super().__init__(params, vecs, _WHERE)
+        # phi^{-1}(1/mu(m)) in one call, once per distinct measure; 0 marks an
+        # underflowed measure or padding, whose term never binds
+        scale = np.zeros(self.mus.shape)
+        solvable = self.mus != 0.0
+        targets, which = np.unique(1.0 / self.mus[solvable], return_inverse=True)
+        roots, failed = self.phi.inverses(targets)
         scale[solvable] = roots[which]
-        inv_err = {}
-        for j, exc in failed.items():
-            inv_err.update(dict.fromkeys(solvable[which == j].tolist(), exc))
-
-        self.phi = phi
-        self.errors = {}  # position in the batch -> typed error
-        self.pos, self.supports = [], []
-        end = 0
-        for i, support in enumerate(supports):
-            end += len(support)
-            if not support:
-                continue
-            # a row fails on its first mu error, else its first inverse error
-            span = range(end - len(support), end)
-            exc = _first_error(span, mu_err) or _first_error(span, inv_err)
-            if exc is not None:
-                self.errors[i] = exc
-                continue
-            self.pos.append(i)
-            self.supports.append(support)
-        n = np.array([len(s) for s in self.supports], dtype=np.int64)
-        shape = (n.size, int(n.max(initial=0)))
-        # the filled part of each row, in row-major order, and its batch entries
-        filled = np.arange(shape[1]) < n[:, None]
-        kept = np.zeros(len(vecs), dtype=bool)
-        kept[self.pos] = True
-        taken = np.repeat(kept, lengths)
-        self.avals, self.mus, scales = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        if self.pos:
-            self.avals[filled] = np.concatenate([vecs[i].abs_values() for i in self.pos])
-        self.mus[filled] = mus[taken]
-        scales[filled] = scale[taken]
-        ratio = np.divide(self.avals, scales, out=np.zeros(shape), where=scales > 0.0)
+        ratio = np.divide(self.avals, scale, out=np.zeros(scale.shape), where=scale > 0.0)
         self.rho_low = ratio.max(axis=1, initial=0.0)
-        self.n = n
-        self.slack = _sum_slack(n)
-
-    def fail(self, rows, message: str) -> None:
-        for r in rows:
-            self.errors[self.pos[r]] = ComputationOverflowError(message)
-
-    def terms(self, rows: np.ndarray, avals: np.ndarray, mus: np.ndarray,
-              rho: np.ndarray):
-        """Modular terms of ``rows`` at scales ``rho``, and the rows that overflowed.
-
-        ``avals`` and ``mus`` hold the arrays of ``rows``.  A row whose scaled
-        argument or term leaves double range fails with the error naming its
-        first offending index; its terms come back as zeros and it is marked
-        in the returned mask, which is None when no row overflowed.
-        """
-        args = avals / rho[:, None]
-        lost = None
-        if not np.isfinite(args).all():
-            lost = self._overflow(rows, args, "scaled argument")
-            args[lost] = 0.0
-        terms = mus * self.phi.eval(args)
-        if not np.isfinite(terms).all():
-            more = self._overflow(rows, terms, "modular term")
-            terms[more] = 0.0
-            lost = more if lost is None else lost | more
-        return terms, lost
-
-    def _overflow(self, rows, values, what):
-        bad = ~np.isfinite(values).all(axis=1)
-        for j in np.flatnonzero(bad):
-            r = int(rows[j])
-            self.errors[self.pos[r]] = first_overflow(values[j], self.supports[r],
-                                                      what, _WHERE)
-        return bad
-
-    def probe(self, rows: np.ndarray, rho: np.ndarray):
-        """Split ``rows`` into those with modular <= 1 at ``rho`` and the rest.
-
-        Rows that overflow fail and are in neither part.
-        """
-        terms, lost = self.terms(rows, self.avals[rows], self.mus[rows], rho)
-        ok = _at_most_one(terms, self.n[rows], self.slack[rows])
-        if lost is not None:
-            rows, ok = rows[~lost], ok[~lost]
-        return rows[ok], rows[~ok]
+        if failed:
+            # a row fails on its first entry without an inverse, and has no bracket
+            target = np.full(scale.shape, -1)
+            target[solvable] = which
+            for r, c in zip(*np.nonzero(np.isin(target, list(failed)))):
+                self.fail(r, failed[int(target[r, c])])
+                self.rho_low[r] = math.nan
+        self.slack = _sum_slack(self.n)
 
 
 # overflow, underflow and inf * 0 surface as typed errors naming the index
@@ -223,18 +143,36 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     if not math.isfinite(tol_rel) or tol_rel <= 0:
         raise DomainError("tol_rel must be finite and positive")
     batch = _Batch(params, vecs)
+    columns = (batch.avals, batch.mus, batch.n, batch.slack)
+
+    def above(rho, rows, avals, mus, n, slack):
+        """Per row whether modular > 1 (the norm lies above rho), and the overflowed rows."""
+        terms, lost = batch.terms(rows, avals, mus, rho)
+        return ~_at_most_one(terms, n, slack), lost
+
+    def probe(rows, rho):
+        """``rows`` with modular <= 1 at rho, and the rest (overflowed rows in neither)."""
+        up, lost = above(rho, rows, *(x[rows] for x in columns))
+        if lost is not None:
+            rows, up = rows[~lost], up[~lost]
+        return rows[~up], rows[up]
+
+    def fail(rows, message: str) -> None:
+        for r in rows.tolist():
+            batch.fail(r, ComputationOverflowError(message))
+
     rho_low = batch.rho_low
     lo, hi = rho_low.copy(), rho_low.copy()
     iters = np.zeros(rho_low.size, dtype=np.int64)
     valid = (rho_low > 0.0) & np.isfinite(rho_low)
-    batch.fail(np.flatnonzero(~valid), _NOT_REPRESENTABLE)
+    fail(np.flatnonzero(~valid), _NOT_REPRESENTABLE)
 
     # rho_low itself may already satisfy the modular
-    closed, live = batch.probe(np.flatnonzero(valid), rho_low[valid])
+    closed, live = probe(np.flatnonzero(valid), rho_low[valid])
     done = [closed]
 
     # double the upper end until the modular drops to at most 1
-    bisect = []
+    doubled = []
     for _ in range(_MAX_DOUBLINGS):
         if not live.size:
             break
@@ -242,47 +180,27 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
         hi[live] *= 2.0
         blown = np.isinf(hi[live])
         if blown.any():
-            batch.fail(live[blown], "upper norm bracket overflowed double range")
+            fail(live[blown], "upper norm bracket overflowed double range")
             live = live[~blown]
-        closed, live = batch.probe(live, hi[live])
-        bisect.append(closed)
+        closed, live = probe(live, hi[live])
+        doubled.append(closed)
     else:
-        batch.fail(live, "norm bracket did not close after doubling")
+        fail(live, "norm bracket did not close after doubling")
 
-    # bisect every closed bracket in lock-step; each row stops on its own test
-    live = np.concatenate(bisect) if bisect else live[:0]
-    live.sort()
-    l, h = lo[live], hi[live]
-    avals, mus, n, slack = (x[live] for x in (batch.avals, batch.mus, batch.n, batch.slack))
-    it = 0
-    while live.size:
-        mid = 0.5 * (l + h)
-        go = (h - l > tol_rel * h) & (mid > l) & (mid < h)
-        if it == _MAX_BISECTIONS:
-            go[:] = False
-        if not go.all():
-            stop = live[~go]
-            lo[stop], hi[stop], iters[stop] = l[~go], h[~go], it
-            done.append(stop)
-            live, l, h, avals, mus, n, slack = (
-                x[go] for x in (live, l, h, avals, mus, n, slack))
-            continue
-        terms, lost = batch.terms(live, avals, mus, mid)
-        ok = _at_most_one(terms, n, slack)
-        h = np.where(ok, mid, h)
-        l = np.where(ok, l, mid)
-        it += 1
-        if lost is not None:
-            live, l, h, avals, mus, n, slack = (
-                x[~lost] for x in (live, l, h, avals, mus, n, slack))
+    # bisect every closed bracket; a row that overflows is dropped
+    live = np.sort(np.concatenate(doubled)) if doubled else live[:0]
+    lo[live], hi[live], iters[live] = _bisect(
+        lo[live], hi[live], iters[live], tol_rel, _MAX_BISECTIONS, above,
+        (live, *(x[live] for x in columns)))
+    done.append(live)
 
     out = [_ZERO_NORM if not p else None for p in vecs]
     fin = np.sort(np.concatenate(done))
+    fin = fin[np.array([batch.pos[r] not in batch.errors for r in fin.tolist()], dtype=bool)]
     terms, _ = batch.terms(fin, batch.avals[fin], batch.mus[fin], hi[fin])
-    for r, row in zip(fin.tolist(), terms):
+    for r, at_value in zip(fin.tolist(), batch.sums(fin, terms)):
         out[batch.pos[r]] = NormResult(float(hi[r]), (float(lo[r]), float(hi[r])),
-                                       math.fsum(row[:batch.n[r]].tolist()),
-                                       int(iters[r]))
+                                       at_value, int(iters[r]))
     for i, exc in batch.errors.items():
         out[i] = exc
     return out

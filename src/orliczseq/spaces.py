@@ -23,7 +23,7 @@ without truncating blindly.
 from __future__ import annotations
 
 import bisect
-import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
                         OrliczFunction, Power, TabulatedConvex, _check_point,
-                        _safe_pow, parse_orlicz)
+                        _csv_rows, _safe_pow, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _ENVELOPE_SLACK = 1.0 + 1e-12
@@ -146,19 +146,8 @@ def parse_weights(descriptor: str, inf_override: float | None = None) -> WeightS
                 default = float(tail)
             except ValueError:
                 path = rest
-        entries = []
-        try:
-            with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    if not row or not row[0].strip():
-                        continue
-                    if len(row) != 2:
-                        raise DomainError(f"weight rows must be 'm,w', got {row!r}")
-                    entries.append((int(row[0]), float(row[1])))
-        except OSError as exc:
-            raise DomainError(f"cannot read weight table {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(f"bad weight table row in {path!r}") from exc
+        entries = _csv_rows(path, "weight table", "m,w",
+                            lambda row: (int(row[0]), float(row[1])))
         return WeightSequence(default, entries, inf_override=inf_override)
     raise DomainError(f"unknown weight descriptor {descriptor!r}")
 
@@ -225,20 +214,8 @@ class SeqVector:
 
     @classmethod
     def from_csv(cls, path) -> "SeqVector":
-        pairs = []
-        try:
-            with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    if not row or not row[0].strip():
-                        continue
-                    if len(row) != 3:
-                        raise DomainError(f"sequence rows must be 'm,re,im', got {row!r}")
-                    pairs.append((int(row[0]), complex(float(row[1]), float(row[2]))))
-        except OSError as exc:
-            raise DomainError(f"cannot read sequence file {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(f"bad sequence row in {path!r}") from exc
-        return cls(pairs)
+        return cls(_csv_rows(path, "sequence file", "m,re,im",
+                             lambda row: (int(row[0]), complex(float(row[1]), float(row[2])))))
 
     @property
     def items(self):
@@ -396,40 +373,119 @@ def mu(params: SpaceParams, m: int) -> float:
     return float(mus[0])
 
 
-def first_overflow(values: np.ndarray, support, what: str, where: str):
-    """The error naming the first index whose entry of ``values`` is not finite.
-
-    ``values`` runs parallel to ``support`` (trailing entries past the support
-    are ignored); the message reads "<what> overflow at index <m> <where>".
-    Returns None when every entry is finite.
-    """
-    bad = np.flatnonzero(~np.isfinite(values[:len(support)]))
-    if not bad.size:
-        return None
-    m = support[int(bad[0])]
-    return ComputationOverflowError(f"{what} overflow at index {m} {where}", index=m)
-
-
-def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
-    """Weighted modular sum_m mu(m) * phi(|p_m| / rho) at scale rho > 0."""
+def _scale(rho) -> float:
+    """rho as a float; a scale that is not finite and positive is a DomainError."""
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0:
         raise DomainError("scale rho must be finite and positive")
-    if not p:
-        return 0.0
-    support = p.support
-    mus, errors = measures(params, support)
+    return rho
+
+
+def _fsum(terms: list, where: str) -> float:
+    """math.fsum of the terms; a sum past double range is a ComputationOverflowError."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ComputationOverflowError(f"modular sum overflow {where}") from None
+
+
+class TermBatch:
+    """The modular terms mu(m) * phi(|p_m| / rho) of a batch of vectors.
+
+    One ``measures`` call covers the batch.  Each nonempty vector with finite
+    measures is a row (at batch position ``pos[r]``, of length ``n[r]``) of
+    padded arrays ``avals`` = |p_m| and ``mus`` = mu(m) in support order;
+    padding is 0, so a padded term is exactly 0.  ``errors`` maps a failed
+    vector's position to its first ComputationOverflowError: a measure, else
+    a scaled argument or a term ("<what> overflow at index <m> <where>"),
+    else the sum ("modular sum overflow <where>") that leaves double range.
+    """
+
+    def __init__(self, params: SpaceParams, vecs, where: str):
+        self.phi, self.where, self.size = params.phi, where, len(vecs)
+        supports = [p.support for p in vecs]
+        lengths = [len(s) for s in supports]
+        mus, mu_errors = measures(params, list(itertools.chain.from_iterable(supports)))
+        self.errors = {}
+        if mu_errors:
+            owner = np.repeat(np.arange(len(vecs)), lengths)
+            for j, exc in mu_errors.items():  # in support order: a vector keeps its first
+                self.errors.setdefault(int(owner[j]), exc)
+            mus = mus[~np.isin(owner, list(self.errors))]
+        self.pos = [i for i, n in enumerate(lengths) if n and i not in self.errors]
+        self.supports = [supports[i] for i in self.pos]
+        n = [lengths[i] for i in self.pos]
+        self.n = np.array(n, dtype=np.int64)
+        filled = np.arange(max(n, default=0)) < self.n[:, None]
+        self.avals, self.mus = np.zeros(filled.shape), np.zeros(filled.shape)
+        if self.pos:
+            self.avals[filled] = np.concatenate([vecs[i].abs_values() for i in self.pos])
+            self.mus[filled] = mus
+
+    def fail(self, r: int, exc) -> None:
+        """Fail row r with exc, unless its vector has failed already."""
+        self.errors.setdefault(self.pos[r], exc)
+
+    def terms(self, rows: np.ndarray, avals: np.ndarray, mus: np.ndarray,
+              rho: np.ndarray):
+        """Terms of ``rows`` at scales ``rho`` (``avals``, ``mus``: the arrays of
+        ``rows``) and the mask of rows that overflowed, or None.  Such a row
+        fails with the error naming its first offending index; its terms are
+        0.  Callers hold np.errstate: overflow is an error, not a warning."""
+        args = avals / rho[:, None]
+        lost = None
+        if not np.isfinite(args).all():
+            lost = self._overflow(rows, args, "scaled argument")
+            args[lost] = 0.0
+        # terms overwrite args, read no more: a wide solve touches fewer fresh pages
+        terms = np.multiply(mus, self.phi.eval(args), out=args)
+        if not np.isfinite(terms).all():
+            more = self._overflow(rows, terms, "modular term")
+            terms[more] = 0.0
+            lost = more if lost is None else lost | more
+        return terms, lost
+
+    def _overflow(self, rows, values, what: str) -> np.ndarray:
+        finite = np.isfinite(values)
+        bad = ~finite.all(axis=1)
+        for j in np.flatnonzero(bad).tolist():
+            r = int(rows[j])
+            m = self.supports[r][int(np.argmin(finite[j]))]
+            self.fail(r, ComputationOverflowError(
+                f"{what} overflow at index {m} {self.where}", index=m))
+        return bad
+
+    def sums(self, rows: np.ndarray, terms: np.ndarray) -> list:
+        """The exact sum of each row's terms; a row whose sum overflows fails (nan)."""
+        out = []
+        for r, row in zip(rows.tolist(), terms):
+            try:
+                out.append(_fsum(row[:self.n[r]].tolist(), self.where))
+            except ComputationOverflowError as exc:
+                self.fail(r, exc)
+                out.append(math.nan)
+        return out
+
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def modulars(self, rho: float):
+        """The modular of every vector at scale rho (0.0 for an empty one) and
+        ``errors``; the value of a vector that failed is meaningless."""
+        values = [0.0] * self.size
+        rows = np.arange(len(self.pos))
+        terms, _ = self.terms(rows, self.avals, self.mus, np.full(rows.size, rho))
+        for i, value in zip(self.pos, self.sums(rows, terms)):
+            values[i] = value
+        return values, self.errors
+
+
+def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
+    """Weighted modular sum_m mu(m) * phi(|p_m| / rho) at scale rho > 0:
+    a ``TermBatch`` of one."""
+    rho = _scale(rho)
+    values, errors = TermBatch(params, [p], f"for rho={rho:g}").modulars(rho)
     if errors:
-        raise next(iter(errors.values()))
-    where = f"for rho={rho:g}"
-    args = p.abs_values() / rho
-    err = first_overflow(args, support, "scaled argument", where)
-    if err is None:
-        terms = mus * params.phi.eval(args)
-        err = first_overflow(terms, support, "modular term", where)
-    if err is not None:
-        raise err
-    return math.fsum(terms)
+        raise errors[0]
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -538,9 +594,7 @@ def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
     origin) at t* = amplitude * ratio**trunc / rho, then sums the resulting
     polynomial-geometric majorant in closed form.
     """
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0:
-        raise DomainError("scale rho must be finite and positive")
+    rho = _scale(rho)
     if int(trunc) != trunc or trunc < 1:
         raise DomainError("truncation index must be an integer >= 1")
     trunc = int(trunc)
@@ -624,7 +678,6 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
         if 2 * trunc + 1 > MAX_GRID_POINTS:
             return TailCertificate(rho, trunc, tail, None)
         supp = set(p.support)
-        upper: float | None
         try:
             explicit = modular(params, p, rho)
             off = [m for m in range(-trunc, trunc + 1) if m not in supp]
@@ -638,7 +691,9 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
                 terms = mus[:first] * params.phi._eval_exact(args)
             if errors:
                 raise errors[first]
-            upper = explicit + math.fsum(terms) + tail
+            upper = explicit + _fsum(terms.tolist(), f"for rho={rho:g}") + tail
+            if not math.isfinite(upper):
+                upper = None
         except ComputationOverflowError:
             upper = None
         return TailCertificate(rho, trunc, tail, upper)

@@ -83,8 +83,6 @@ def test_inverse_rejects_bad_targets():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             ExpLinear().inverse(bad)
-    with pytest.raises(DomainError):
-        Power(2.0).inverse(1.0, tol=0.0)
 
 
 @pytest.mark.parametrize("phi", FAMILIES, ids=lambda f: f.descriptor())
@@ -385,3 +383,31 @@ def test_convexity_of_slope_ratio():
         ts = np.geomspace(1e-8, 10.0, 300)
         slopes = phi(ts) / ts
         assert np.all(np.diff(slopes) >= -1e-12 * slopes[:-1])
+
+
+@pytest.mark.parametrize("text, line, row", [
+    ("0,0\n1\n", 2, ['1']),
+    ("0,0\n\n1,1,1\n", 3, ['1', '1', '1']),
+    ("0,0\n1,x\n", 2, ['1', 'x']),
+])
+def test_knot_table_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
+    from orliczseq.cli import run
+    f = tmp_path / "knots.csv"
+    f.write_text(text)
+    f = str(f)
+    want = f"bad row at line {line} of knot table {f!r}: expected 't,value', got {row!r}"
+    for read in (lambda: TabulatedConvex.from_csv(f), lambda: parse_orlicz(f"tab:{f}")):
+        with pytest.raises(DomainError) as exc:
+            read()
+        assert str(exc.value) == want
+    assert run(["delta2", "--phi", f"tab:{f}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+def test_unreadable_knot_table_is_a_domain_error(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    for read in (lambda: TabulatedConvex.from_csv(missing),
+                 lambda: parse_orlicz(f"tab:{missing}")):
+        with pytest.raises(DomainError) as exc:
+            read()
+        assert str(exc.value).startswith(f"cannot read knot table {missing!r}: [Errno 2]")

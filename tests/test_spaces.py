@@ -482,3 +482,89 @@ def test_classify_exponential_generator_flat_order():
     rep = classify(params, SeqVector(), env)
     assert rep.in_class and rep.in_small
     assert not (rep.in_large and not rep.in_small)
+
+
+def test_modular_sum_overflow_is_typed(capsys, tmp_path):
+    # every term is 1e308, finite, but their sum leaves double range
+    params = SpaceParams(0.0, Power(2.0), W1)
+    p = SeqVector({1: 1e154, 2: 1e154, 3: 1e154})
+    assert _modular_error(params, p, 1.0) == ("modular sum overflow for rho=1", None)
+    f = tmp_path / "big.csv"
+    f.write_text("1,1e154,0\n2,1e154,0\n3,1e154,0\n")
+    assert run(["modular", "--phi", "power:2", "--rho", "1", "--in", str(f)]) == 3
+    assert capsys.readouterr() == ("", "numeric failure: modular sum overflow for rho=1\n")
+
+
+def test_modular_overflow_raises_no_runtime_warning():
+    # RuntimeWarning is an error under this suite's settings
+    with pytest.raises(ComputationOverflowError, match="modular term overflow at index 30"):
+        modular(SpaceParams(-1.0, ExpSquare(), W1), SeqVector({30: 100.0}), 0.25)
+    with pytest.raises(ComputationOverflowError, match="scaled argument overflow at index 3"):
+        modular(SpaceParams(0.0, ExpSquare(), W1), SeqVector({3: 1e300}), 1e-10)
+
+
+@pytest.mark.parametrize("amplitude", [1.2e154, 1e308])
+def test_classify_reports_an_overflowing_upper_bound_as_none(capsys, amplitude):
+    # the off-support terms of the explicit window are finite, but at
+    # amplitude 1.2e154 their sum overflows and at 1e308 some are inf
+    params = SpaceParams(0.0, Power(2.0), W1)
+    report = classify(params, envelope=geometric_envelope(params, amplitude, 0.5))
+    assert report.in_class and report.certificates
+    assert report.certificates[0].modular_upper is None
+    assert all(c.modular_upper is None or math.isfinite(c.modular_upper)
+               for c in report.certificates)
+    assert run(["classify", "--phi", "power:2", "--env-c", repr(amplitude),
+                "--env-r", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "Infinity" not in out and '"modular_upper": null' in out
+
+
+@pytest.mark.parametrize("text, line, row", [
+    ("0,1\n", 1, ['0', '1']),
+    ("\n0,1,0\n1,2,0,4\n", 3, ['1', '2', '0', '4']),
+    ("0,1,0\n1.5,2,0\n", 2, ['1.5', '2', '0']),
+    ("0,1,zero\n", 1, ['0', '1', 'zero']),
+])
+def test_sequence_csv_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    f = str(f)
+    want = (f"bad row at line {line} of sequence file {f!r}: "
+            f"expected 'm,re,im', got {row!r}")
+    with pytest.raises(DomainError) as exc:
+        SeqVector.from_csv(f)
+    assert str(exc.value) == want
+    assert run(["norm", "--phi", "power:2", "--in", f]) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("text, line, row", [
+    ("3\n", 1, ['3']),
+    ("0,1\n2,0.5,7\n", 2, ['2', '0.5', '7']),
+    ("0,1\n\n2.5,3\n", 3, ['2.5', '3']),
+])
+def test_weight_table_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
+    f = tmp_path / "w.csv"
+    f.write_text(text)
+    f = str(f)
+    want = (f"bad row at line {line} of weight table {f!r}: "
+            f"expected 'm,w', got {row!r}")
+    with pytest.raises(DomainError) as exc:
+        parse_weights(f"table:{f}")
+    assert str(exc.value) == want
+    vec = tmp_path / "p.csv"
+    vec.write_text("0,1,0\n")
+    assert run(["norm", "--phi", "power:2", "--weights", f"table:{f}", "--in", str(vec)]) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+def test_unreadable_csv_files_are_domain_errors(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DomainError, match="^cannot read sequence file .*missing.csv"):
+        SeqVector.from_csv(missing)
+    with pytest.raises(DomainError, match="^cannot read weight table .*missing.csv"):
+        parse_weights(f"table:{missing}")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"0,1,0\n\xff,2,0\n")
+    with pytest.raises(DomainError, match="^cannot read sequence file .*latin.csv.*utf-8"):
+        SeqVector.from_csv(latin)
