@@ -14,10 +14,10 @@ on a float is a batch of one) and fast through its numpy form ``_raw_eval``
 finiteness convert that to an indexed error).  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
-doubling bracket.  ``_bisect`` is the one bisection of the package: the
-generic inverse and the Luxemburg norm solver both run it, in lock-step over
-their rows, while each row keeps the bracket, step count and stopping test
-of a scalar bisection.
+doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
+one bisection of the package: the generic inverse and the Luxemburg norm
+solver both run it, in lock-step over their rows, while each row keeps the
+bracket, step count and stopping test of a scalar bisection.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
 _MAX_HALVINGS = 200  # bisection steps of one generic inverse
+_MEMO_ROOTS = 2 ** 16  # roots one generator's generic inverse remembers
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 
 
@@ -87,14 +88,15 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry=()):
 
 
 def _csv_rows(path, kind: str, shape: str, parse) -> list:
-    """``parse(row)`` of each nonblank row of the CSV file ``path``; a row that
-    does not fit ``shape`` (e.g. 'm,re,im') or that ``parse`` rejects raises a
-    DomainError naming the file, the line and the shape."""
+    """``parse(row)`` of each row of the CSV file ``path`` with a nonblank
+    field; a row that does not fit ``shape`` (e.g. 'm,re,im') or that
+    ``parse`` rejects, a blank first field included, raises a DomainError
+    naming the file, the line and the shape."""
     out = []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            for row in filter(lambda row: row and row[0].strip(), reader):
+            for row in filter(lambda row: any(f.strip() for f in row), reader):
                 try:
                     if len(row) != shape.count(",") + 1:
                         raise ValueError(f"{len(row)} fields")
@@ -126,6 +128,11 @@ class OrliczFunction:
     ``ExpCompose`` call ``_invert``, so an override of ``inverse`` alone is
     not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
     numpy array.
+
+    A generator is an immutable value.  The generic inverse remembers, on
+    the instance, the roots it has found and its halving ladder phi(2**-i);
+    a user generator changed after its first inverse keeps both, so build a
+    new one instead.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
@@ -179,6 +186,11 @@ class OrliczFunction:
         reach that width.  Below it the cap stops the bisection first, and
         ``hi`` can be far above the root: ``ExpLinear().inverse(1e-152)``
         returns 6.2e-61, where phi is 1.9e-121, while the root is 1.4e-76.
+
+        Each target takes its own doubling, prefix and bisection path, so a
+        root does not depend on the batch it is solved in.  That is what lets
+        the generic inverse serve a target it has solved before from its
+        memo, bit for bit the root a fresh bisection would give.
         """
         ys = np.array(ys, dtype=float).ravel()
         t = np.full(ys.size, math.nan)
@@ -192,18 +204,56 @@ class OrliczFunction:
             errors[int(good[j])] = exc
         return t, errors
 
-    @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def _invert(self, y: np.ndarray):
         """``inverses`` on finite nonnegative targets: (t, {position: error}).
+
+        The generic inverse: the targets this generator has solved before
+        come from its memo, and only the others are bisected.  A new root is
+        stored, a failing target is not; at most ``_MEMO_ROOTS`` roots are
+        kept, and a full memo is cleared.  A generator without ``__dict__``
+        bisects every target.
+        """
+        memo = getattr(self, "__dict__", None)
+        if memo is None:
+            return self._bisect_roots(y)
+        roots = memo.setdefault("_inverse_roots", {})
+        keys = y.tolist()
+        t = np.array([roots.get(v, math.nan) for v in keys], dtype=float)
+        miss = np.flatnonzero(np.isnan(t))
+        if not miss.size:
+            return t, {}
+        t[miss], failed = self._bisect_roots(y[miss])
+        new = [(keys[i], r) for i, r in zip(miss.tolist(), t[miss].tolist())
+               if not math.isnan(r)]  # nan: the target failed
+        if len(roots) + len(new) > _MEMO_ROOTS:
+            roots.clear()
+        roots.update(new[:_MEMO_ROOTS])
+        return t, {int(miss[j]): exc for j, exc in failed.items()}
+
+    def _halving_floor(self) -> np.ndarray:
+        """The running minimum of phi(2**-i) over i = 1..200, kept after the
+        first call on a generator with ``__dict__``."""
+        memo = getattr(self, "__dict__", {})
+        floor = memo.get("_inverse_floor")
+        if floor is None:
+            # a nan phi is not below a target, as in the bisection's comparison
+            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
+            floor = memo["_inverse_floor"] = np.minimum.accumulate(
+                np.where(np.isnan(at), math.inf, at))
+        return floor
+
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def _bisect_roots(self, y: np.ndarray):
+        """The generic bisection of ``_invert``, on every target.
 
         The bracket ends are powers of two shared by every target still
         doubling, so each doubling step evaluates phi once.  A target
         bracketed by [0, 1] first halves hi through 2**-1, 2**-2, ... while
-        phi there is not below it: phi is evaluated once at all 200 points,
-        and the first j whose running minimum of phi(2**-i), i <= j, is below
-        the target ends that target's prefix, so no monotone phi is assumed.
-        ``_bisect`` then runs every target from its own step count, through
-        ``_eval_exact``, with the path, accuracy and cap of a scalar bisection.
+        phi there is not below it: the first j whose running minimum of
+        phi(2**-i), i <= j, is below the target ends that target's prefix, so
+        no monotone phi is assumed.  ``_bisect`` then runs every target from
+        its own step count, through ``_eval_exact``, with the path, accuracy
+        and cap of a scalar bisection.
         """
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
@@ -227,11 +277,8 @@ class OrliczFunction:
         steps = np.zeros(live.size, dtype=np.int64)
         unit = np.flatnonzero(h == 1.0)
         if unit.size:
-            # halvings that keep hi: the leading j with min phi(2**-i) >= target;
-            # a nan phi is not below the target, as in the comparison below
-            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
-            floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
-            keep = np.searchsorted(-floor, -target[unit], side="right")
+            # halvings that keep hi: the leading j with min phi(2**-i) >= target
+            keep = np.searchsorted(-self._halving_floor(), -target[unit], side="right")
             h[unit] = np.ldexp(1.0, -keep)
             lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
             steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)

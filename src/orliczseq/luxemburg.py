@@ -10,7 +10,8 @@ the infimum is attained and bracketed bisection resolves it.
 and ``covering_check`` sum as well, and phi^{-1}(1/mu(m)) from one call of
 ``phi.inverses`` on the distinct values of 1/mu(m).  Each of its targets
 takes the path of a scalar bisection, so a root does not depend on the
-batch it is solved in.
+batch it is solved in; the generic inverse remembers the roots it found, so
+later solves in the same space bisect only measures it has not met.
 
 Each row is bracketed on its own.  The lower bracket comes from single-term
 necessity: each term alone forces mu(m) * phi(|p_m|/rho) <= 1, i.e.

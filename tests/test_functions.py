@@ -1,6 +1,8 @@
 """Generator families: evaluation, inverses, axiom probes, scaling bounds."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        ExpSquare, GeometricProbe, OrliczFunction, Power,
-                       TabulatedConvex, default_probe_grid, delta2_at_zero,
-                       parse_orlicz, theta_bound, validate_orlicz)
-from helpers import NON_MONOTONE_TABLE, scalar_inverse_oracle, scalar_phi_oracle
+                       SpaceParams, TabulatedConvex, default_probe_grid,
+                       delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
+                       theta_bound, validate_orlicz)
+from helpers import (NON_MONOTONE_TABLE, random_vector, scalar_inverse_oracle,
+                     scalar_phi_oracle)
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -191,6 +195,111 @@ def test_failing_targets_fail_alone():
     assert list(errors) == [1] and isinstance(errors[1], CertificateError)
     assert [t[0], t[2]] == [scalar_inverse_oracle(bounded, 0.25),
                             scalar_inverse_oracle(bounded, 1.0)]
+
+
+def _memo_generators(tmp_path):
+    """Builders of fresh generators whose inverse is the generic bisection."""
+    knots = tmp_path / "knots.csv"
+    knots.write_text("".join(f"{t!r},{v!r}\n" for t, v in INEXACT_TABLE.knots))
+    return {"explin": ExpLinear,
+            "tab": lambda: TabulatedConvex(INEXACT_TABLE.knots),
+            "expof:tab": lambda: parse_orlicz(f"expof:tab:{knots}")}
+
+
+def _no_eval(self, t):
+    raise AssertionError("a remembered root evaluated phi")
+
+
+@pytest.mark.parametrize("name", ["explin", "tab", "expof:tab"])
+def test_remembered_roots_are_bit_identical(name, tmp_path, monkeypatch):
+    make = _memo_generators(tmp_path)[name]
+    ys = _targets()
+    cold, errors = make().inverses(ys)
+    assert errors == {}
+    # the same targets split and shuffled across calls on a fresh instance
+    phi = make()
+    order = np.random.default_rng(5).permutation(len(ys))
+    split = np.empty(len(ys))
+    for part in np.split(order, [1, 8, 40]):
+        split[part] = phi.inverses([ys[i] for i in part])[0]
+    assert split.tolist() == cold.tolist()
+    assert phi.inverses(ys)[0].tolist() == cold.tolist()
+    assert [phi.inverse(y) for y in ys] == cold.tolist()
+    # warm, every root comes from the memo: no evaluation of phi
+    solver = phi.inner if isinstance(phi, ExpCompose) else phi
+    monkeypatch.setattr(type(solver), "_eval_exact", _no_eval)
+    assert phi.inverses(ys[::-1])[0].tolist() == cold.tolist()[::-1]
+
+
+class SlowGrowth(OrliczFunction):
+    """log1p(t): a user generator that stays below 1e3 on the whole double range."""
+
+    def _raw_eval(self, t):
+        return np.log1p(t)
+
+    def descriptor(self) -> str:
+        return "slow"
+
+
+def test_failing_targets_are_not_remembered():
+    phi, explin = SlowGrowth(), ExpLinear()
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            phi.inverse(1e3)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                explin.inverse(bad)
+        t, errors = phi.inverses([0.5, 1e3, math.nan])
+        assert isinstance(errors[1], CertificateError) and isinstance(errors[2], DomainError)
+        assert t[0] == scalar_inverse_oracle(phi, 0.5) and math.isnan(t[1])
+    assert list(vars(phi)["_inverse_roots"]) == [0.5]
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(functions, "_MEMO_ROOTS", 8)
+    phi, rng, seen = ExpLinear(), np.random.default_rng(3), []
+    for size in (3, 5, 1, 20, 8, 9, 2):
+        # new targets mixed with ones solved before
+        ys = [*seen[-3:], *(10.0 ** rng.uniform(-30.0, 3.0, size)).tolist()]
+        seen += ys
+        assert phi.inverses(ys)[0].tolist() == [scalar_inverse_oracle(phi, y) for y in ys]
+        assert len(vars(phi)["_inverse_roots"]) <= 8
+
+
+def test_norms_equal_with_a_cold_and_a_warm_memo():
+    # covering-style rows: supports up to 20 with |m| <= 64, explin at k' = 2
+    rng = random.Random(11)
+    vecs = [random_vector(rng, 20, 64) for _ in range(15)]
+    others = [random_vector(rng, 20, 64) for _ in range(30)]
+    cold = luxemburg_norms(SpaceParams(2.0, ExpLinear()), vecs)
+    params = SpaceParams(2.0, ExpLinear())
+    luxemburg_norms(params, others)
+    # partly warm from the other rows, then every root remembered
+    assert luxemburg_norms(params, vecs) == cold
+    assert luxemburg_norms(params, vecs) == cold
+
+
+def test_explin_inverse_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    phi = ExpLinear()
+    with mpmath.workdps(50):
+        for y in np.geomspace(1e-40, 1e3, 100).tolist():
+            t, target = phi.inverse(y), mpmath.mpf(y)
+            # expm1(s) - s keeps the digits that exp(s) - s - 1 cancels
+            root = mpmath.findroot(lambda s: mpmath.expm1(s) - s - target, mpmath.mpf(t),
+                                   solver="newton", df=mpmath.expm1)
+            assert abs((t - root) / root) <= 1e-14, y
+
+
+@pytest.mark.parametrize("phi", [TABLE, INEXACT_TABLE], ids=lambda f: f.descriptor()[:24])
+def test_tabulated_inverse_against_the_exact_root(phi):
+    ts, vs = (tuple(map(Fraction, col)) for col in zip(*phi.knots))
+    for y in [*np.geomspace(1e-30, 1e3, 100).tolist(), *(float(v) for v in vs[1:])]:
+        # the segment whose values reach y, else the last one extended
+        i = next((i for i in range(len(ts) - 1) if vs[i] < Fraction(y) <= vs[i + 1]),
+                 len(ts) - 2)
+        root = ts[i] + (Fraction(y) - vs[i]) * (ts[i + 1] - ts[i]) / (vs[i + 1] - vs[i])
+        assert abs(Fraction(phi.inverse(y)) - root) <= Fraction(1e-14) * root, y
 
 
 @settings(max_examples=200, deadline=None)
@@ -389,6 +498,7 @@ def test_convexity_of_slope_ratio():
     ("0,0\n1\n", 2, ['1']),
     ("0,0\n\n1,1,1\n", 3, ['1', '1', '1']),
     ("0,0\n1,x\n", 2, ['1', 'x']),
+    ("0,0\n,1\n", 2, ['', '1']),
 ])
 def test_knot_table_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
     from orliczseq.cli import run

@@ -524,6 +524,8 @@ def test_classify_reports_an_overflowing_upper_bound_as_none(capsys, amplitude):
     ("\n0,1,0\n1,2,0,4\n", 3, ['1', '2', '0', '4']),
     ("0,1,0\n1.5,2,0\n", 2, ['1.5', '2', '0']),
     ("0,1,zero\n", 1, ['0', '1', 'zero']),
+    ("0,1,0\n,5,0\n", 2, ['', '5', '0']),
+    ("0,1,0\n , ,\n 2,,\n", 3, [' 2', '', '']),
 ])
 def test_sequence_csv_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
     f = tmp_path / "bad.csv"
@@ -542,6 +544,7 @@ def test_sequence_csv_errors_name_file_line_and_shape(capsys, tmp_path, text, li
     ("3\n", 1, ['3']),
     ("0,1\n2,0.5,7\n", 2, ['2', '0.5', '7']),
     ("0,1\n\n2.5,3\n", 3, ['2.5', '3']),
+    ("0,1\n,3\n", 2, ['', '3']),
 ])
 def test_weight_table_errors_name_file_line_and_shape(capsys, tmp_path, text, line, row):
     f = tmp_path / "w.csv"
@@ -556,6 +559,25 @@ def test_weight_table_errors_name_file_line_and_shape(capsys, tmp_path, text, li
     vec.write_text("0,1,0\n")
     assert run(["norm", "--phi", "power:2", "--weights", f"table:{f}", "--in", str(vec)]) == 2
     assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+def test_csv_rows_with_a_value_are_never_skipped(capsys, tmp_path):
+    # a blank first field is a bad row, not a blank line: the value after it
+    # must not drop out of the sum
+    f = tmp_path / "p.csv"
+    f.write_text("0,1,0\n,5,0\n")
+    assert run(["modular", "--phi", "power:2", "--rho", "1", "--in", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad row at line 2 of sequence file")
+    # rows whose every field is blank are skipped in every reader
+    f.write_text("\n0,1,0\n,,\n \t, ,\n2,3,0\n")
+    assert SeqVector.from_csv(f).items == ((0, 1 + 0j), (2, 3 + 0j))
+    w = tmp_path / "w.csv"
+    w.write_text("0,2\n,\n1,3\n")
+    assert [parse_weights(f"table:{w}").weight(m) for m in (0, 1, 2)] == [2.0, 3.0, 1.0]
+    k = tmp_path / "k.csv"
+    k.write_text("0,0\n , \n1,1\n")
+    assert TabulatedConvex.from_csv(k).knots == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_unreadable_csv_files_are_domain_errors(tmp_path):
