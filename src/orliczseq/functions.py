@@ -130,9 +130,8 @@ class OrliczFunction:
     numpy array.
 
     A generator is an immutable value.  The generic inverse remembers, on
-    the instance, the roots it has found and its halving ladder phi(2**-i);
-    a user generator changed after its first inverse keeps both, so build a
-    new one instead.
+    the instance, the roots it has found; a user generator changed after its
+    first inverse keeps them, so build a new one instead.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
@@ -230,18 +229,6 @@ class OrliczFunction:
         roots.update(new[:_MEMO_ROOTS])
         return t, {int(miss[j]): exc for j, exc in failed.items()}
 
-    def _halving_floor(self) -> np.ndarray:
-        """The running minimum of phi(2**-i) over i = 1..200, kept after the
-        first call on a generator with ``__dict__``."""
-        memo = getattr(self, "__dict__", {})
-        floor = memo.get("_inverse_floor")
-        if floor is None:
-            # a nan phi is not below a target, as in the bisection's comparison
-            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
-            floor = memo["_inverse_floor"] = np.minimum.accumulate(
-                np.where(np.isnan(at), math.inf, at))
-        return floor
-
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def _bisect_roots(self, y: np.ndarray):
         """The generic bisection of ``_invert``, on every target.
@@ -277,8 +264,11 @@ class OrliczFunction:
         steps = np.zeros(live.size, dtype=np.int64)
         unit = np.flatnonzero(h == 1.0)
         if unit.size:
-            # halvings that keep hi: the leading j with min phi(2**-i) >= target
-            keep = np.searchsorted(-self._halving_floor(), -target[unit], side="right")
+            # halvings that keep hi: the leading j with min phi(2**-i) >= target;
+            # a nan phi is not below the target, as in the comparison below
+            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
+            floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
+            keep = np.searchsorted(-floor, -target[unit], side="right")
             h[unit] = np.ldexp(1.0, -keep)
             lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
             steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
