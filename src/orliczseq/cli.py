@@ -128,8 +128,7 @@ def _embedding(args, pair, mode, source_k, target_k, record: dict,
     if not witness.holds:
         _emit(args, record)
         return None
-    return embedding_constant(mode, witness, SpaceParams(source_k, psi, weights),
-                              target_k, args.inf_w)
+    return embedding_constant(mode, witness, SpaceParams(source_k, psi, weights), target_k)
 
 
 def _cmd_norm(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, DomainError, OrliczSeqError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
-                        OrliczFunction, ThetaBound, _PROBE_DEPTH, _probe_grid,
-                        _safe_pow, delta2_at_zero, theta_bound)
+                        OrliczFunction, ThetaBound, _PROBE_DEPTH, _libm,
+                        _positive, _probe_grid, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
-from .spaces import SeqVector, SpaceParams, TermBatch, _scale, measures
+from .spaces import SeqVector, SpaceParams, TermBatch, measures
 
 GLOBAL_DOMINATION_SPAN = 1e6
 _DOMINATION_SLACK = 1.0 + 1e-12
@@ -65,9 +66,7 @@ def check_domination(phi: OrliczFunction, psi: OrliczFunction, gamma: float,
     carries relative slack 1+1e-12 so exact-equality families are not
     refuted by rounding.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise DomainError("gamma must be finite and positive")
+    gamma = _positive(gamma, "gamma")
     t0 = float(t0)
     if t0 <= 0 or math.isnan(t0):
         raise DomainError("t0 must be positive (inf allowed for global checks)")
@@ -99,15 +98,15 @@ class EmbeddingCertificate:
 
 
 def embedding_constant(mode: str, witness: DominationWitness,
-                       source: SpaceParams, target_k: float,
-                       inf_w: float | None = None) -> EmbeddingCertificate:
+                       source: SpaceParams, target_k: float) -> EmbeddingCertificate:
     """Turn a holding domination witness into an embedding certificate.
 
     Mode "a" (global): requires t0 = inf, gamma <= 1 and k' >= k >= 0; the
     constant is gamma and the target keeps the source weights and order k.
-    Mode "b" (local): requires finite t0, source order k >= 0 and a positive
-    weight infimum; the target has order 0 and the constant is
-    max(psi^{-1}(1/inf w)/t0, gamma).
+    Mode "b" (local): requires finite t0 and source order k >= 0; the target
+    has order 0 and the constant is max(psi^{-1}(1/inf w)/t0, gamma), with
+    inf w the source weights' certified infimum (``WeightSequence.with_inf``
+    certifies a smaller one).
     """
     mode = str(mode).lower()
     if mode not in ("a", "b"):
@@ -132,10 +131,7 @@ def embedding_constant(mode: str, witness: DominationWitness,
         raise PreconditionError("mode 'b' needs source order k >= 0")
     if target_k != 0.0:
         raise PreconditionError("mode 'b' targets the order-0 space")
-    inf_w = source.weights.inf_w if inf_w is None else float(inf_w)
-    if not math.isfinite(inf_w) or inf_w <= 0:
-        raise PreconditionError("mode 'b' needs a positive weight infimum")
-    c = max(source.phi.inverse(1.0 / inf_w) / witness.t0, witness.gamma)
+    c = max(source.phi.inverse(1.0 / source.weights.inf_w) / witness.t0, witness.gamma)
     target = SpaceParams(0.0, witness.phi, source.weights)
     return EmbeddingCertificate("b", c, source, target, witness)
 
@@ -210,13 +206,9 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     beyond m2 the measure growth absorbs c_theta, so the tail modular of
     2*(p - truncation)/epsilon stays at most 1.
     """
-    kappa = float(kappa)
-    epsilon = float(epsilon)
+    kappa = _positive(kappa, "kappa")
+    epsilon = _positive(epsilon, "epsilon")
     target_k = float(target_k)
-    if not math.isfinite(kappa) or kappa <= 0:
-        raise DomainError("kappa must be finite and positive")
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise DomainError("epsilon must be finite and positive")
     if not source.k > target_k:
         raise PreconditionError(
             f"source order {source.k:g} must exceed target order {target_k:g}")
@@ -231,9 +223,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
 
     theta = 2.0 * kappa / epsilon
     tb: ThetaBound | None = None
-    tt = float(t_theta)
-    if not math.isfinite(tt) or tt <= 0:
-        raise DomainError("t_theta must be finite and positive")
+    tt = _positive(t_theta, "t_theta")
     last_err: CertificateError | None = None
     for _ in range(64):
         try:
@@ -252,10 +242,13 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     inv_w = 1.0 / source.weights.inf_w
     phi_at_tt = phi.eval(tb.t_theta)
 
+    def growth(f, k):  # (1 + phi(n))**k for a chunk of values phi(n)
+        return _libm(pow, (1.0 + f).tolist(), repeat(k))
+
     # negated comparisons, so that a nan stops each search
-    m2 = _least_index(phi, lambda f: not _safe_pow(1.0 + f, gap) < tb.c_theta,
+    m2 = _least_index(phi, lambda f: ~(growth(f, gap) < tb.c_theta),
                       "measure growth did not absorb c_theta at desk scale")
-    m1 = _least_index(phi, lambda f: not inv_w * _safe_pow(1.0 + f, -source.k) > phi_at_tt,
+    m1 = _least_index(phi, lambda f: ~(inv_w * growth(f, -source.k) > phi_at_tt),
                       "ball entries did not enter the scaling window at desk scale")
 
     return BallTailCertificate(kappa, epsilon, theta, tb, m1, m2,
@@ -266,16 +259,16 @@ def _least_index(phi: OrliczFunction, holds, message: str) -> int:
     """The least n in [0, _SEARCH_CAP] with holds(phi(n)), else CertificateError.
 
     phi is evaluated exactly on chunks of consecutive n that grow to at most
-    4096 indices, and each n is tested in turn, so no monotonicity is assumed.
+    4096 indices; ``holds`` maps a chunk's values to a boolean array, and the
+    first n where it is true wins, so no monotonicity is assumed.
     """
     start, size = 0, 8
     while start <= _SEARCH_CAP:
         stop = min(start + size, _SEARCH_CAP + 1)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            values = phi._eval_exact(np.arange(start, stop, dtype=float))
-        for n, f in enumerate(values.tolist(), start):
-            if holds(f):
-                return n
+            hits = np.flatnonzero(holds(phi._eval_exact(np.arange(start, stop, dtype=float))))
+        if hits.size:
+            return start + int(hits[0])
         start, size = stop, min(2 * size, 4096)
     raise CertificateError(message)
 
@@ -315,9 +308,7 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
         raise DomainError("sample count must be a positive integer")
     if int(max_support) != max_support or max_support < 1:
         raise DomainError("max_support must be a positive integer")
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa <= 0:
-        raise DomainError("kappa must be finite and positive")
+    kappa = _positive(kappa, "kappa")
     rng = random.Random(seed)
     log2_top = math.log2(max_support + 1)
     draws, fractions = [], []
@@ -361,12 +352,12 @@ class CoveringReport:
 
 
 def covering_check(cert: BallTailCertificate, samples,
-                   target: SpaceParams | None = None,
                    norm_tol: float = DEFAULT_TOL_REL) -> CoveringReport:
     """Check every sample against the certified truncation residual.
 
     For each sample the tail beyond m_eps_kappa must have modular at most 1
-    at scale epsilon/2 and residual target norm at most epsilon/2 (both with
+    at scale epsilon/2 and residual norm at most epsilon/2 in the
+    certificate's target space (both with
     relative slack 1+1e-9 for the solver tolerance).  A violation raises
     CertificateRefutedError carrying the offending sample index.  The
     residual norms are solved in one batch; samples are then checked in
@@ -374,18 +365,13 @@ def covering_check(cert: BallTailCertificate, samples,
     modulars come from one ``TermBatch``; a sample's tail modular error comes
     before its solve error, and both before its refutations.
     """
-    expected = cert.target_params
-    if target is None:
-        target = expected
-    if target.space_key() != expected.space_key():
-        raise PreconditionError(
-            "target parameters do not match the certificate's target space")
+    target = cert.target_params
     rho = cert.epsilon / 2.0
     cut = cert.m_eps_kappa
     tails = [p.tail(cut) for p in samples]
     solved = _solve(target, tails, norm_tol)
     if any(tails):  # an empty tail has modular 0 at any scale
-        rho = _scale(rho)
+        rho = _positive(rho, "scale rho")
     tail_mods, errors = TermBatch(target, tails, f"for rho={rho:g}").modulars(rho)
     resids = []
     for i, (tail_mod, res) in enumerate(zip(tail_mods, solved)):

@@ -9,9 +9,10 @@ condition at zero (``limsup_{t->0+} phi(2t)/phi(t) < oo``) and the local
 scaling certificate ``phi(theta*t) <= c_theta * phi(t)`` on ``(0, t_theta]``.
 
 Each generator evaluates exactly through ``_eval_exact`` on an array (``eval``
-on a float is a batch of one) and fast through its numpy form ``_raw_eval``
-(``eval`` on an array); overflow saturates to ``inf`` (consumers that need
-finiteness convert that to an indexed error).  Inverses
+on a float is a batch of one; the built-in families take Python's ``pow`` and
+``math`` functions there, through ``_libm``) and fast through its numpy form
+``_raw_eval`` (``eval`` on an array); overflow saturates to ``inf`` (consumers
+that need finiteness convert that to an indexed error).  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
 doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,18 +42,34 @@ _MEMO_ROOTS = 2 ** 16  # roots one generator's generic inverse remembers
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 
 
-def _safe_expm1(x: float) -> float:
+def _libm(f, *lists) -> np.ndarray:
+    """The array of ``f`` over the entries of the lists, an overflow giving inf.
+
+    The exact path computes with Python's float ``pow`` and ``math``
+    functions, which numpy's ufuncs can differ from in the last bit.  Each
+    of ``lists`` is a list or an ``itertools.repeat``.  The first pass maps
+    ``f`` with no handler per entry; only a pass that raises OverflowError
+    is run again, each entry under its own.
+    """
     try:
-        return math.expm1(x)
+        return np.array(list(map(f, *lists)))
     except OverflowError:
-        return math.inf
+        pass
+
+    def saturated(*args):
+        try:
+            return f(*args)
+        except OverflowError:
+            return math.inf
+    return np.array(list(map(saturated, *lists)))
 
 
-def _safe_pow(base: float, exp: float) -> float:
-    try:
-        return base ** exp
-    except OverflowError:
-        return math.inf
+def _positive(value, what: str) -> float:
+    """value as a float; one that is not finite and positive is a DomainError."""
+    value = float(value)
+    if not math.isfinite(value) or value <= 0:
+        raise DomainError(f"{what} must be finite and positive")
+    return value
 
 
 def _bisect(lo, hi, steps, width: float, cap: int, split, carry=()):
@@ -209,13 +227,9 @@ class OrliczFunction:
         The generic inverse: the targets this generator has solved before
         come from its memo, and only the others are bisected.  A new root is
         stored, a failing target is not; at most ``_MEMO_ROOTS`` roots are
-        kept, and a full memo is cleared.  A generator without ``__dict__``
-        bisects every target.
+        kept, and a full memo is cleared.
         """
-        memo = getattr(self, "__dict__", None)
-        if memo is None:
-            return self._bisect_roots(y)
-        roots = memo.setdefault("_inverse_roots", {})
+        roots = self.__dict__.setdefault("_inverse_roots", {})
         keys = y.tolist()
         t = np.array([roots.get(v, math.nan) for v in keys], dtype=float)
         miss = np.flatnonzero(np.isnan(t))
@@ -245,18 +259,15 @@ class OrliczFunction:
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
         live = np.flatnonzero(t)
-        top, message = 1.0, "cannot bracket inverse: function grows too slowly"
-        for _ in range(_MAX_DOUBLINGS):
-            if not live.size:
-                break
+        top = 1.0
+        while live.size:  # ends: top reaches inf after 1024 doublings
             live = live[~(self._eval_exact(np.array([top])) >= y[live])]
             top *= 2.0
             if math.isinf(top):
-                message = "cannot bracket inverse: target beyond double range"
                 break
             t[live] = top
         for j in live.tolist():
-            failed[j] = CertificateError(message)
+            failed[j] = CertificateError("cannot bracket inverse: target beyond double range")
         t[live] = math.nan
         live = np.flatnonzero(t > 0.0)
         h, target = t[live], y[live]
@@ -297,17 +308,10 @@ class Power(OrliczFunction):
         return t ** self.s
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # scalar pow, which np.power can differ from in the last bit; the
-        # first pass makes no call per entry
-        s, ts = self.s, t.tolist()
-        try:
-            return np.array([x ** s for x in ts])
-        except OverflowError:
-            return np.array([_safe_pow(x, s) for x in ts])
+        return _libm(pow, t.tolist(), repeat(self.s))
 
     def _invert(self, y: np.ndarray):
-        # scalar pow: np.power differs from it in the last bit at some points
-        return np.array([v ** (1.0 / self.s) for v in y.tolist()]), {}
+        return _libm(pow, y.tolist(), repeat(1.0 / self.s)), {}
 
     def descriptor(self) -> str:
         return f"power:{self.s:.17g}"
@@ -321,12 +325,11 @@ class ExpSquare(OrliczFunction):
         return np.expm1(t * t)
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # math.expm1: np.expm1 differs from it in the last bit at some points
-        return np.array([_safe_expm1(x * x) for x in t.tolist()])
+        return _libm(math.expm1, (t * t).tolist())
 
     def _invert(self, y: np.ndarray):
-        # scalar log1p: np.log1p differs from it in the last bit at some points
-        return np.array([math.sqrt(math.log1p(v)) for v in y.tolist()]), {}
+        # np.sqrt is correctly rounded, as math.sqrt is
+        return np.sqrt(_libm(math.log1p, y.tolist())), {}
 
     def descriptor(self) -> str:
         return "expsq"
@@ -353,14 +356,14 @@ class ExpLinear(OrliczFunction):
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
         # the Horner loop (y = y*x + c from 0, as np.polyval runs it) at or
-        # below 1/2; above it math.expm1, which np.expm1 differs from in the
-        # last bit at some points
+        # below 1/2, ``_libm``'s expm1 above it
         out = np.empty(t.size)
         small = t <= _EXPLIN_SWITCH
         if small.any():  # polyval costs two ufunc calls per coefficient
             x = t[small]
             out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
-        out[~small] = [_safe_expm1(v) - v for v in t[~small].tolist()]
+        x = t[~small]
+        out[~small] = _libm(math.expm1, x.tolist()) - x
         return out
 
     def descriptor(self) -> str:
@@ -381,13 +384,11 @@ class ExpCompose(OrliczFunction):
         return np.expm1(self.inner._raw_eval(t))
 
     def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # math.expm1: np.expm1 differs from it in the last bit at some points
-        return np.array([_safe_expm1(u) for u in self.inner._eval_exact(t).tolist()])
+        return _libm(math.expm1, self.inner._eval_exact(t).tolist())
 
     def _invert(self, y: np.ndarray):
-        # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone;
-        # scalar log1p, as np.log1p differs from it in the last bit at some points
-        return self.inner._invert(np.array([math.log1p(v) for v in y.tolist()]))
+        # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone
+        return self.inner._invert(_libm(math.log1p, y.tolist()))
 
     def descriptor(self) -> str:
         return f"expof:{self.inner.descriptor()}"
@@ -642,10 +643,7 @@ class ThetaBound:
 
     def __post_init__(self):
         for name in ("theta", "c_theta", "t_theta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0:
-                raise DomainError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
 
 def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
@@ -658,12 +656,8 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     off-grid points of smooth families.  Overflowing or empty ratios raise
     CertificateError (the bound cannot be certified at this t_theta).
     """
-    theta = float(theta)
-    t_theta = float(t_theta)
-    if not math.isfinite(theta) or theta <= 0:
-        raise DomainError("theta must be finite and positive")
-    if not math.isfinite(t_theta) or t_theta <= 0:
-        raise DomainError("t_theta must be finite and positive")
+    theta = _positive(theta, "theta")
+    t_theta = _positive(t_theta, "t_theta")
     if grid_points < 16:
         raise DomainError("grid_points must be at least 16")
     if grid_points > MAX_GRID_POINTS:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationOverflowError, DomainError, OrliczSeqError
-from .functions import _MAX_DOUBLINGS, _bisect
+from .functions import _MAX_DOUBLINGS, _bisect, _positive
 from .spaces import SeqVector, SpaceParams, TermBatch
 
 DEFAULT_TOL_REL = 1e-12
@@ -140,9 +140,7 @@ class _Batch(TermBatch):
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     """The NormResult, or the typed error, of each vector in ``vecs``."""
-    tol_rel = float(tol_rel)
-    if not math.isfinite(tol_rel) or tol_rel <= 0:
-        raise DomainError("tol_rel must be finite and positive")
+    tol_rel = _positive(tol_rel, "tol_rel")
     batch = _Batch(params, vecs)
     columns = (batch.avals, batch.mus, batch.n, batch.slack)
 
@@ -253,8 +251,7 @@ def verify_norm_axioms(params: SpaceParams, p: SeqVector, q: SeqVector,
     Comparisons carry the relative slack tol*max(1, scale of the quantities);
     failures are report entries, never exceptions.
     """
-    if not math.isfinite(tol) or tol <= 0:
-        raise DomainError("tolerance must be finite and positive")
+    tol = _positive(tol, "tolerance")
     lam = complex(lam)
     n_p, n_q, n_sum, n_scaled = (r.value for r in luxemburg_norms(
         params, [p, q, p + q, p.scaled(lam)]))

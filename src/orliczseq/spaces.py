@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
                         OrliczFunction, Power, TabulatedConvex, _check_point,
-                        _csv_rows, _safe_pow, parse_orlicz)
+                        _csv_rows, _libm, _positive, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _ENVELOPE_SLACK = 1.0 + 1e-12
@@ -48,15 +48,11 @@ class WeightSequence:
     """
 
     def __init__(self, default: float, entries=None, inf_override: float | None = None):
-        default = float(default)
-        if not math.isfinite(default) or default <= 0:
-            raise DomainError("default weight must be finite and positive")
+        default = _positive(default, "default weight")
         table = {}
         for m, w in (entries.items() if isinstance(entries, dict) else (entries or ())):
             m = int(m)
-            w = float(w)
-            if not math.isfinite(w) or w <= 0:
-                raise DomainError(f"weight at index {m} must be finite and positive")
+            w = _positive(w, f"weight at index {m}")
             if m in table:
                 raise DomainError(f"duplicate weight index {m}")
             table[m] = w
@@ -306,14 +302,6 @@ class SeqVector:
         return f"SeqVector({{{body}{more}}})"
 
 
-def _abs_float(m: int) -> float:
-    """float(|m|), or inf for an index beyond double range."""
-    try:
-        return float(abs(m))
-    except OverflowError:
-        return math.inf
-
-
 @np.errstate(over="ignore")
 def measures(params: SpaceParams, support):
     """The measure w_m * (1 + phi(|m|))**k of each integer index of ``support``.
@@ -325,10 +313,10 @@ def measures(params: SpaceParams, support):
     that is accepted, the true value being below anything representable.
 
     phi is evaluated once per distinct |m|, through ``_eval_exact``, and the
-    factor is the scalar power, which np.power can differ from in the last
-    bit; each measure equals w_m * (1.0 + phi.eval(float(|m|)))**k bit for
-    bit.  At k = 0 every integer index works; otherwise an index beyond
-    double range is an overflow.
+    factor is ``_libm``'s power; each measure equals
+    w_m * (1.0 + phi.eval(float(|m|)))**k bit for bit.  At k = 0 every
+    integer index works; otherwise an index beyond double range is an
+    overflow.
     """
     support = list(map(int, support))
     w = params.weights.weights(support)
@@ -336,16 +324,10 @@ def measures(params: SpaceParams, support):
     if k == 0 or not support:
         return w, {}
     # float(|m|) once per distinct value; an index beyond double range is inf
-    try:
-        ts, slot = np.unique(np.abs(np.array(support, dtype=float)), return_inverse=True)
-    except OverflowError:
-        ts, slot = np.unique([_abs_float(m) for m in support], return_inverse=True)
+    ts, slot = np.unique(np.abs(_libm(float, support)), return_inverse=True)
     huge = ts == math.inf
-    base = (params.phi._eval_exact(np.where(huge, 0.0, ts)) + 1.0).tolist()
-    try:
-        factor = np.array([b ** k for b in base])
-    except OverflowError:
-        factor = np.array([_safe_pow(b, k) for b in base])
+    base = params.phi._eval_exact(np.where(huge, 0.0, ts)) + 1.0
+    factor = _libm(pow, base.tolist(), itertools.repeat(k))
     factor[huge] = math.nan
     mus = w * factor[slot]
     errors = {}
@@ -371,14 +353,6 @@ def mu(params: SpaceParams, m: int) -> float:
     if errors:
         raise errors[0]
     return float(mus[0])
-
-
-def _scale(rho) -> float:
-    """rho as a float; a scale that is not finite and positive is a DomainError."""
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0:
-        raise DomainError("scale rho must be finite and positive")
-    return rho
 
 
 def _fsum(terms: list, where: str) -> float:
@@ -481,7 +455,7 @@ class TermBatch:
 def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
     """Weighted modular sum_m mu(m) * phi(|p_m| / rho) at scale rho > 0:
     a ``TermBatch`` of one."""
-    rho = _scale(rho)
+    rho = _positive(rho, "scale rho")
     values, errors = TermBatch(params, [p], f"for rho={rho:g}").modulars(rho)
     if errors:
         raise errors[0]
@@ -510,15 +484,14 @@ class GeometricEnvelope:
             raise DomainError("envelope amplitude must be finite and nonnegative")
         if not 0.0 < r < 1.0:
             raise DomainError("envelope ratio must lie strictly inside (0, 1)")
-        if not math.isfinite(self.poly_w) or self.poly_w <= 0:
-            raise DomainError("measure majorant coefficient must be finite and positive")
+        poly_w = _positive(self.poly_w, "measure majorant coefficient")
         if not math.isfinite(self.poly_a) or self.poly_a < 0:
             raise DomainError("measure majorant exponent must be finite and nonnegative")
         if int(self.valid_from) != self.valid_from or self.valid_from < 0:
             raise DomainError("valid_from must be a nonnegative integer")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "ratio", r)
-        object.__setattr__(self, "poly_w", float(self.poly_w))
+        object.__setattr__(self, "poly_w", poly_w)
         object.__setattr__(self, "poly_a", float(self.poly_a))
         object.__setattr__(self, "valid_from", int(self.valid_from))
 
@@ -594,7 +567,7 @@ def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
     origin) at t* = amplitude * ratio**trunc / rho, then sums the resulting
     polynomial-geometric majorant in closed form.
     """
-    rho = _scale(rho)
+    rho = _positive(rho, "scale rho")
     if int(trunc) != trunc or trunc < 1:
         raise DomainError("truncation index must be an integer >= 1")
     trunc = int(trunc)

@@ -111,7 +111,7 @@ def random_vector(rng, max_points, max_index, decades=(-3.0, 3.0)):
 def scalar_inverse_oracle(phi, y):
     """phi^{-1}(y) by the scalar bisection the generic inverse used to run.
 
-    The bracket starts at hi = 1 and doubles (at most 1100 times); then
+    The bracket starts at hi = 1 and doubles until phi(hi) >= y; then
     lo = 0 if hi == 1 else hi/2, and at most 200 halvings stop when
     hi - lo <= 1e-15*hi or the midpoint equals an end.  Returns hi, or raises
     the CertificateError of a bracket that cannot close.  The lock-step array
@@ -121,14 +121,10 @@ def scalar_inverse_oracle(phi, y):
     if y == 0.0:
         return 0.0
     hi = 1.0
-    for _ in range(1100):
-        if scalar_phi_oracle(phi, hi) >= y:
-            break
+    while not scalar_phi_oracle(phi, hi) >= y:
         hi *= 2.0
         if math.isinf(hi):
             raise CertificateError("cannot bracket inverse: target beyond double range")
-    else:
-        raise CertificateError("cannot bracket inverse: function grows too slowly")
     lo = 0.0 if hi == 1.0 else hi / 2.0
     for _ in range(200):
         if hi - lo <= 1e-15 * hi:

@@ -181,8 +181,22 @@ def test_mode_b_preconditions():
     w_global = check_domination(Power(2.0), Power(2.0), 1.0)
     with pytest.raises(PreconditionError):
         embedding_constant("b", w_global, src, 0.0)  # needs finite t0
-    with pytest.raises(PreconditionError):
-        embedding_constant("b", w, src, 0.0, inf_w=0.0)
+
+
+def test_mode_b_uses_the_certified_weight_infimum():
+    # claiming inf w = 1 over weights 0.25 once certified c = 1 here, and
+    # {0: 1} refutes that: target norm 0.63 > source norm 0.5
+    w = check_domination(Power(3.0), Power(2.0), 1.0, t0=1.0)
+    weights = WeightSequence.constant(0.25)
+    with pytest.raises(DomainError):
+        weights.with_inf(1.0)
+    src = SpaceParams(1.0, Power(2.0), weights)
+    with pytest.raises(TypeError):
+        embedding_constant("b", w, src, 0.0, inf_w=1.0)
+    cert = embedding_constant("b", w, src, 0.0)
+    assert cert.c == 2.0  # Power(2).inverse(1/0.25) / t0
+    chk = verify_embedding(cert, SeqVector({0: 1.0}))
+    assert chk.ok and chk.target_norm > chk.source_norm
 
 
 def test_verify_embedding_holds_on_samples():
@@ -233,6 +247,12 @@ INTEGER_SPIKE_TABLE = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0,
                                        (4.0, 4.0), (100.0, 100.0)])
 
 
+def _spike_table(s: int) -> TabulatedConvex:
+    """phi(n) = n on the integers except phi(s) = 5000; (m1, m2) = (s, s) as above."""
+    return TabulatedConvex([(0.0, 0.0), (s - 1.0, s - 1.0), (s, 5000.0), (s + 1.0, s + 1.0),
+                            (100.0, 100.0)])
+
+
 @pytest.mark.parametrize("phi,kp,k,w,tt", [
     (Power(2.0), 1.0, 0.0, 1e-6, 1.0),  # m1 = 1000: several chunks
     (Power(1.5), 2.0, 0.5, 1.0, 1.0),
@@ -243,11 +263,27 @@ INTEGER_SPIKE_TABLE = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0,
      1.0, 0.0, 1e-4, 1.0),
     (NON_MONOTONE_TABLE, 1.0, 0.0, 1e-3, 1.0),
     (INTEGER_SPIKE_TABLE, 1.0, 0.0, 1.0, 0.01),
+    (_spike_table(7), 1.0, 0.0, 1.0, 0.01),  # the last index of the first chunk
+    (_spike_table(8), 1.0, 0.0, 1.0, 0.01),  # the first of the second
 ], ids=lambda v: v.descriptor()[:24] if isinstance(v, OrliczFunction) else repr(v))
 def test_tail_index_equals_the_linear_search(phi, kp, k, w, tt):
     cert = uniform_tail_index(SpaceParams(kp, phi, WeightSequence.constant(w)), k, 1.0, 0.1,
                               t_theta=tt)
     assert (cert.m1, cert.m2) == _linear_tail_index(cert)
+
+
+# the first index of each chunk of the tail-index search after the first:
+# chunks of 8, 16, ..., 4096 indices, then 4096 each
+CHUNK_STARTS = [8 * (2 ** j - 1) for j in range(1, 11)]
+
+
+@pytest.mark.parametrize("n", sorted(b + d for b in CHUNK_STARTS for d in (-1, 0, 1)))
+def test_tail_index_equals_the_linear_search_at_chunk_boundaries(n):
+    # phi(t) = t: m2 is the least index with 1 + m2 >= theta * (1 + 1e-6),
+    # m1 the least with 1 + m1 >= 1/w, and both are n
+    src = SpaceParams(1.0, Power(1.0), WeightSequence.constant(1.0 / (n + 0.5)))
+    cert = uniform_tail_index(src, 0.0, (n + 0.5) / 2.0 / (1.0 + 1e-6), 1.0)
+    assert (cert.m1, cert.m2) == _linear_tail_index(cert) == (n, n)
 
 
 def test_tail_index_search_finds_the_first_index_not_a_monotone_one():
@@ -361,14 +397,6 @@ def test_covering_check_refutes_undersized_certificate():
         covering_check(lying, samples)
     idx, value = exc.value.witness
     assert 0 <= idx < 200 and value > 0.0
-
-
-def test_covering_check_target_mismatch():
-    src = SpaceParams(1.0, Power(2.0), W1)
-    cert = uniform_tail_index(src, 0.0, 1.0, 0.25)
-    wrong = SpaceParams(0.0, Power(3.0), W1)
-    with pytest.raises(PreconditionError):
-        covering_check(cert, [SeqVector({0: 0.1})], target=wrong)
 
 
 def test_chain_identity_composition():

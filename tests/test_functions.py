@@ -83,6 +83,26 @@ def test_inverse_worked_values():
     assert ExpCompose(Power(2.0)).inverse(y) == pytest.approx(0.75, rel=1e-12)
 
 
+CLOSED_FORMS = [
+    (Power(1.5), lambda v: v ** (1.0 / 1.5)),
+    (Power(3.0), lambda v: v ** (1.0 / 3.0)),
+    (ExpSquare(), lambda v: math.sqrt(math.log1p(v))),
+    (ExpCompose(Power(2.0)), lambda v: math.log1p(v) ** 0.5),
+    (ExpCompose(ExpSquare()), lambda v: math.sqrt(math.log1p(math.log1p(v)))),
+    (ExpCompose(ExpLinear()), lambda v: ExpLinear().inverse(math.log1p(v))),
+]
+
+
+@pytest.mark.parametrize("phi,formula", CLOSED_FORMS,
+                         ids=[phi.descriptor() for phi, _ in CLOSED_FORMS])
+def test_closed_form_inverses_equal_the_scalar_formula(phi, formula):
+    # bit for bit: np.power and np.log1p differ from Python's in the last bit
+    ys = np.geomspace(1e-300, 1e300, 500)
+    t, errors = phi.inverses(ys)
+    assert not errors
+    assert t.tolist() == [formula(v) for v in ys.tolist()]
+
+
 def test_inverse_rejects_bad_targets():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
