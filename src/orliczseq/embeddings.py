@@ -260,15 +260,23 @@ def _least_index(phi: OrliczFunction, holds, message: str) -> int:
 
     phi is evaluated exactly on chunks of consecutive n that grow to at most
     4096 indices; ``holds`` maps a chunk's values to a boolean array, and the
-    first n where it is true wins, so no monotonicity is assumed.
+    first n where it is true wins, so no monotonicity is assumed.  A
+    negative phi(n) before that n is a DomainError naming n, as the growth
+    (1 + phi(n))**k needs a nonnegative generator.
     """
     start, size = 0, 8
     while start <= _SEARCH_CAP:
         stop = min(start + size, _SEARCH_CAP + 1)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            hits = np.flatnonzero(holds(phi._eval_exact(np.arange(start, stop, dtype=float))))
+            f = phi._eval_exact(np.arange(start, stop, dtype=float))
+            negative = np.flatnonzero(f < 0.0)
+            hits = np.flatnonzero(holds(f[:negative[0]] if negative.size else f))
         if hits.size:
             return start + int(hits[0])
+        if negative.size:
+            n = start + int(negative[0])
+            raise DomainError(f"measure growth undefined at index {n}: "
+                              f"phi({n}) = {float(f[negative[0]]):g} is negative")
         start, size = stop, min(2 * size, 4096)
     raise CertificateError(message)
 

@@ -12,7 +12,10 @@ summed in canonical support order: increasing |m|, negative index before
 positive at equal |m|.  Canonical order plus exact summation (math.fsum)
 makes modular values reproducible bit for bit across runs and input orders.
 ``measures`` computes mu for a whole support at once, and every caller in
-the package goes through it.
+the package goes through it.  Each space remembers its factors
+(1 + phi(|m|))**k for |m| < 2**16 in a table on the instance: a
+``SpaceParams``, its generator and its weights are immutable values, so the
+table never goes stale, and ``dataclasses.replace`` yields a fresh one.
 
 Geometric envelopes |p_m| <= C * r**|m| with a certified polynomial bound on
 the measure give closed-form tail majorants, which in turn certify membership
@@ -35,6 +38,8 @@ from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
                         _csv_rows, _libm, _positive, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
+_FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
+_FACTOR_CAP = 2 ** 16  # tables cover |m| below this: 512 KB at most, whole blocks
 _ENVELOPE_SLACK = 1.0 + 1e-12
 
 
@@ -302,6 +307,49 @@ class SeqVector:
         return f"SeqVector({{{body}{more}}})"
 
 
+def _factors(params: SpaceParams, at: np.ndarray, ms) -> np.ndarray:
+    """(1 + phi(t))**k for each t of ``at``, the |m| of the indices ``ms`` as
+    floats, through ``_eval_exact`` and ``_libm``'s power, once per distinct
+    t.  An inf t (|m| beyond double range) gives nan; a negative phi(t) is a
+    DomainError naming the first index with that |m|."""
+    ts, slot = np.unique(at, return_inverse=True)
+    finite = ts < math.inf
+    f = params.phi._eval_exact(ts[finite])
+    if (f < 0.0).any():
+        j = int(np.argmax(f < 0.0))
+        m = int(ms[int(np.argmax(at == ts[finite][j]))])
+        raise DomainError(f"measure undefined at index {m}: "
+                          f"phi({abs(m)}) = {float(f[j]):g} is negative")
+    out = np.full(ts.size, math.nan)
+    out[finite] = _libm(pow, (f + 1.0).tolist(), itertools.repeat(params.k))
+    return out[slot]
+
+
+def _remembered_factors(params: SpaceParams, ms: np.ndarray) -> np.ndarray:
+    """``_factors`` of the indices ``ms`` (int64, |m| < ``_FACTOR_CAP``)
+    through the space's table, indexed by |m|.
+
+    NaN marks an entry not yet computed; only finite factors are stored.
+    The table grows in blocks of ``_FACTOR_BLOCK`` entries to the largest
+    |m| seen, and lives in the instance ``__dict__``.
+    """
+    a = np.abs(ms)
+    table = params.__dict__.get("_mu_factors")
+    top = int(a.max()) + 1
+    if table is None or table.size < top:
+        grown = np.full(-(-top // _FACTOR_BLOCK) * _FACTOR_BLOCK, math.nan)  # <= the cap
+        if table is not None:
+            grown[:table.size] = table
+        table = params.__dict__["_mu_factors"] = grown
+    factor = table[a]
+    miss = np.isnan(factor)
+    if miss.any():
+        factor[miss] = new = _factors(params, a[miss].astype(float), ms[miss])
+        kept = np.isfinite(new)
+        table[a[miss][kept]] = new[kept]
+    return factor
+
+
 @np.errstate(over="ignore")
 def measures(params: SpaceParams, support):
     """The measure w_m * (1 + phi(|m|))**k of each integer index of ``support``.
@@ -311,29 +359,39 @@ def measures(params: SpaceParams, support):
     ComputationOverflowError naming its index, in support order (``mus`` is
     not finite there).  For k < 0 the factor may underflow to exactly 0.0;
     that is accepted, the true value being below anything representable.
+    A generator negative at some |m| is a DomainError naming the index.
 
-    phi is evaluated once per distinct |m|, through ``_eval_exact``, and the
-    factor is ``_libm``'s power; each measure equals
-    w_m * (1.0 + phi.eval(float(|m|)))**k bit for bit.  At k = 0 every
-    integer index works; otherwise an index beyond double range is an
-    overflow.
+    Each measure equals w_m * (1.0 + phi.eval(float(|m|)))**k bit for bit.
+    The factors of |m| < ``_FACTOR_CAP`` come from the space's table; larger
+    |m|, and every index of a support with one beyond int64, are computed on
+    each call.  At k = 0 every integer index works; otherwise an index
+    beyond double range is an overflow.
     """
     support = list(map(int, support))
     w = params.weights.weights(support)
     k = params.k
     if k == 0 or not support:
         return w, {}
-    # float(|m|) once per distinct value; an index beyond double range is inf
-    ts, slot = np.unique(np.abs(_libm(float, support)), return_inverse=True)
-    huge = ts == math.inf
-    base = params.phi._eval_exact(np.where(huge, 0.0, ts)) + 1.0
-    factor = _libm(pow, base.tolist(), itertools.repeat(k))
-    factor[huge] = math.nan
-    mus = w * factor[slot]
+    factor = np.empty(len(support))
+    try:
+        ms = np.array(support, dtype=np.int64)
+        near = (ms > -_FACTOR_CAP) & (ms < _FACTOR_CAP)  # np.abs(-2**63) overflows
+    except OverflowError:  # an index beyond int64
+        near = np.zeros(len(support), dtype=bool)
+    if near.any():
+        factor[near] = _remembered_factors(params, ms[near])
+    if not near.all():
+        beyond = list(itertools.compress(support, (~near).tolist()))
+        try:
+            at = np.array(beyond, dtype=float)
+        except OverflowError:  # an index beyond double range is inf
+            at = _libm(float, beyond)
+        factor[~near] = _factors(params, np.abs(at), beyond)
+    mus = w * factor
     errors = {}
     for i in np.flatnonzero(~np.isfinite(mus)).tolist():
         m = support[i]
-        if huge[slot[i]]:
+        if _libm(float, [abs(m)])[0] == math.inf:
             why = "|m| exceeds double range"
         else:
             why = f"(1 + phi({abs(m)}))**{k:g} exceeds double range"
@@ -405,14 +463,18 @@ class TermBatch:
         """Terms of ``rows`` at scales ``rho`` (``avals``, ``mus``: the arrays of
         ``rows``) and the mask of rows that overflowed, or None.  Such a row
         fails with the error naming its first offending index; its terms are
-        0.  Callers hold np.errstate: overflow is an error, not a warning."""
+        0.  Callers hold np.errstate: overflow is an error, not a warning.
+
+        phi runs through its numpy form ``_raw_eval``, not ``eval``: the
+        arguments are nonnegative, and the overflow scan zeroes each row that
+        is not finite, so ``eval``'s point check would find nothing."""
         args = avals / rho[:, None]
         lost = None
         if not np.isfinite(args).all():
             lost = self._overflow(rows, args, "scaled argument")
             args[lost] = 0.0
         # terms overwrite args, read no more: a wide solve touches fewer fresh pages
-        terms = np.multiply(mus, self.phi.eval(args), out=args)
+        terms = np.multiply(mus, self.phi._raw_eval(args), out=args)
         if not np.isfinite(terms).all():
             more = self._overflow(rows, terms, "modular term")
             terms[more] = 0.0

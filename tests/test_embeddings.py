@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from orliczseq import (CertificateError, CertificateRefutedError,
-                       CompositionError, DomainError, ExpCompose, ExpLinear,
-                       ExpSquare, GeometricProbe, OrliczFunction, Power,
-                       PreconditionError, SeqVector, SpaceParams,
-                       TabulatedConvex, WeightSequence, chain_embeddings,
-                       check_domination, covering_check, embedding_constant,
-                       luxemburg_norm, sample_ball, theta_bound,
-                       uniform_tail_index, verify_embedding)
+                       CompositionError, ComputationOverflowError, DomainError,
+                       ExpCompose, ExpLinear, ExpSquare, GeometricProbe,
+                       OrliczFunction, Power, PreconditionError, SeqVector,
+                       SpaceParams, TabulatedConvex, WeightSequence,
+                       chain_embeddings, check_domination, covering_check,
+                       embedding_constant, luxemburg_norm, modular, sample_ball,
+                       schauder_curve, theta_bound, uniform_tail_index,
+                       verify_embedding)
 from orliczseq import embeddings
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
@@ -21,6 +22,18 @@ from helpers import NON_MONOTONE_TABLE, pow_or_inf, scalar_phi_oracle
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
+
+
+class StrictSquare(OrliczFunction):
+    """t**2 through a ``_raw_eval`` that insists on finite nonnegative points,
+    the only points the term batch may hand it."""
+
+    def _raw_eval(self, t):
+        assert np.isfinite(t).all() and (t >= 0).all(), t
+        return t * t
+
+    def descriptor(self):
+        return "strict-square"
 
 
 class Collapsing(OrliczFunction):
@@ -225,6 +238,38 @@ def test_tail_index_frozen_exponential_cases():
     c2 = uniform_tail_index(SpaceParams(2.0, ExpLinear(), W1), 0.5, 1.0, 0.1)
     assert (c2.m1, c2.m2, c2.m_eps_kappa) == (1, 14, 14)
     assert c2.theta == 20.0
+
+
+def test_term_batch_gives_raw_eval_finite_nonnegative_points_at_overflowing_scales():
+    src = SpaceParams(1.0, StrictSquare(), W1)
+    p = SeqVector({0: 1e300, 2: 1e-300, -3: 3.0})
+    with pytest.raises(ComputationOverflowError, match="scaled argument overflow at index 0"):
+        modular(src, p, 1e-10)
+    with pytest.raises(ComputationOverflowError, match="modular term overflow at index 0"):
+        modular(src, p, 1.0)
+    assert modular(src, SeqVector({-3: 3.0}), 3.0) == 10.0
+    assert luxemburg_norm(src, p).value == pytest.approx(1e300, rel=1e-12)
+    curve = schauder_curve(src, SeqVector({0: 1e300, 1: 1e-300, -2: 3.0, 3: 1e200}))
+    assert [m for m, _ in curve] == [0, 1, 2, 3] and curve[-1][1] == 0.0
+    cert = uniform_tail_index(src, 0.0, 1.0, 0.5)
+    samples = sample_ball(src, 1.0, seed=3, count=20, max_support=12)
+    assert covering_check(cert, samples).max_tail_modular <= 1.0 + 1e-9
+    far = SeqVector({cert.m_eps_kappa + 1: 1e300})  # its tail modular overflows
+    with pytest.raises(ComputationOverflowError, match="modular term overflow"):
+        covering_check(cert, [*samples, far])
+
+
+def test_tail_index_names_a_negative_generator_value_before_any_hit():
+    # extrapolated at slope -5 past its last knot, phi(4) = -5
+    table = TabulatedConvex([(0, 0), (1, 1), (2, 5), (3, 0)])
+    cert = uniform_tail_index(SpaceParams(10.0, table, W1), 0.0, 1.0, 0.1)
+    assert (cert.m1, cert.m2) == (0, 1)  # both found before phi turns negative
+    with pytest.raises(DomainError) as exc:
+        uniform_tail_index(SpaceParams(0.5, table, W1), 0.0, 1.0, 0.1)
+    assert str(exc.value) == "measure growth undefined at index 4: phi(4) = -5 is negative"
+    falling = TabulatedConvex([(0, 0), (1, 1), (2, 0.5)])
+    with pytest.raises(DomainError, match="at index 4: phi\\(4\\) = -0.5 is negative"):
+        uniform_tail_index(SpaceParams(0.5, falling, W1), 0.0, 1.0, 0.1)
 
 
 def _linear_tail_index(cert):

@@ -1,12 +1,17 @@
-"""No module of the package imports a name it does not use.
+"""What the package imports: no unused name, and no module it does not need.
 
-No linter is part of the toolchain, so this check reads each module's syntax
-tree: every name an import binds must be used somewhere in the module or be
-listed in its ``__all__`` as a re-export.  An import left behind when a
-helper moves to another module fails here.
+No linter is part of the toolchain, so the first check reads each module's
+syntax tree: every name an import binds must be used somewhere in the module
+or be listed in its ``__all__`` as a re-export.  An import left behind when a
+helper moves to another module fails here.  The second runs CLI commands in
+a fresh interpreter and checks that ``numpy.ma`` never loads.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,29 @@ def test_the_check_finds_an_import_left_behind():
               "def f(x: Power) -> float:\n    return os.path.sep + _positive(x)\n"
               "__all__ = ['_libm']\n")
     assert unused_imports(source) == ["math"]
+
+
+def test_cli_commands_never_load_numpy_ma(tmp_path):
+    """numpy 2.4 imports ``numpy.ma`` on a plain ``np.unique(x)`` (not with
+    ``return_inverse=True``), adding about 0.6 MB to every CLI process."""
+    seq = tmp_path / "p.csv"
+    seq.write_text("0,1.0,0\n3,0.5,0.25\n-7,0.125,0\n3000,0.5,0\n70000,0.25,0\n")
+    space = ["--phi", "power:2", "--k", "1"]
+    calls = [["norm", *space, "--in", str(seq)],
+             ["modular", *space, "--in", str(seq), "--rho", "0.75"],
+             ["classify", *space, "--in", str(seq)],
+             ["classify", *space, "--env-c", "1", "--env-r", "0.5"],
+             ["covering", "--phi", "power:2", "--kprime", "1", "--k", "0",
+              "--kappa", "1", "--epsilon", "0.5", "--samples", "40"]]
+    code = ("import json, sys\n"
+            "from orliczseq.cli import run\n"
+            "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps({'codes': codes, 'ma': 'numpy.ma' in sys.modules}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * len(calls),
+                                                        "ma": False}

@@ -1,5 +1,6 @@
 """Weights, sequence vectors, measures, modulars and envelope certificates."""
 
+import dataclasses
 import math
 import random
 
@@ -253,6 +254,143 @@ def test_huge_index_cli_exits_three(capsys, tmp_path):
     assert out == ""
     assert err.startswith("numeric failure: measure overflow at index 1000")
     assert err.count("\n") == 1
+
+
+# the remembered factors (1 + phi(|m|))**k of a space
+
+CAP = spaces._FACTOR_CAP
+TABLE_FAMILIES = [Power(2.0), ExpSquare(), ExpLinear(), ExpCompose(Power(1.0)),
+                  TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (3.0, 4.0)])]
+# both block edges of the table, its cap, and indices beyond it
+TABLE_SUPPORT = [0, 1, -1, 2, 3, -3, 17, 4095, 4096, -4097, 8191, CAP - 2, CAP - 1,
+                 -(CAP - 1), CAP, -CAP, CAP + 1, 3 * CAP + 5, 1, 4096, -CAP,
+                 123_456_789, -(2 ** 53 + 2)]
+NEGATIVE_TAIL = TabulatedConvex([(0, 0), (1, 1), (2, 0.5)])  # phi(t) < 0 from t = 3
+
+
+def _factor_oracle(params, m):
+    """w_m * (1 + phi.eval(float(|m|)))**k, or None where it leaves double range."""
+    w = params.weights.weight(m)
+    if params.k == 0:
+        return w
+    try:
+        value = w * (1.0 + params.phi.eval(float(abs(m)))) ** params.k
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _measured(params, support):
+    """measures as plain values: the finite list, and each error's position,
+    index and message."""
+    mus, errors = measures(params, support)
+    return ([v for i, v in enumerate(mus.tolist()) if i not in errors],
+            [(i, e.index, str(e)) for i, e in errors.items()])
+
+
+@pytest.mark.parametrize("phi", TABLE_FAMILIES, ids=lambda f: f.descriptor()[:12])
+@pytest.mark.parametrize("k", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_remembered_measures_equal_cold_ones_and_the_oracle(phi, k):
+    support = TABLE_SUPPORT + random.Random(5).sample(range(-CAP - 40, CAP + 40), 200)
+    cold = SpaceParams(k, phi, SIGNED_WEIGHTS)
+    want = [_factor_oracle(cold, m) for m in support]  # reads no table
+    got = _measured(cold, support)
+    assert got[0] == [v for v in want if v is not None]
+    assert [i for i, _, _ in got[1]] == [i for i, v in enumerate(want) if v is None]
+    assert all(m == support[i] for i, m, _ in got[1])
+    assert _measured(cold, support) == got  # every finite factor now remembered
+    # a space warmed on part of the support mixes remembered and fresh factors
+    half = SpaceParams(k, phi, SIGNED_WEIGHTS)
+    measures(half, support[::2])
+    assert _measured(half, support) == got
+    # in any order, each index keeps its own measure
+    order = random.Random(6).sample(range(len(support)), len(support))
+    mus, errors = measures(half, [support[i] for i in order])
+    assert list(errors) == [j for j, i in enumerate(order) if want[i] is None]
+    assert ([v for j, v in enumerate(mus.tolist()) if j not in errors]
+            == [want[i] for i in order if want[i] is not None])
+
+
+def test_measures_at_the_edges_keep_their_values_and_messages():
+    square = SpaceParams(1.0, Power(2.0), SIGNED_WEIGHTS)
+    support = [-3, 3, -9, 9, -(2 ** 63), 2 ** 63 - 1, -70000, 10 ** 400, -(10 ** 400)]
+    for _ in range(2):  # cold, then remembered
+        mus, errors = measures(square, support)
+        assert mus[:7].tolist() == [_factor_oracle(square, m) for m in support[:7]]
+        assert mus[:4].tolist() == [15.0, 17.5, 102.5, 164.0]  # table weights
+        assert [(i, e.index, str(e)) for i, e in errors.items()] == [
+            (7, 10 ** 400, f"measure overflow at index {10 ** 400}: |m| exceeds double range"),
+            (8, -(10 ** 400), f"measure overflow at index {-(10 ** 400)}: "
+                              "|m| exceeds double range")]
+    steep = SpaceParams(1.0, ExpSquare(), W1)
+    for _ in range(2):
+        _, errors = measures(steep, [3, -1000, 26, -70000, 27])
+        assert [(i, e.index, str(e)) for i, e in errors.items()] == [
+            (1, -1000, "measure overflow at index -1000: (1 + phi(1000))**1 exceeds double range"),
+            (3, -70000, "measure overflow at index -70000: "
+                        "(1 + phi(70000))**1 exceeds double range"),
+            (4, 27, "measure overflow at index 27: (1 + phi(27))**1 exceeds double range")]
+        with pytest.raises(ComputationOverflowError) as exc:
+            mu(steep, -70000)
+        assert exc.value.index == -70000
+
+
+def test_factor_table_keeps_finite_factors_only_and_stays_capped():
+    steep = SpaceParams(1.0, ExpSquare(), W1)
+    measures(steep, [1, 30, 1000])
+    table = steep.__dict__["_mu_factors"]
+    assert table.size == spaces._FACTOR_BLOCK
+    assert not math.isnan(table[1]) and np.isnan(table[[0, 2, 30, 1000]]).all()
+    measures(steep, [CAP - 1, CAP + 100, -(2 ** 63)])
+    measures(steep, [10 ** 400, 5])  # beyond int64: the whole call skips the table
+    table = steep.__dict__["_mu_factors"]
+    assert table.size == CAP and table.nbytes == 512 * 1024
+    assert np.flatnonzero(~np.isnan(table)).tolist() == [1]
+
+    square = SpaceParams(1.0, Power(2.0), W1)
+    measures(square, [4096])  # grown to the block holding 4096
+    assert square.__dict__["_mu_factors"].size == 2 * spaces._FACTOR_BLOCK
+    measures(square, [5, CAP, 2 ** 62])  # indices beyond the cap are not stored
+    table = square.__dict__["_mu_factors"]
+    assert table.size == 2 * spaces._FACTOR_BLOCK
+    assert np.flatnonzero(~np.isnan(table)).tolist() == [5, 4096]
+    # a replaced space is a new value with its own table
+    assert "_mu_factors" not in dataclasses.replace(square, k=2.0).__dict__
+    assert mu(dataclasses.replace(square, k=2.0), 5) == 26.0 ** 2
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.5, 1.0])
+def test_negative_generator_makes_measures_a_domain_error(k):
+    params = SpaceParams(k, NEGATIVE_TAIL, W1)
+    for support, m, value in (([10], 10, "-3.5"), ([1, 3, -10, 10], -10, "-3.5"),
+                              ([2, 70000], 70000, "-34998.5"),
+                              ([10 ** 20], 10 ** 20, "-5e+19"),
+                              ([-(2 ** 63)], -(2 ** 63), "-4.61169e+18")):
+        with pytest.raises(DomainError) as exc:
+            measures(params, support)
+        assert str(exc.value) == (f"measure undefined at index {m}: "
+                                  f"phi({abs(m)}) = {value} is negative")
+    table = params.__dict__["_mu_factors"]
+    assert np.isnan(table[3:]).all()  # no factor of a failed call is stored
+    assert measures(params, [1, 2, 3])[0].tolist() == [2.0 ** k, 1.5 ** k, 1.0]
+    assert np.isnan(table[4:]).all()
+    for call in (lambda: mu(params, 4), lambda: modular(params, SeqVector({10: 1.0}), 1.0),
+                 lambda: luxemburg_norm(params, SeqVector({4: 1.0}))):
+        with pytest.raises(DomainError, match="is negative"):
+            call()
+    # k = 0 never evaluates phi at an index
+    assert mu(SpaceParams(0.0, NEGATIVE_TAIL, W1), 10) == 1.0
+
+
+def test_negative_generator_cli_exits_two(capsys, tmp_path):
+    knots, seq = tmp_path / "knots.csv", tmp_path / "p.csv"
+    knots.write_text("0,0\n1,1\n2,0.5\n")
+    seq.write_text("10,1.0,0\n")
+    assert run(["modular", "--phi", f"tab:{knots}", "--k", "1", "--in", str(seq),
+                "--rho", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: measure undefined at index 10: phi(10) = -3.5 is negative\n"
 
 
 def test_modular_worked_values():
