@@ -17,8 +17,16 @@ work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
 doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
 one bisection of the package: the generic inverse and the Luxemburg norm
-solver both run it, in lock-step over their rows, while each row keeps the
-bracket, step count and stopping test of a scalar bisection.
+solver both run it over their rows, and each row keeps the midpoints,
+decisions, step count and stopping test of a scalar bisection.  A plain
+round halves every row once.  When the rows are few and small, a round
+looks ahead instead: each row guesses its root by a secant in log rho
+through the signed excess at its bracket ends, lays out the midpoints the
+plain rounds would visit if that guess holds, and one wide evaluation
+decides them all.  The row then moves to its first decision that differs
+from the guess.  Each decision is the same comparison at the same midpoint
+as in a plain round, and the cells past it are discarded, so every result
+is bit for bit that of the plain rounds, whatever the guess.
 """
 
 from __future__ import annotations
@@ -40,6 +48,10 @@ _MAX_DOUBLINGS = 1100
 _MAX_HALVINGS = 200  # bisection steps of one generic inverse
 _MEMO_ROOTS = 2 ** 16  # roots one generator's generic inverse remembers
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
+_WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
+_WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
+_WINDOW_ROWS = 32  # rows a look-ahead round walks at most: beyond, plain rounds cost less
+_WINDOW_FIRST = 4  # levels a row's first guess is trusted for
 
 
 def _libm(f, *lists) -> np.ndarray:
@@ -72,37 +84,162 @@ def _positive(value, what: str) -> float:
     return value
 
 
-def _bisect(lo, hi, steps, width: float, cap: int, split, carry=()):
-    """Bisect the brackets [lo[i], hi[i]] in lock-step; each row stops on its own.
+def _guess(l: float, h: float, e_lo: float, e_hi: float) -> float:
+    """The predicted root in the bracket [l, h]: where the secant in log rho
+    through (l, e_lo) and (h, e_hi) crosses 0, or the midpoint where that
+    point is not in the bracket (an excess unknown, or of the wrong sign)."""
+    try:
+        g = l * (h / l) ** (e_lo / (e_lo - e_hi))
+    except ArithmeticError:  # l = 0, e_lo = e_hi, or an overflow
+        g = math.nan
+    return g if l <= g <= h else 0.5 * (l + h)
 
-    Each round halves the open rows at mid = 0.5*(lo + hi); ``split(mid,
-    *carried)``, given the open rows of each array in ``carry``, returns the
-    rows whose root lies above mid (lo moves there, else hi does) and the
-    rows to drop, or None.  A row stops once hi - lo <= width*hi, once mid is
-    not strictly inside, or after ``cap`` steps counted from ``steps[i]``.
+
+def _bisect(lo, hi, steps, width: float, cap: int, split, carry=(), excess=None,
+            cells: int = 1):
+    """Bisect the brackets [lo[i], hi[i]]; each row takes the path of a
+    scalar bisection and stops on its own.
+
+    A row stops once hi - lo <= width*hi, once mid = 0.5*(lo + hi) is not
+    strictly inside, or after ``cap`` steps counted from ``steps[i]``.
     Writes the final brackets and step counts into lo, hi and steps, which it
-    returns; a dropped row keeps its input values.
+    returns; a dropped row keeps its input values.  ``carry`` holds arrays
+    with a row each, and ``cells`` the cells one row's split evaluates.
+
+    ``split(mid, *carried)`` gets the open rows of each array in ``carry``.
+    Given one mid per row it returns the rows whose root lies above mid (lo
+    moves there, else hi does) and the rows to drop, or None.  Given a
+    (rows, levels) array of mids it decides each cell the same way, but
+    without side effects: it returns the decisions, a signed excess
+    (positive where the root lies above; it only guides the guess) and the
+    cells it leaves undecided, or None.  ``excess`` holds the excess arrays
+    at lo and at hi, where the caller knows them.
+
+    A plain round halves every open row once.  A round of at most
+    ``_WINDOW_ROWS`` rows, whose rows x cells leave room for ``_WINDOW_MIN``
+    levels in ``_WINDOW_CELLS``, looks ahead instead (``_look_ahead``),
+    unless no row's guess is expected to hold for two levels.
     """
-    rows, l, h = np.arange(lo.size), lo, hi
-    # done: the rounds every open row has run; no row meets its cap before soonest
-    soonest, done = cap - steps.max(initial=0), 0
+    rows, l, h, k = np.arange(lo.size), lo, hi, steps
+    # each open row's excess at l and at h, and its last guess and bracket as logs
+    pred = None if excess is None else [
+        (a, b, math.nan, math.nan) for a, b in zip(*(e.tolist() for e in excess))]
+    # done: the plain rounds every open row has run since k; none meets its cap before soonest
+    soonest, done = cap - k.max(initial=0), 0
     while rows.size:
+        budget = _WINDOW_CELLS // (rows.size * cells)
+        if budget >= _WINDOW_MIN and rows.size <= _WINDOW_ROWS:
+            ahead = _look_ahead(lo, hi, steps, rows, l, h, k + done, carry, width, cap,
+                                split, pred or [(math.nan,) * 4] * rows.size, budget)
+            if ahead is not None:
+                rows, l, h, k, pred, carry = ahead
+                soonest, done = cap - k.max(initial=0), 0
+                continue
+        pred = None  # a plain round moves the ends past their known excess
         mid = 0.5 * (l + h)
         go = (h - l > width * h) & (mid > l) & (mid < h)
         if done >= soonest:
-            go &= steps[rows] + done < cap
+            go &= k + done < cap
         if not go.all():
             stop = rows[~go]
             lo[stop], hi[stop] = l[~go], h[~go]
-            steps[stop] += done
-            rows, l, h, mid, *carry = (x[go] for x in (rows, l, h, mid, *carry))
+            steps[stop] = k[~go] + done
+            rows, l, h, k, mid, *carry = (x[go] for x in (rows, l, h, k, mid, *carry))
             if not rows.size:
                 break
         up, drop = split(mid, *carry)
         l, h, done = np.where(up, mid, l), np.where(up, h, mid), done + 1
         if drop is not None:
-            rows, l, h, *carry = (x[~drop] for x in (rows, l, h, *carry))
+            rows, l, h, k, *carry = (x[~drop] for x in (rows, l, h, k, *carry))
     return lo, hi, steps
+
+
+def _look_ahead(lo, hi, steps, rows, l, h, k, carry, width: float, cap: int, split,
+                pred: list, budget: int):
+    """One look-ahead round of ``_bisect``: the open rows, their brackets,
+    step counts, predictor states and carried arrays after it, with the
+    stopped rows written out; or None where no row's guess is expected to
+    hold for two levels.
+
+    Each row guesses its root (``_guess``) and lays out the midpoints that
+    plain rounds visit if the guess holds, in their float steps (Python's
+    are IEEE's, as numpy's).  One call of ``split`` evaluates every row's
+    path, and each row then walks its own: every decision is the one a plain
+    round makes at the same midpoint, a cell split left undecided goes to
+    split as a plain round of its own, and the walk ends at the first
+    decision that differs from the guess, or at the row's stop.  Cells
+    beyond that are discarded, so the result does not depend on the guess.
+
+    The window spans the most levels that any row needs to its stop, or can
+    expect its guess to hold, within the budget: a guess was off by about
+    its distance to the next one, and the error of a secant shrinks with
+    the square of its bracket.
+    """
+    ls, hs, ks = l.tolist(), h.tolist(), k.tolist()
+    guesses, levels = [], 0.0
+    for i, (a, b, n) in enumerate(zip(ls, hs, ks)):
+        e_lo, e_hi, g0, w0 = pred[i]
+        g = _guess(a, b, e_lo, e_hi)
+        guesses.append(g)
+        span, w = cap - n, math.nan
+        if a > 0.0:
+            w = math.log(b / a)
+            span = min(span, math.log2((b - a) / width / a))
+        hold = _WINDOW_FIRST  # no earlier guess to judge this one by
+        if w0 == w0 and w == w:
+            off = abs(math.log(g) - g0) * (w / w0) ** 2
+            hold = math.log2(w / off) + 1.0 if off > 0.0 else math.inf
+        levels = max(levels, min(span, hold))
+        pred[i] = (e_lo, e_hi, math.log(g) if w == w else math.nan, w)
+    if levels < 2.0:
+        return None
+    levels = math.ceil(min(levels, budget))
+    paths, mids = [], []
+    for a, b, g, n in zip(ls, hs, guesses, ks):
+        path = []
+        for _ in range(min(levels, cap - n)):
+            m = 0.5 * (a + b)
+            if not (b - a > width * b and a < m < b):
+                break
+            path.append(m)
+            if m < g:
+                a = m
+            else:
+                b = m
+        paths.append(path)
+        mids += path
+        mids += repeat(b, levels - len(path))  # cells no plain round would visit
+    up, excess, undecided = split(np.array(mids).reshape(rows.size, levels), *carry)
+    up, excess = up.tolist(), excess.tolist()
+    undecided = undecided.tolist() if undecided is not None else repeat(repeat(False))
+    keep, stop, state = [], [], []
+    for i, (path, g, vague) in enumerate(zip(paths, guesses, undecided)):
+        a, b, (e_lo, e_hi, g0, w0) = ls[i], hs[i], pred[i]
+        for j, (m, u, e, v) in enumerate(zip(path, up[i], excess[i], vague)):
+            if v:
+                u, lost = split(np.array([m]), *(x[i:i + 1] for x in carry))
+                if lost is not None and lost[0]:
+                    break  # the row fails: it is dropped
+                u = bool(u[0])
+            if u:
+                a, e_lo = m, e
+            else:
+                b, e_hi = m, e
+            if u != (m < g):
+                keep.append(i)
+                state.append((a, b, ks[i] + j + 1, (e_lo, e_hi, g0, w0)))
+                break
+        else:
+            if len(path) < levels:  # the row stops
+                stop.append((rows[i], a, b, ks[i] + len(path)))
+            else:
+                keep.append(i)
+                state.append((a, b, ks[i] + levels, (e_lo, e_hi, g0, w0)))
+    if stop:
+        r, lo[r], hi[r], steps[r] = (np.array(x) for x in zip(*stop))
+    l, h, k, pred = zip(*state) if state else ((), (), (), ())
+    return (rows[keep], np.array(l, dtype=float), np.array(h, dtype=float),
+            np.array(k, dtype=np.int64), list(pred), [x[keep] for x in carry])
 
 
 def _csv_rows(path, kind: str, shape: str, parse) -> list:
@@ -254,14 +391,17 @@ class OrliczFunction:
         phi(2**-i), i <= j, is below the target ends that target's prefix, so
         no monotone phi is assumed.  ``_bisect`` then runs every target from
         its own step count, through ``_eval_exact``, with the path, accuracy
-        and cap of a scalar bisection.
+        and cap of a scalar bisection; its guesses start from the excess
+        log y - log phi at the bracket ends, which the doubling and the
+        halving ladder have evaluated.
         """
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
         live = np.flatnonzero(t)
-        top = 1.0
+        top, tops = 1.0, []  # tops[j] = phi(2**j)
         while live.size:  # ends: top reaches inf after 1024 doublings
-            live = live[~(self._eval_exact(np.array([top])) >= y[live])]
+            tops.append(self._eval_exact(np.array([top]))[0])
+            live = live[~(tops[-1] >= y[live])]
             top *= 2.0
             if math.isinf(top):
                 break
@@ -274,6 +414,7 @@ class OrliczFunction:
         lo = np.where(h == 1.0, 0.0, h / 2.0)
         steps = np.zeros(live.size, dtype=np.int64)
         unit = np.flatnonzero(h == 1.0)
+        at = np.empty(0)  # phi(2**-i), i = 1, 2, ...
         if unit.size:
             # halvings that keep hi: the leading j with min phi(2**-i) >= target;
             # a nan phi is not below the target, as in the comparison below
@@ -283,9 +424,22 @@ class OrliczFunction:
             h[unit] = np.ldexp(1.0, -keep)
             lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
             steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
-        t[live] = _bisect(lo, h, steps, _INVERSE_REL_WIDTH, _MAX_HALVINGS,
-                          lambda mid, target: (self._eval_exact(mid) < target, None),
-                          (target,))[1]
+        # phi at the bracket ends, which are 0 or powers of two evaluated above
+        ends = np.concatenate((lo, h))
+        known = np.concatenate((at[::-1], tops))[np.frexp(ends)[1] - 1 + at.size]
+        with np.errstate(divide="ignore"):
+            excess = np.split(np.log(np.tile(target, 2))
+                              - np.log(np.where(ends > 0.0, known, 0.0)), 2)
+
+        def split(mid, target):  # see _bisect
+            if mid.ndim == 1:
+                return self._eval_exact(mid) < target, None
+            f = self._eval_exact(mid.ravel()).reshape(mid.shape)
+            with np.errstate(divide="ignore"):
+                return f < target[:, None], np.log(target[:, None]) - np.log(f), None
+
+        t[live] = _bisect(lo, h, steps, _INVERSE_REL_WIDTH, _MAX_HALVINGS, split,
+                          (target,), excess)[1]
         return t, failed
 
     def __repr__(self) -> str:

@@ -19,10 +19,14 @@ rho >= |p_m| / phi^{-1}(1/mu(m)).  At or above the largest such rho every
 individual term is at most 1, so no modular evaluation inside the bracket
 can overflow.  The upper bracket doubles from there, and
 ``functions._bisect``, which the generic inverse runs as well, halves the
-bracket to relative width tol_rel.  The rho_low check, the doubling and
-the bisection each run in lock-step across the rows: a step evaluates phi
-once, on the rows still open, and every row keeps its own bracket, step
-count and stopping test.
+bracket to relative width tol_rel.  The rho_low check and the doubling run
+in lock-step across the rows: a step evaluates phi once, on the rows still
+open.  The bisection keeps each row's bracket, step count and stopping
+test.  For a few small rows it settles many levels of each row's path per
+evaluation: the log of each modular sum seen so far guides a guess of the
+norm, the midpoints of the path that guess implies are evaluated at once,
+and the row moves to its first midpoint where the decision differs from
+the guess.
 
 Summation decision rule.  Each step asks, per row, whether the correctly
 rounded modular math.fsum(terms) is at most 1.  The row's np.sum s answers
@@ -37,11 +41,14 @@ where sum|terms| is bounded above by its own computed sum over
 (1 - gamma_{n-1}), and the 2**-52 covers fsum's final rounding (an exact
 sum in (1, 1 + 2**-53] rounds to 1.0).  Otherwise that row falls back to
 math.fsum.  Every decision therefore equals the fsum decision, and so does
-every bracket, step count and value.  The returned value is the smallest
-scale found with modular <= 1, and ``modular_at_value`` is the fsum there:
-the correctly rounded sum of the computed terms is at most 1 at the
-reported value.  Each term carries its own rounding, so the modular in exact
-arithmetic can exceed 1 by a few units in the last place.
+every bracket, step count and value.  Of the midpoints laid out ahead, only
+those on a row's path up to its first decision that differs from the guess
+fall back to fsum or fail the row on overflow; the others are discarded.
+The returned value is the smallest scale found with modular <= 1, and
+``modular_at_value`` is the fsum there: the correctly rounded sum of the
+computed terms is at most 1 at the reported value.  Each term carries its
+own rounding, so the modular in exact arithmetic can exceed 1 by a few
+units in the last place.
 
 A row that fails does not stop the others.  The batch then raises the error
 of the lowest failing row, the one a loop over the vectors would meet first.
@@ -96,20 +103,28 @@ def _sum_slack(n: np.ndarray) -> np.ndarray:
     return gamma / (1.0 - gamma)
 
 
-def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """math.fsum(row[:n]) <= 1 for each row of terms, from np.sum where it decides.
+def _near_one(terms: np.ndarray, slack: np.ndarray):
+    """The np.sum of each cell's terms (the last axis) and whether it lies
+    within its rounding-error bound of 1, where only math.fsum decides.
+
+    ``slack`` is ``_sum_slack(n)`` for each cell.  A nan or inf sum is near:
+    its fsum gives the same answer."""
+    s = terms.sum(axis=-1)
+    return s, np.abs(s - 1.0) <= slack * np.abs(terms).sum(axis=-1) + _FSUM_ROUNDING
+
+
+def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray):
+    """math.fsum(row[:n]) <= 1 for each row of terms, from np.sum where it
+    decides, and the np.sum of each row.
 
     Entries past n in a row must be 0; ``slack`` is ``_sum_slack(n)``.
     """
-    s = terms.sum(axis=1)
+    s, near = _near_one(terms, slack)
     ok = s <= 1.0
-    # s is trusted unless |s - 1| <= bound; a nan or inf s is not, and its
-    # fsum gives the same answer
-    near = np.abs(s - 1.0) <= slack * np.abs(terms).sum(axis=1) + _FSUM_ROUNDING
     if near.any():
         for j in np.flatnonzero(near):
             ok[j] = math.fsum(terms[j, :n[j]].tolist()) <= 1.0
-    return ok
+    return ok, s
 
 
 class _Batch(TermBatch):
@@ -145,16 +160,27 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     columns = (batch.avals, batch.mus, batch.n, batch.slack)
 
     def above(rho, rows, avals, mus, n, slack):
-        """Per row whether modular > 1 (the norm lies above rho), and the overflowed rows."""
-        terms, lost = batch.terms(rows, avals, mus, rho)
-        return ~_at_most_one(terms, n, slack), lost
+        """Per row whether modular > 1 (the norm lies above rho), and the
+        overflowed rows; for a column of trial scales per row, per cell whether
+        np.sum decides that, the log of the sum, and the cells it does not decide."""
+        if rho.ndim == 1:
+            terms, lost = batch.terms(rows, avals, mus, rho)
+            return ~_at_most_one(terms, n, slack)[0], lost
+        terms, lost = batch.terms(None, avals[:, None], mus[:, None], rho)
+        s, near = _near_one(terms, slack[:, None])
+        with np.errstate(divide="ignore"):
+            return s > 1.0, np.log(s), near if lost is None else near | lost
 
     def probe(rows, rho):
-        """``rows`` with modular <= 1 at rho, and the rest (overflowed rows in neither)."""
-        up, lost = above(rho, rows, *(x[rows] for x in columns))
+        """``rows`` with modular <= 1 at rho, and the rest (overflowed rows in
+        neither); the log of each row's sum goes to ``excess``."""
+        terms, lost = batch.terms(rows, batch.avals[rows], batch.mus[rows], rho)
+        ok, s = _at_most_one(terms, batch.n[rows], batch.slack[rows])
+        with np.errstate(divide="ignore"):
+            excess[rows] = np.log(s)
         if lost is not None:
-            rows, up = rows[~lost], up[~lost]
-        return rows[~up], rows[up]
+            rows, ok = rows[~lost], ok[~lost]
+        return rows[ok], rows[~ok]
 
     def fail(rows, message: str) -> None:
         for r in rows.tolist():
@@ -162,6 +188,8 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
 
     rho_low = batch.rho_low
     lo, hi = rho_low.copy(), rho_low.copy()
+    excess = np.full(rho_low.size, math.nan)  # log of the modular sum at hi, then lo
+    lo_excess = excess.copy()
     iters = np.zeros(rho_low.size, dtype=np.int64)
     valid = (rho_low > 0.0) & np.isfinite(rho_low)
     fail(np.flatnonzero(~valid), _NOT_REPRESENTABLE)
@@ -175,7 +203,7 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     for _ in range(_MAX_DOUBLINGS):
         if not live.size:
             break
-        lo[live] = hi[live]
+        lo[live], lo_excess[live] = hi[live], excess[live]
         hi[live] *= 2.0
         blown = np.isinf(hi[live])
         if blown.any():
@@ -190,7 +218,8 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     live = np.sort(np.concatenate(doubled)) if doubled else live[:0]
     lo[live], hi[live], iters[live] = _bisect(
         lo[live], hi[live], iters[live], tol_rel, _MAX_BISECTIONS, above,
-        (live, *(x[live] for x in columns)))
+        (live, *(x[live] for x in columns)), (lo_excess[live], excess[live]),
+        batch.avals.shape[1])
     done.append(live)
 
     out = [_ZERO_NORM if not p else None for p in vecs]

@@ -329,7 +329,8 @@ def _remembered_factors(params: SpaceParams, ms: np.ndarray) -> np.ndarray:
     """``_factors`` of the indices ``ms`` (int64, |m| < ``_FACTOR_CAP``)
     through the space's table, indexed by |m|.
 
-    NaN marks an entry not yet computed; only finite factors are stored.
+    NaN marks an entry not yet computed; a factor that overflows is stored
+    as inf, so its error is rebuilt from the index without recomputing it.
     The table grows in blocks of ``_FACTOR_BLOCK`` entries to the largest
     |m| seen, and lives in the instance ``__dict__``.
     """
@@ -344,9 +345,7 @@ def _remembered_factors(params: SpaceParams, ms: np.ndarray) -> np.ndarray:
     factor = table[a]
     miss = np.isnan(factor)
     if miss.any():
-        factor[miss] = new = _factors(params, a[miss].astype(float), ms[miss])
-        kept = np.isfinite(new)
-        table[a[miss][kept]] = new[kept]
+        factor[miss] = table[a[miss]] = _factors(params, a[miss].astype(float), ms[miss])
     return factor
 
 
@@ -458,17 +457,19 @@ class TermBatch:
         """Fail row r with exc, unless its vector has failed already."""
         self.errors.setdefault(self.pos[r], exc)
 
-    def terms(self, rows: np.ndarray, avals: np.ndarray, mus: np.ndarray,
-              rho: np.ndarray):
+    def terms(self, rows, avals: np.ndarray, mus: np.ndarray, rho: np.ndarray):
         """Terms of ``rows`` at scales ``rho`` (``avals``, ``mus``: the arrays of
         ``rows``) and the mask of rows that overflowed, or None.  Such a row
         fails with the error naming its first offending index; its terms are
         0.  Callers hold np.errstate: overflow is an error, not a warning.
+        With ``rows`` None nothing fails: rho then has a column per trial
+        scale, ``avals`` and ``mus`` an axis of length 1 before their last,
+        and the mask covers each (row, scale) cell.
 
         phi runs through its numpy form ``_raw_eval``, not ``eval``: the
         arguments are nonnegative, and the overflow scan zeroes each row that
         is not finite, so ``eval``'s point check would find nothing."""
-        args = avals / rho[:, None]
+        args = avals / rho[..., None]
         lost = None
         if not np.isfinite(args).all():
             lost = self._overflow(rows, args, "scaled argument")
@@ -483,12 +484,13 @@ class TermBatch:
 
     def _overflow(self, rows, values, what: str) -> np.ndarray:
         finite = np.isfinite(values)
-        bad = ~finite.all(axis=1)
-        for j in np.flatnonzero(bad).tolist():
-            r = int(rows[j])
-            m = self.supports[r][int(np.argmin(finite[j]))]
-            self.fail(r, ComputationOverflowError(
-                f"{what} overflow at index {m} {self.where}", index=m))
+        bad = ~finite.all(axis=-1)
+        if rows is not None:
+            for j in np.flatnonzero(bad).tolist():
+                r = int(rows[j])
+                m = self.supports[r][int(np.argmin(finite[j]))]
+                self.fail(r, ComputationOverflowError(
+                    f"{what} overflow at index {m} {self.where}", index=m))
         return bad
 
     def sums(self, rows: np.ndarray, terms: np.ndarray) -> list:

@@ -1,10 +1,14 @@
 """Shared builders and independent oracles for the test suite."""
 
 import bisect
+import functools
 import math
+import random
 
-from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, Power,
-                       SeqVector, TabulatedConvex)
+import numpy as np
+
+from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, NormResult,
+                       Power, SeqVector, TabulatedConvex)
 
 # explin below 1/2: the Taylor polynomial sum_{n=2..26} t**n/n! by Horner
 _EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
@@ -137,3 +141,70 @@ def scalar_inverse_oracle(phi, y):
         else:
             hi = mid
     return hi
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_root(phi, y):
+    """phi^{-1}(y) one target at a time: each closed form by its scalar
+    formula, every other generator by ``scalar_inverse_oracle``."""
+    if isinstance(phi, Power):
+        return pow_or_inf(y, 1.0 / phi.s)
+    if isinstance(phi, ExpSquare):
+        return math.sqrt(math.log1p(y))
+    if isinstance(phi, ExpCompose):
+        return scalar_root(phi.inner, math.log1p(y))
+    return scalar_inverse_oracle(phi, y)
+
+
+def scalar_norm_oracle(params, p, tol):
+    """The Luxemburg norm of p by one scalar loop in Python floats.
+
+    rho_low = max |p_m| / phi^{-1}(1/mu(m)) (``scalar_root`` and
+    ``scalar_mu_oracle``); if the modular there exceeds 1, double hi from it
+    until the modular is at most 1, then bisect [hi/2, hi] at 0.5*(lo + hi)
+    until hi - lo <= tol*hi, the midpoint is not strictly inside, or 4000
+    steps have run.  Each decision is math.fsum(terms) <= 1, the terms
+    mu(m) * phi(|p_m|/rho) taken from phi's numpy form, as the solver takes
+    them.  ``luxemburg_norms`` must return this NormResult field for field,
+    in any batch.  The measures must be finite.
+    """
+    if not p:
+        return NormResult(0.0, (0.0, 0.0), 0.0, 0)
+    phi = params.phi
+    avals = [abs(v) for v in p.values]
+    mus = [scalar_mu_oracle(params, m) for m in p.support]
+
+    def modular(rho):
+        values = phi._raw_eval(np.array([a / rho for a in avals])).tolist()
+        return math.fsum(mu * v for mu, v in zip(mus, values))
+
+    roots = [scalar_root(phi, 1.0 / mu) if mu else 0.0 for mu in mus]
+    lo = hi = max((a / r for a, r in zip(avals, roots) if r > 0.0), default=0.0)
+    steps = 0
+    if modular(hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+        while modular(hi) > 1.0:
+            lo, hi = hi, 2.0 * hi
+        while steps < 4000 and hi - lo > tol * hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if modular(mid) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+            steps += 1
+    return NormResult(hi, (lo, hi), modular(hi), steps)
+
+
+GUESS_NAMES = ("lower", "upper", "midpoint", "random")
+
+
+def bad_guess(name):
+    """A stand-in for ``functions._guess``: the lower end, the upper end, the
+    midpoint or a seeded random point of each bracket, whatever the excess."""
+    rng = random.Random(20261018)
+    return {"lower": lambda l, h, e_lo, e_hi: l,
+            "upper": lambda l, h, e_lo, e_hi: h,
+            "midpoint": lambda l, h, e_lo, e_hi: 0.5 * (l + h),
+            "random": lambda l, h, e_lo, e_hi: l + (h - l) * rng.random()}[name]

@@ -14,8 +14,8 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        SpaceParams, TabulatedConvex, default_probe_grid,
                        delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
                        theta_bound, validate_orlicz)
-from helpers import (NON_MONOTONE_TABLE, random_vector, scalar_inverse_oracle,
-                     scalar_phi_oracle)
+from helpers import (GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess, random_vector,
+                     scalar_inverse_oracle, scalar_phi_oracle)
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -166,32 +166,47 @@ def _forget_roots(phi):
 def test_inverses_equal_the_scalar_bisection(phi):
     ys = _targets()
     # exp(inner(t)) - 1 = y is solved as inner(t) = log1p(y)
-    inner, arg = ((phi.inner, math.log1p) if isinstance(phi, ExpCompose)
-                  else (phi, float))
-    want = [scalar_inverse_oracle(inner, arg(y)) for y in ys]
-    t, errors = _forget_roots(phi).inverses(ys)
-    assert errors == {}
-    assert t.tolist() == want
+    want = _check_inverses(phi, ys)
     # each target bisected alone, in a batch of one
     assert [_forget_roots(phi).inverse(y) for y in ys] == want
 
 
-@pytest.mark.parametrize("phi", BISECTED + [NON_MONOTONE_TABLE],
-                         ids=lambda f: f.descriptor()[:24])
-def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
+def _dyadic_targets(phi):
     # targets phi(2**-j) and their neighbours, where the doubling bracket
     # stops (j <= 0) and where a bisection that halves hi from 1 turns, for j
     # up to and past the 200-halving cap
     at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in range(-10, 211)]
     ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
                  if 0.0 <= y < math.inf})
-    ys += [0.9 * at[-1], at[-1] / 3.0, 1e-320]
+    return ys + [0.9 * at[-1], at[-1] / 3.0, 1e-320]
+
+
+def _check_inverses(phi, ys):
     inner, arg = ((phi.inner, math.log1p) if isinstance(phi, ExpCompose)
                   else (phi, float))
     want = [scalar_inverse_oracle(inner, arg(y)) for y in ys]
     t, errors = _forget_roots(phi).inverses(ys)
     assert errors == {}
     assert t.tolist() == want
+    return want
+
+
+@pytest.mark.parametrize("phi", BISECTED + [NON_MONOTONE_TABLE],
+                         ids=lambda f: f.descriptor()[:24])
+def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
+    _check_inverses(phi, _dyadic_targets(phi))
+
+
+def test_inverses_do_not_depend_on_the_guess(monkeypatch):
+    for phi in BISECTED + [NON_MONOTONE_TABLE]:
+        for ys in (_targets(), _dyadic_targets(phi)):
+            want = _check_inverses(phi, ys)
+            for guess in GUESS_NAMES:
+                monkeypatch.setattr(functions, "_guess", bad_guess(guess))
+                t, errors = _forget_roots(phi).inverses(ys)
+                assert errors == {} and t.tolist() == want
+                assert ExpLinear().inverse(1e-3) == scalar_inverse_oracle(ExpLinear(), 1e-3)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("phi", FAMILIES + BISECTED[2:], ids=lambda f: f.descriptor()[:24])

@@ -17,8 +17,10 @@ from orliczseq import (BallTailCertificate, CertificateError,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
+from orliczseq import functions
 from orliczseq.luxemburg import _at_most_one, _solve, _sum_slack
-from helpers import power_norm_oracle, random_vector
+from helpers import (GUESS_NAMES, bad_guess, power_norm_oracle, random_vector,
+                     scalar_mu_oracle, scalar_norm_oracle)
 
 # sqrt(ln 2) and its reciprocal, the unit-weight ExpSquare spike constants
 SQRT_LN2 = 0.83255461115769775635
@@ -214,9 +216,10 @@ def test_sum_decision_equals_fsum_on_adversarial_terms():
     width = max(map(len, rows))
     terms = np.array([r + [0.0] * (width - len(r)) for r in rows])
     n = np.array([len(r) for r in rows])
-    got = _at_most_one(terms, n, _sum_slack(n))
+    got, sums = _at_most_one(terms, n, _sum_slack(n))
     assert got.tolist() == [math.fsum(r) <= 1.0 for r in rows]
     assert got.tolist() == [True, False, True, False, True, True]
+    assert sums.tolist() == terms.sum(axis=1).tolist()
 
 
 def test_sum_decision_equals_fsum_near_one():
@@ -231,8 +234,9 @@ def test_sum_decision_equals_fsum_near_one():
     width = max(map(len, rows))
     terms = np.array([r + [0.0] * (width - len(r)) for r in rows])
     n = np.array([len(r) for r in rows])
-    got = _at_most_one(terms, n, _sum_slack(n))
+    got, sums = _at_most_one(terms, n, _sum_slack(n))
     assert got.tolist() == [math.fsum(r) <= 1.0 for r in rows]
+    assert sums.tolist() == terms.sum(axis=1).tolist()
 
 
 def _error_of(params, p):
@@ -316,6 +320,10 @@ class _SquareWithHole(OrliczFunction):
 
 
 def test_row_that_overflows_inside_the_bisection_fails_alone():
+    _check_hole_fails_alone()
+
+
+def _check_hole_fails_alone():
     # the norm of {0: 1, 1: c} is sqrt(1 + c**2), where c/norm lies inside
     # the hole; rho_low = 1 and the doubling to 2 both step over it, so only
     # a bisection midpoint close to the norm lands there
@@ -364,3 +372,116 @@ def test_covering_check_prefers_the_tail_modular_error_of_a_sample():
         with pytest.raises(ComputationOverflowError) as exc, np.errstate(invalid="ignore"):
             covering_check(cert, [SeqVector({0: 0.1}), *order])
         assert (str(exc.value), exc.value.index) == want
+
+
+class _SquarePlusCube(OrliczFunction):
+    """t**2 * (t + 1/2): a user generator with only a numpy form."""
+
+    def _raw_eval(self, t):
+        return t * t * (t + 0.5)
+
+    def descriptor(self) -> str:
+        return "square-plus-cube"
+
+
+ORACLE_GENERATORS = (
+    Power(1.0), Power(1.5), Power(2.0), Power(3.0), ExpSquare(), ExpLinear(),
+    ExpCompose(Power(1.5)), GENERATORS[-1],
+    TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)]), _SquarePlusCube())
+ORACLE_WEIGHTS = WeightSequence(1.0, {0: 0.2, -3: 4.0, 7: 0.5, 20: 3.0})
+
+
+def _oracle_vectors(params, seed: int) -> list:
+    """15 vectors of 1-64 terms with finite measures, values over six decades."""
+    rng = random.Random(seed)
+    top = max(m for m in range(41) if scalar_mu_oracle(params, m) is not None)
+    vecs = []
+    for _ in range(15):
+        support = rng.sample(range(-top, top + 1), min(rng.randint(1, 64), 2 * top + 1))
+        vecs.append(SeqVector({m: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                               * 10.0 ** rng.uniform(-3.0, 3.0) for m in support}))
+    return vecs
+
+
+def _check_norms_against_the_oracle(phi, ks, tols, lone=True):
+    for k in ks:
+        params = SpaceParams(k, phi, ORACLE_WEIGHTS)
+        vecs = _oracle_vectors(params, int(10 * k))
+        for tol in tols:
+            want = [scalar_norm_oracle(params, p, tol) for p in vecs]
+            assert luxemburg_norms(params, vecs, tol) == want
+            if lone:
+                assert [luxemburg_norm(params, p, tol) for p in vecs] == want
+
+
+@pytest.mark.parametrize("phi", ORACLE_GENERATORS, ids=lambda f: f.descriptor()[:16])
+def test_norms_equal_the_scalar_oracle(phi):
+    # value, bracket, modular_at_value and iterations, in batches of 15 and 1
+    _check_norms_against_the_oracle(phi, (0.0, 0.5, 1.0, 2.0), (1e-12, 1e-6))
+
+
+def _check_undecided_sum():
+    # at the first midpoint, 1.5, the terms are fl(2/3), fl(1/3), 2**-53 and
+    # 2**-53: np.sum gives 1.0, but the exact sum exceeds 1 + 2**-53, so
+    # math.fsum says the norm lies above 1.5
+    params = SpaceParams(0.0, Power(1.0), W1)
+    p = SeqVector({0: 1.0, 1: 0.5, 2: 1.5 * 2.0 ** -53, 3: 1.5 * 2.0 ** -53})
+    res = luxemburg_norm(params, p)
+    assert res == scalar_norm_oracle(params, p, TOL) and res.bracket[0] >= 1.5
+
+
+def test_an_undecided_sum_on_the_path_falls_back_to_fsum():
+    _check_undecided_sum()
+
+
+@pytest.mark.parametrize("guess", GUESS_NAMES)
+def test_norms_do_not_depend_on_the_guess(guess, monkeypatch):
+    monkeypatch.setattr(functions, "_guess", bad_guess(guess))
+    for phi in ORACLE_GENERATORS:
+        _check_norms_against_the_oracle(phi, (1.0,), (1e-12,), lone=phi is ORACLE_GENERATORS[2])
+    _check_hole_fails_alone()
+    _check_undecided_sum()
+    # the norm, about 1.118, is bisected from [1, 2]: a guess above 1.5 lays
+    # out 1.75 next, where the first term's argument lies in the hole; that
+    # cell is past the row's path, so the row does not fail
+    params = SpaceParams(0.0, _SquareWithHole(0.5714, 0.5715), W1)
+    p = SeqVector({0: 1.0, 1: 0.5})
+    assert luxemburg_norm(params, p) == scalar_norm_oracle(params, p, TOL)
+
+
+class _CountedPower(Power):
+    """power counting its numpy evaluations."""
+
+    def _raw_eval(self, t):
+        self.__dict__["calls"] = self.__dict__.get("calls", 0) + 1
+        return super()._raw_eval(t)
+
+
+class _CountedExpLinear(ExpLinear):
+    """explin counting its numpy and its exact evaluations."""
+
+    def _raw_eval(self, t):
+        self.__dict__["calls"] = self.__dict__.get("calls", 0) + 1
+        return super()._raw_eval(t)
+
+    def _eval_exact(self, t):
+        self.__dict__["exact"] = self.__dict__.get("exact", 0) + 1
+        return super()._eval_exact(t)
+
+
+def test_a_lone_solve_takes_a_few_wide_rounds():
+    rng = random.Random(3)
+    p = SeqVector({m: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                   * 10.0 ** rng.uniform(-2.0, 2.0) for m in rng.sample(range(-30, 31), 20)})
+    for phi, k in ((_CountedPower(2.0), 1.0), (_CountedExpLinear(), 0.5)):
+        params = SpaceParams(k, phi, W1)
+        want = luxemburg_norm(params, p)  # warms the inverse memo and the factor table
+        assert want == scalar_norm_oracle(params, p, TOL) and want.iterations == 40
+        phi.calls = 0
+        assert luxemburg_norm(params, p) == want
+        # a rho_low probe, the doublings, the bisection and the final modular;
+        # a round per bisection step took 44 and 43 calls
+        assert phi.calls <= 8
+    cold = _CountedExpLinear()
+    assert cold.inverse(1e-3) == ExpLinear().inverse(1e-3)
+    assert cold.exact <= 8  # a round per bisection step took 52

@@ -335,17 +335,18 @@ def test_measures_at_the_edges_keep_their_values_and_messages():
         assert exc.value.index == -70000
 
 
-def test_factor_table_keeps_finite_factors_only_and_stays_capped():
+def test_factor_table_remembers_overflows_and_stays_capped():
     steep = SpaceParams(1.0, ExpSquare(), W1)
     measures(steep, [1, 30, 1000])
     table = steep.__dict__["_mu_factors"]
     assert table.size == spaces._FACTOR_BLOCK
-    assert not math.isnan(table[1]) and np.isnan(table[[0, 2, 30, 1000]]).all()
+    assert table[1] == math.e and np.isnan(table[[0, 2]]).all()
+    assert table[[30, 1000]].tolist() == [math.inf, math.inf]  # overflows, remembered
     measures(steep, [CAP - 1, CAP + 100, -(2 ** 63)])
     measures(steep, [10 ** 400, 5])  # beyond int64: the whole call skips the table
     table = steep.__dict__["_mu_factors"]
     assert table.size == CAP and table.nbytes == 512 * 1024
-    assert np.flatnonzero(~np.isnan(table)).tolist() == [1]
+    assert np.flatnonzero(~np.isnan(table)).tolist() == [1, 30, 1000, CAP - 1]
 
     square = SpaceParams(1.0, Power(2.0), W1)
     measures(square, [4096])  # grown to the block holding 4096
@@ -357,6 +358,26 @@ def test_factor_table_keeps_finite_factors_only_and_stays_capped():
     # a replaced space is a new value with its own table
     assert "_mu_factors" not in dataclasses.replace(square, k=2.0).__dict__
     assert mu(dataclasses.replace(square, k=2.0), 5) == 26.0 ** 2
+
+
+class _CountedExpLinear(ExpLinear):
+    """explin counting its exact evaluations."""
+
+    def _eval_exact(self, t):
+        self.__dict__["calls"] = self.__dict__.get("calls", 0) + 1
+        return super()._eval_exact(t)
+
+
+def test_overflowing_factors_are_not_recomputed():
+    # explin at k = 1 overflows from |m| = 710 on: most of this support
+    support = random.Random(8).sample(range(-20000, 20000), 3000)
+    phi = _CountedExpLinear()
+    params = SpaceParams(1.0, phi, SIGNED_WEIGHTS)
+    cold = _measured(params, support)
+    assert len(cold[1]) > 2500 and phi.calls == 1
+    assert _measured(params, support) == cold
+    assert phi.calls == 1  # the warm call reads every factor from the table
+    assert cold == _measured(SpaceParams(1.0, ExpLinear(), SIGNED_WEIGHTS), support)
 
 
 @pytest.mark.parametrize("k", [-1.0, 0.5, 1.0])
