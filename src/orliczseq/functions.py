@@ -95,8 +95,7 @@ def _guess(l: float, h: float, e_lo: float, e_hi: float) -> float:
     return g if l <= g <= h else 0.5 * (l + h)
 
 
-def _bisect(lo, hi, steps, width: float, cap: int, split, carry=(), excess=None,
-            cells: int = 1):
+def _bisect(lo, hi, steps, width: float, cap: int, split, carry, excess, cells: int = 1):
     """Bisect the brackets [lo[i], hi[i]]; each row takes the path of a
     scalar bisection and stops on its own.
 
@@ -113,7 +112,7 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry=(), excess=None,
     without side effects: it returns the decisions, a signed excess
     (positive where the root lies above; it only guides the guess) and the
     cells it leaves undecided, or None.  ``excess`` holds the excess arrays
-    at lo and at hi, where the caller knows them.
+    at lo and at hi (nan where the caller does not know it).
 
     A plain round halves every open row once.  A round of at most
     ``_WINDOW_ROWS`` rows, whose rows x cells leave room for ``_WINDOW_MIN``
@@ -122,8 +121,7 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry=(), excess=None,
     """
     rows, l, h, k = np.arange(lo.size), lo, hi, steps
     # each open row's excess at l and at h, and its last guess and bracket as logs
-    pred = None if excess is None else [
-        (a, b, math.nan, math.nan) for a, b in zip(*(e.tolist() for e in excess))]
+    pred = [(a, b, math.nan, math.nan) for a, b in zip(*(e.tolist() for e in excess))]
     # done: the plain rounds every open row has run since k; none meets its cap before soonest
     soonest, done = cap - k.max(initial=0), 0
     while rows.size:
