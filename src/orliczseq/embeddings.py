@@ -28,7 +28,7 @@ from .errors import (CertificateError, CertificateRefutedError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
                         OrliczFunction, ThetaBound, _PROBE_DEPTH, _libm,
-                        _positive, _probe_grid, delta2_at_zero, theta_bound)
+                        _positive, _probe_grid, _whole, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, TermBatch, measures
 
@@ -70,8 +70,7 @@ def check_domination(phi: OrliczFunction, psi: OrliczFunction, gamma: float,
     t0 = float(t0)
     if t0 <= 0 or math.isnan(t0):
         raise DomainError("t0 must be positive (inf allowed for global checks)")
-    if grid_points < 256:
-        raise DomainError("domination grid needs at least 256 points")
+    grid_points = _whole(grid_points, 256, "domination grid needs at least 256 points")
     if grid_points > MAX_GRID_POINTS:
         raise DomainError(f"domination grid allows at most {MAX_GRID_POINTS} points")
     span = GLOBAL_DOMINATION_SPAN if math.isinf(t0) else t0
@@ -312,15 +311,13 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
     come first and the radii are solved in one batch afterwards; the solver
     draws nothing, so the samples are those of drawing and solving in turn.
     """
-    if int(count) != count or count < 1:
-        raise DomainError("sample count must be a positive integer")
-    if int(max_support) != max_support or max_support < 1:
-        raise DomainError("max_support must be a positive integer")
+    count = _whole(count, 1, "sample count must be a positive integer")
+    max_support = _whole(max_support, 1, "max_support must be a positive integer")
     kappa = _positive(kappa, "kappa")
     rng = random.Random(seed)
     log2_top = math.log2(max_support + 1)
     draws, fractions = [], []
-    for _ in range(int(count)):
+    for _ in range(count):
         n_pts = rng.randint(1, min(MAX_SAMPLE_SUPPORT, 2 * max_support + 1))
         points = []
         for _ in range(n_pts):

@@ -19,14 +19,16 @@ doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
 one bisection of the package: the generic inverse and the Luxemburg norm
 solver both run it over their rows, and each row keeps the midpoints,
 decisions, step count and stopping test of a scalar bisection.  A plain
-round halves every row once.  When the rows are few and small, a round
+round halves every row once.  Once the rows are few and small, every round
 looks ahead instead: each row guesses its root by a secant in log rho
-through the signed excess at its bracket ends, lays out the midpoints the
-plain rounds would visit if that guess holds, and one wide evaluation
-decides them all.  The row then moves to its first decision that differs
-from the guess.  Each decision is the same comparison at the same midpoint
-as in a plain round, and the cells past it are discarded, so every result
-is bit for bit that of the plain rounds, whatever the guess.
+through the signed excess at its bracket ends and lays out the midpoints
+the plain rounds would visit if that guess holds, up to its own stop, its
+step cap or the round's cell budget; one wide evaluation decides every
+row's path.  The row then moves to its first decision that differs from
+the guess, or to the end of its path.  Each decision is the same
+comparison at the same midpoint as in a plain round, and the cells past it
+are discarded, so every result is bit for bit that of the plain rounds,
+whatever the guess.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
 _WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
 _WINDOW_ROWS = 32  # rows a look-ahead round walks at most: beyond, plain rounds cost less
-_WINDOW_FIRST = 4  # levels a row's first guess is trusted for
 
 
 def _libm(f, *lists) -> np.ndarray:
@@ -84,6 +85,17 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _whole(value, least, message: str) -> int:
+    """value as an int; one that is not a whole number of at least ``least``
+    (an inf, a nan or a fraction included) is a DomainError(message)."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message)
+
+
 def _guess(l: float, h: float, e_lo: float, e_hi: float) -> float:
     """The predicted root in the bracket [l, h]: where the secant in log rho
     through (l, e_lo) and (h, e_hi) crosses 0, or the midpoint where that
@@ -114,26 +126,16 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry, excess, cells: 
     cells it leaves undecided, or None.  ``excess`` holds the excess arrays
     at lo and at hi (nan where the caller does not know it).
 
-    A plain round halves every open row once.  A round of at most
-    ``_WINDOW_ROWS`` rows, whose rows x cells leave room for ``_WINDOW_MIN``
-    levels in ``_WINDOW_CELLS``, looks ahead instead (``_look_ahead``),
-    unless no row's guess is expected to hold for two levels.
+    A plain round halves every open row once.  Once the open rows are at
+    most ``_WINDOW_ROWS`` and their rows x cells leave room for
+    ``_WINDOW_MIN`` levels in ``_WINDOW_CELLS``, every round looks ahead
+    instead (``_look_ahead``); rows only leave, so that stays true.
     """
     rows, l, h, k = np.arange(lo.size), lo, hi, steps
-    # each open row's excess at l and at h, and its last guess and bracket as logs
-    pred = [(a, b, math.nan, math.nan) for a, b in zip(*(e.tolist() for e in excess))]
     # done: the plain rounds every open row has run since k; none meets its cap before soonest
     soonest, done = cap - k.max(initial=0), 0
-    while rows.size:
-        budget = _WINDOW_CELLS // (rows.size * cells)
-        if budget >= _WINDOW_MIN and rows.size <= _WINDOW_ROWS:
-            ahead = _look_ahead(lo, hi, steps, rows, l, h, k + done, carry, width, cap,
-                                split, pred or [(math.nan,) * 4] * rows.size, budget)
-            if ahead is not None:
-                rows, l, h, k, pred, carry = ahead
-                soonest, done = cap - k.max(initial=0), 0
-                continue
-        pred = None  # a plain round moves the ends past their known excess
+    while rows.size and (rows.size > _WINDOW_ROWS
+                         or _WINDOW_CELLS // (rows.size * cells) < _WINDOW_MIN):
         mid = 0.5 * (l + h)
         go = (h - l > width * h) & (mid > l) & (mid < h)
         if done >= soonest:
@@ -149,53 +151,39 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry, excess, cells: 
         l, h, done = np.where(up, mid, l), np.where(up, h, mid), done + 1
         if drop is not None:
             rows, l, h, k, *carry = (x[~drop] for x in (rows, l, h, k, *carry))
+    # each open row's excess at l and at h; a plain round moved the ends past it
+    ends = list(zip(*(e.tolist() for e in excess)) if not done
+                else repeat((math.nan, math.nan), rows.size))
+    k = k + done
+    while rows.size:
+        rows, l, h, k, ends, carry = _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry,
+                                                 width, cap, split,
+                                                 _WINDOW_CELLS // (rows.size * cells))
     return lo, hi, steps
 
 
-def _look_ahead(lo, hi, steps, rows, l, h, k, carry, width: float, cap: int, split,
-                pred: list, budget: int):
+def _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry, width: float, cap: int, split,
+                budget: int):
     """One look-ahead round of ``_bisect``: the open rows, their brackets,
-    step counts, predictor states and carried arrays after it, with the
-    stopped rows written out; or None where no row's guess is expected to
-    hold for two levels.
+    step counts, excesses at the bracket ends and carried arrays after it,
+    with the stopped rows written out.
 
     Each row guesses its root (``_guess``) and lays out the midpoints that
     plain rounds visit if the guess holds, in their float steps (Python's
-    are IEEE's, as numpy's).  One call of ``split`` evaluates every row's
-    path, and each row then walks its own: every decision is the one a plain
+    are IEEE's, as numpy's), up to its stop, its cap or ``budget`` levels.
+    One call of ``split`` evaluates every row's path, padded to the longest,
+    and each row then walks its own: every decision is the one a plain
     round makes at the same midpoint, a cell split left undecided goes to
     split as a plain round of its own, and the walk ends at the first
-    decision that differs from the guess, or at the row's stop.  Cells
-    beyond that are discarded, so the result does not depend on the guess.
-
-    The window spans the most levels that any row needs to its stop, or can
-    expect its guess to hold, within the budget: a guess was off by about
-    its distance to the next one, and the error of a secant shrinks with
-    the square of its bracket.
+    decision that differs from the guess, or at the end of the path, where
+    a path shorter than the budget stops the row.  Cells beyond that are
+    discarded, so the result does not depend on the guess.
     """
     ls, hs, ks = l.tolist(), h.tolist(), k.tolist()
-    guesses, levels = [], 0.0
-    for i, (a, b, n) in enumerate(zip(ls, hs, ks)):
-        e_lo, e_hi, g0, w0 = pred[i]
-        g = _guess(a, b, e_lo, e_hi)
-        guesses.append(g)
-        span, w = cap - n, math.nan
-        if a > 0.0:
-            w = math.log(b / a)
-            span = min(span, math.log2((b - a) / width / a))
-        hold = _WINDOW_FIRST  # no earlier guess to judge this one by
-        if w0 == w0 and w == w:
-            off = abs(math.log(g) - g0) * (w / w0) ** 2
-            hold = math.log2(w / off) + 1.0 if off > 0.0 else math.inf
-        levels = max(levels, min(span, hold))
-        pred[i] = (e_lo, e_hi, math.log(g) if w == w else math.nan, w)
-    if levels < 2.0:
-        return None
-    levels = math.ceil(min(levels, budget))
-    paths, mids = [], []
-    for a, b, g, n in zip(ls, hs, guesses, ks):
-        path = []
-        for _ in range(min(levels, cap - n)):
+    guesses, paths, pads = [], [], []
+    for a, b, n, (e_lo, e_hi) in zip(ls, hs, ks, ends):
+        g, path = _guess(a, b, e_lo, e_hi), []
+        for _ in range(min(budget, cap - n)):
             m = 0.5 * (a + b)
             if not (b - a > width * b and a < m < b):
                 break
@@ -204,16 +192,23 @@ def _look_ahead(lo, hi, steps, rows, l, h, k, carry, width: float, cap: int, spl
                 a = m
             else:
                 b = m
+        guesses.append(g)
         paths.append(path)
-        mids += path
-        mids += repeat(b, levels - len(path))  # cells no plain round would visit
-    up, excess, undecided = split(np.array(mids).reshape(rows.size, levels), *carry)
-    up, excess = up.tolist(), excess.tolist()
-    undecided = undecided.tolist() if undecided is not None else repeat(repeat(False))
+        pads.append(b)
+    levels = max(map(len, paths))
+    up = excess = undecided = repeat(())  # no cell: every row stops
+    if levels:
+        mids = []
+        for path, b in zip(paths, pads):
+            mids += path
+            mids += repeat(b, levels - len(path))  # cells no plain round would visit
+        up, excess, undecided = split(np.array(mids).reshape(rows.size, levels), *carry)
+        up, excess = up.tolist(), excess.tolist()
+        undecided = undecided.tolist() if undecided is not None else repeat(repeat(False))
     keep, stop, state = [], [], []
-    for i, (path, g, vague) in enumerate(zip(paths, guesses, undecided)):
-        a, b, (e_lo, e_hi, g0, w0) = ls[i], hs[i], pred[i]
-        for j, (m, u, e, v) in enumerate(zip(path, up[i], excess[i], vague)):
+    for i, (path, g, ups, exs, vague) in enumerate(zip(paths, guesses, up, excess, undecided)):
+        a, b, (e_lo, e_hi) = ls[i], hs[i], ends[i]
+        for j, (m, u, e, v) in enumerate(zip(path, ups, exs, vague)):
             if v:
                 u, lost = split(np.array([m]), *(x[i:i + 1] for x in carry))
                 if lost is not None and lost[0]:
@@ -225,19 +220,19 @@ def _look_ahead(lo, hi, steps, rows, l, h, k, carry, width: float, cap: int, spl
                 b, e_hi = m, e
             if u != (m < g):
                 keep.append(i)
-                state.append((a, b, ks[i] + j + 1, (e_lo, e_hi, g0, w0)))
+                state.append((a, b, ks[i] + j + 1, (e_lo, e_hi)))
                 break
         else:
-            if len(path) < levels:  # the row stops
+            if len(path) < budget:  # the row stops
                 stop.append((rows[i], a, b, ks[i] + len(path)))
             else:
                 keep.append(i)
-                state.append((a, b, ks[i] + levels, (e_lo, e_hi, g0, w0)))
+                state.append((a, b, ks[i] + len(path), (e_lo, e_hi)))
     if stop:
         r, lo[r], hi[r], steps[r] = (np.array(x) for x in zip(*stop))
-    l, h, k, pred = zip(*state) if state else ((), (), (), ())
+    l, h, k, ends = zip(*state) if state else ((), (), (), ())
     return (rows[keep], np.array(l, dtype=float), np.array(h, dtype=float),
-            np.array(k, dtype=np.int64), list(pred), [x[keep] for x in carry])
+            np.array(k, dtype=np.int64), list(ends), [x[keep] for x in carry])
 
 
 def _csv_rows(path, kind: str, shape: str, parse) -> list:
@@ -640,8 +635,10 @@ def parse_orlicz(descriptor: str) -> OrliczFunction:
 
 def default_probe_grid(n: int = 256, lo: float = 1e-6, hi: float = 10.0) -> np.ndarray:
     """Geometric probe grid used by validate_orlicz when none is supplied."""
-    if n < 2 or not 0 < lo < hi or not math.isfinite(hi):
-        raise DomainError("probe grid needs n >= 2 and 0 < lo < hi < oo")
+    message = "probe grid needs n >= 2 and 0 < lo < hi < oo"
+    n = _whole(n, 2, message)
+    if not 0 < lo < hi or not math.isfinite(hi):
+        raise DomainError(message)
     return np.geomspace(lo, hi, n)
 
 
@@ -733,10 +730,9 @@ class GeometricProbe:
     def __post_init__(self):
         if not (0 < self.t_start <= 1.0) or not math.isfinite(self.t_start):
             raise DomainError("t_start must lie in (0, 1]")
-        if int(self.depth) != self.depth or self.depth < 20:
-            raise DomainError("probe depth must be an integer >= 20")
+        depth = _whole(self.depth, 20, "probe depth must be an integer >= 20")
         object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -810,8 +806,7 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     """
     theta = _positive(theta, "theta")
     t_theta = _positive(t_theta, "t_theta")
-    if grid_points < 16:
-        raise DomainError("grid_points must be at least 16")
+    grid_points = _whole(grid_points, 16, "grid_points must be at least 16")
     if grid_points > MAX_GRID_POINTS:
         raise DomainError(f"grid_points must be at most {MAX_GRID_POINTS}")
     if isinstance(phi, Power):

@@ -23,10 +23,10 @@ bracket to relative width tol_rel.  The rho_low check and the doubling run
 in lock-step across the rows: a step evaluates phi once, on the rows still
 open.  The bisection keeps each row's bracket, step count and stopping
 test.  For a few small rows it settles many levels of each row's path per
-evaluation: the log of each modular sum seen so far guides a guess of the
-norm, the midpoints of the path that guess implies are evaluated at once,
-and the row moves to its first midpoint where the decision differs from
-the guess.
+evaluation: the log of the modular sum at each bracket end guides a guess
+of the norm, the midpoints of the path that guess implies, up to the row's
+stop or the round's cell budget, are evaluated at once, and the row moves
+to its first midpoint where the decision differs from the guess.
 
 Summation decision rule.  Each step asks, per row, whether the correctly
 rounded modular math.fsum(terms) is at most 1.  The row's np.sum s answers
@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationOverflowError, DomainError, OrliczSeqError
-from .functions import _MAX_DOUBLINGS, _bisect, _positive
+from .errors import ComputationOverflowError, OrliczSeqError
+from .functions import _MAX_DOUBLINGS, _bisect, _positive, _whole
 from .spaces import SeqVector, SpaceParams, TermBatch
 
 DEFAULT_TOL_REL = 1e-12
@@ -293,9 +293,7 @@ def verify_norm_axioms(params: SpaceParams, p: SeqVector, q: SeqVector,
 
 def schauder_truncate(p: SeqVector, max_abs: int) -> SeqVector:
     """Partial sum keeping indices with |m| <= max_abs."""
-    if int(max_abs) != max_abs or max_abs < 0:
-        raise DomainError("truncation index must be a nonnegative integer")
-    return p.restrict(int(max_abs))
+    return p.restrict(_whole(max_abs, 0, "truncation index must be a nonnegative integer"))
 
 
 def schauder_curve(params: SpaceParams, p: SeqVector,

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
                         OrliczFunction, Power, TabulatedConvex, _check_point,
-                        _csv_rows, _libm, _positive, parse_orlicz)
+                        _csv_rows, _libm, _positive, _whole, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
@@ -56,7 +56,7 @@ class WeightSequence:
         default = _positive(default, "default weight")
         table = {}
         for m, w in (entries.items() if isinstance(entries, dict) else (entries or ())):
-            m = int(m)
+            m = _whole(m, -math.inf, f"weight index {m!r} is not an integer")
             w = _positive(w, f"weight at index {m}")
             if m in table:
                 raise DomainError(f"duplicate weight index {m}")
@@ -199,7 +199,11 @@ class SeqVector:
         pairs = items.items() if isinstance(items, dict) else items
         seen = {}
         for m, v in pairs:
-            if int(m) != m:
+            try:
+                whole = int(m) == m
+            except (TypeError, ValueError, OverflowError):  # an inf or nan index
+                whole = False
+            if not whole:
                 raise DomainError(f"index {m!r} is not an integer")
             m = int(m)
             v = complex(v)
@@ -551,13 +555,12 @@ class GeometricEnvelope:
         poly_w = _positive(self.poly_w, "measure majorant coefficient")
         if not math.isfinite(self.poly_a) or self.poly_a < 0:
             raise DomainError("measure majorant exponent must be finite and nonnegative")
-        if int(self.valid_from) != self.valid_from or self.valid_from < 0:
-            raise DomainError("valid_from must be a nonnegative integer")
+        valid_from = _whole(self.valid_from, 0, "valid_from must be a nonnegative integer")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "ratio", r)
         object.__setattr__(self, "poly_w", poly_w)
         object.__setattr__(self, "poly_a", float(self.poly_a))
-        object.__setattr__(self, "valid_from", int(self.valid_from))
+        object.__setattr__(self, "valid_from", valid_from)
 
     def bound_at(self, m: int) -> float:
         return self.amplitude * self.ratio ** abs(m)
@@ -632,9 +635,7 @@ def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
     polynomial-geometric majorant in closed form.
     """
     rho = _positive(rho, "scale rho")
-    if int(trunc) != trunc or trunc < 1:
-        raise DomainError("truncation index must be an integer >= 1")
-    trunc = int(trunc)
+    trunc = _whole(trunc, 1, "truncation index must be an integer >= 1")
     if trunc < envelope.valid_from:
         raise DomainError(
             f"truncation index {trunc} precedes envelope validity {envelope.valid_from}")
@@ -693,6 +694,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
     affecting the finiteness verdict; so is a window -trunc..trunc of more
     than MAX_GRID_POINTS indices, whose explicit part is not summed.
     """
+    probe_depth = _whole(probe_depth, 0, "probe_depth must be a nonnegative integer")
     if p is None:
         p = SeqVector()
     if envelope is None:

@@ -209,6 +209,44 @@ def test_inverses_do_not_depend_on_the_guess(monkeypatch):
             monkeypatch.undo()
 
 
+def _scalar_bisection(l, h, root, width, cap):
+    """[l, h] bisected toward root with the stop tests of ``_bisect``, and the steps."""
+    steps = 0
+    while steps < cap and h - l > width * h and l < 0.5 * (l + h) < h:
+        mid = 0.5 * (l + h)
+        l, h = (mid, h) if mid < root else (l, mid)
+        steps += 1
+    return l, h, steps
+
+
+def test_a_narrow_batch_looks_ahead_every_round_once_it_can(monkeypatch):
+    # 15 rows of 40 cells leave room for 13 levels a round; the brackets
+    # [1, 1 + 2**-j] end 35-39 levels down, and the excess is linear in rho,
+    # so the guess (a secant in log rho) is close but not exact
+    top = 1.0 + 2.0 ** -(np.arange(15) // 3 + 1)
+    roots = 1.0 + (top - 1.0) * np.linspace(0.1, 0.9, 15)
+    kinds, windows = [], []
+
+    def split(mid, root):
+        kinds.append(mid.ndim)
+        if mid.ndim == 1:
+            return mid < root, None
+        return mid < root[:, None], root[:, None] - mid, None
+
+    def look_ahead(*args):
+        windows.append(look(*args))
+        return windows[-1]
+
+    look = functions._look_ahead
+    monkeypatch.setattr(functions, "_look_ahead", look_ahead)
+    lo, hi, steps = np.ones(15), top.copy(), np.zeros(15, dtype=np.int64)
+    functions._bisect(lo, hi, steps, 1e-12, 60, split, (roots,), (roots - 1.0, roots - top), 40)
+    want = [_scalar_bisection(1.0, h, r, 1e-12, 60) for h, r in zip(top.tolist(), roots.tolist())]
+    assert list(zip(lo.tolist(), hi.tolist(), steps.tolist())) == want
+    assert kinds[0] == 2 and 1 not in kinds  # no plain round after the first look-ahead
+    assert windows and None not in windows  # no planned window was discarded
+
+
 @pytest.mark.parametrize("phi", FAMILIES + BISECTED[2:], ids=lambda f: f.descriptor()[:24])
 def test_eval_exact_equals_scalar_raw_eval(phi):
     rng = np.random.default_rng(7)

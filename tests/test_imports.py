@@ -1,10 +1,14 @@
-"""What the package imports: no unused name, and no module it does not need.
+"""What the package imports and defines: no unused name, and no module it
+does not need.
 
-No linter is part of the toolchain, so the first check reads each module's
-syntax tree: every name an import binds must be used somewhere in the module
-or be listed in its ``__all__`` as a re-export.  An import left behind when a
-helper moves to another module fails here.  The second runs CLI commands in
-a fresh interpreter and checks that ``numpy.ma`` never loads.
+No linter is part of the toolchain, so the first two checks read the syntax
+trees.  Every name an import binds must be used somewhere in the module or
+be listed in its ``__all__`` as a re-export: an import left behind when a
+helper moves to another module fails here.  Every private module-level name
+(a ``_CONSTANT`` or a ``_helper``) must be read somewhere in the package: a
+constant or helper left behind when the code that read it goes fails here.
+The last check runs CLI commands in a fresh interpreter and checks that
+``numpy.ma`` never loads.
 """
 
 import ast
@@ -48,6 +52,35 @@ def test_the_check_finds_an_import_left_behind():
               "def f(x: Power) -> float:\n    return os.path.sep + _positive(x)\n"
               "__all__ = ['_libm']\n")
     assert unused_imports(source) == ["math"]
+
+
+def unread_private_names(sources) -> list:
+    """The private module-level names that ``sources`` define and never read, sorted."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - read)
+
+
+def test_every_private_name_of_the_package_is_read():
+    assert unread_private_names(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_the_check_finds_a_private_name_left_behind():
+    sources = ["_CAP = 4\n_LEFT = 2\n__all__ = []\ndef _helper():\n    return _CAP\n",
+               "from . import a\nclass _Gone:\n    pass\nprint(a._helper())\n"]
+    assert unread_private_names(sources) == ["_Gone", "_LEFT"]
 
 
 def test_cli_commands_never_load_numpy_ma(tmp_path):

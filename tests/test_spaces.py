@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, ComputationOverflowError,
-                       DomainError, ExpCompose, ExpLinear, ExpSquare, Power,
-                       SeqVector, SpaceParams, TabulatedConvex,
-                       WeightSequence, classify, geometric_envelope,
+                       DomainError, ExpCompose, ExpLinear, ExpSquare,
+                       GeometricProbe, Power, SeqVector, SpaceParams,
+                       TabulatedConvex, WeightSequence, check_domination,
+                       classify, default_probe_grid, geometric_envelope,
                        luxemburg_norm, measures, modular, modular_tail_bound,
-                       mu, parse_weights, weight_poly_bound)
+                       mu, parse_weights, sample_ball, schauder_truncate,
+                       theta_bound, weight_poly_bound)
 from orliczseq import spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
@@ -103,6 +105,17 @@ def test_seqvector_contract():
         SeqVector([(0, complex(math.inf, 0.0))])
     assert len(SeqVector([(0, 0.0), (1, 1.0)])) == 1  # exact zeros dropped
     assert not SeqVector()
+
+
+
+@pytest.mark.parametrize("m", [1.5, -0.5, math.inf, -math.inf, math.nan])
+def test_an_index_that_is_not_whole_is_a_domain_error(m):
+    with pytest.raises(DomainError, match=f"index {m!r} is not an integer"):
+        WeightSequence(1.0, {m: 2.0})
+    with pytest.raises(DomainError, match=f"index {m!r} is not an integer"):
+        SeqVector({0: 1.0, m: 2.0})
+    assert WeightSequence(1.0, {2.0: 3.0}).entries == {2: 3.0}
+    assert SeqVector({2.0: 3.0}).support == (2,)
 
 
 def test_seqvector_arithmetic():
@@ -536,6 +549,41 @@ def test_envelope_validation():
     env = geometric_envelope(SpaceParams(0.0, Power(2.0), W1), 2.0, 0.5)
     assert env.dominates(SeqVector({0: 2.0, 3: 0.25}))
     assert not env.dominates(SeqVector({3: 0.5}))
+
+
+_P2 = SpaceParams(0.0, Power(2.0), W1)
+_ENV = geometric_envelope(_P2, 1.0, 0.5)
+# each public count or index argument: a call taking it, and its least value
+WHOLE_ARGUMENTS = {
+    "schauder_truncate": (lambda n: schauder_truncate(SeqVector({3: 1.0}), n), 0),
+    "modular_tail_bound": (lambda n: modular_tail_bound(_P2, _ENV, 1.0, n), 1),
+    "GeometricProbe.depth": (lambda n: GeometricProbe(depth=n), 20),
+    "GeometricEnvelope.valid_from": (lambda n: dataclasses.replace(_ENV, valid_from=n), 0),
+    "sample_ball.count": (lambda n: sample_ball(_P2, 1.0, seed=1, count=n, max_support=4), 1),
+    "sample_ball.max_support": (lambda n: sample_ball(_P2, 1.0, seed=1, count=2, max_support=n),
+                                1),
+    "theta_bound": (lambda n: theta_bound(ExpSquare(), 2.0, 0.5, n), 16),
+    "check_domination": (lambda n: check_domination(Power(2.0), ExpSquare(), 1.0, 1.0, n), 256),
+    "default_probe_grid": (lambda n: default_probe_grid(n), 2),
+    "classify": (lambda n: classify(_P2, SeqVector({0: 0.5}), _ENV, n), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_ARGUMENTS))
+def test_a_count_or_index_that_is_not_a_whole_number_in_range_is_a_domain_error(name):
+    call, least = WHOLE_ARGUMENTS[name]
+    for bad in (math.inf, -math.inf, math.nan, 2.5, least + 0.5, least - 1):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(least)
+    call(float(least + 1))
+
+
+def test_classify_probes_no_scale_below_depth_zero():
+    report = classify(_P2, SeqVector({0: 0.5}), _ENV, 0)
+    assert report.in_class and report.in_small and len(report.certificates) == 1
+    with pytest.raises(DomainError, match="probe_depth must be a nonnegative integer"):
+        classify(_P2, SeqVector({0: 0.5}), _ENV, -1)
 
 
 def test_tail_bound_worked_value():
