@@ -47,7 +47,7 @@ MAX_GRID_POINTS = 2 ** 20  # desk scale: a grid of this size takes 8 MiB per arr
 SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
-_MAX_HALVINGS = 200  # bisection steps of one generic inverse
+_MAX_HALVINGS = 200  # the halving ladder's first part, and a generic inverse's step cap
 _MEMO_ROOTS = 2 ** 16  # roots one generator's generic inverse remembers
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
@@ -328,11 +328,13 @@ class OrliczFunction:
 
         Accuracy of the generic bisection: the bracket [lo, hi] starts at
         [0, 1], or at [2**(j-1), 2**j] for the first j with phi(2**j) >= y,
-        and halves until its relative width is at most 1e-15 or 200 halvings
-        have run; ``hi`` is returned.  Roots above about 1e-45 (2**-150)
-        reach that width.  Below it the cap stops the bisection first, and
-        ``hi`` can be far above the root: ``ExpLinear().inverse(1e-152)``
-        returns 6.2e-61, where phi is 1.9e-121, while the root is 1.4e-76.
+        and halves until its relative width is at most 1e-15 or its midpoint
+        is not strictly inside; ``hi`` is returned.  Every root a double can
+        hold gets there, down to the smallest double 2**-1074: a normal root
+        is within 1e-15 relative of where phi, as computed, crosses y, and a
+        subnormal one a neighbouring double (``ExpLinear().inverse(1e-152)``
+        is 1.4142135623730954e-76).  Where phi's values are subnormal, their
+        own rounding moves that crossing.
 
         Each target takes its own doubling, prefix and bisection path, so a
         root does not depend on the batch it is solved in.  That is what lets
@@ -382,11 +384,13 @@ class OrliczFunction:
         bracketed by [0, 1] first halves hi through 2**-1, 2**-2, ... while
         phi there is not below it: the first j whose running minimum of
         phi(2**-i), i <= j, is below the target ends that target's prefix, so
-        no monotone phi is assumed.  ``_bisect`` then runs every target from
-        its own step count, through ``_eval_exact``, with the path, accuracy
-        and cap of a scalar bisection; its guesses start from the excess
-        log y - log phi at the bracket ends, which the doubling and the
-        halving ladder have evaluated.
+        no monotone phi is assumed.  The ladder runs to 2**-200, and on to
+        2**-1074 only in a call with a target that phi(2**-200) is not below.
+        ``_bisect`` then runs every target from the bracket its ladder hands
+        over, through ``_eval_exact``, with the path and accuracy of a scalar
+        bisection (the step cap counts from that bracket, which closes in at
+        most 53 halvings); its guesses start from the excess log y - log phi
+        at the bracket ends, which the doubling and the ladder have evaluated.
         """
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
@@ -405,7 +409,6 @@ class OrliczFunction:
         live = np.flatnonzero(t > 0.0)
         h, target = t[live], y[live]
         lo = np.where(h == 1.0, 0.0, h / 2.0)
-        steps = np.zeros(live.size, dtype=np.int64)
         unit = np.flatnonzero(h == 1.0)
         at = np.empty(0)  # phi(2**-i), i = 1, 2, ...
         if unit.size:
@@ -413,10 +416,15 @@ class OrliczFunction:
             # a nan phi is not below the target, as in the comparison below
             at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
             floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
+            if floor[-1] >= target[unit].min():
+                # a target phi(2**-i) has not fallen below yet: the ladder
+                # goes on to 2**-1074, the smallest positive double
+                at = np.concatenate((at, self._eval_exact(
+                    np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1, 1075)))))
+                floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
             keep = np.searchsorted(-floor, -target[unit], side="right")
             h[unit] = np.ldexp(1.0, -keep)
-            lo[unit] = np.where(keep < _MAX_HALVINGS, np.ldexp(1.0, -keep - 1), 0.0)
-            steps[unit] = np.minimum(keep + 1, _MAX_HALVINGS)
+            lo[unit] = np.ldexp(1.0, -keep - 1)  # 2**-1075 rounds to 0
         # phi at the bracket ends, which are 0 or powers of two evaluated above
         ends = np.concatenate((lo, h))
         known = np.concatenate((at[::-1], tops))[np.frexp(ends)[1] - 1 + at.size]
@@ -431,8 +439,8 @@ class OrliczFunction:
             with np.errstate(divide="ignore"):
                 return f < target[:, None], np.log(target[:, None]) - np.log(f), None
 
-        t[live] = _bisect(lo, h, steps, _INVERSE_REL_WIDTH, _MAX_HALVINGS, split,
-                          (target,), excess)[1]
+        t[live] = _bisect(lo, h, np.zeros(live.size, dtype=np.int64), _INVERSE_REL_WIDTH,
+                          _MAX_HALVINGS, split, (target,), excess)[1]
         return t, failed
 
     def __repr__(self) -> str:

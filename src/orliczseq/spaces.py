@@ -79,7 +79,10 @@ class WeightSequence:
         return cls(w)
 
     def weight(self, m: int) -> float:
-        return self._table.get(int(m), self._default)
+        """w_m; an index that is not a whole number is a DomainError, as in
+        the constructor."""
+        return self._table.get(_whole(m, -math.inf, f"weight index {m!r} is not an integer"),
+                               self._default)
 
     def weights(self, support) -> np.ndarray:
         """w_m for each integer index of ``support``."""

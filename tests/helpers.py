@@ -112,14 +112,24 @@ def random_vector(rng, max_points, max_index, decades=(-3.0, 3.0)):
     return SeqVector(entries)
 
 
+def mpmath_explin_root(mpmath, y):
+    """The root s of expm1(s) - s = y (an mpmath number) to 200 bits.  The
+    difference cancels about -2*log2(s) bits, so the working precision
+    covers both, down to the root of the smallest double."""
+    with mpmath.workprec(1300):
+        return mpmath.findroot(lambda s: mpmath.expm1(s) - s - y, mpmath.sqrt(2 * y),
+                               solver="newton", df=mpmath.expm1)
+
+
 def scalar_inverse_oracle(phi, y):
     """phi^{-1}(y) by the scalar bisection the generic inverse used to run.
 
     The bracket starts at hi = 1 and doubles until phi(hi) >= y; then
-    lo = 0 if hi == 1 else hi/2, and at most 200 halvings stop when
-    hi - lo <= 1e-15*hi or the midpoint equals an end.  Returns hi, or raises
-    the CertificateError of a bracket that cannot close.  The lock-step array
-    inverse must return the same float for every finite nonnegative target.
+    lo = 0 if hi == 1 else hi/2, and halvings stop when hi - lo <= 1e-15*hi
+    or the midpoint is not strictly inside, which ends every bracket of
+    doubles.  Returns hi, or raises the CertificateError of a bracket that
+    cannot close.  The lock-step array inverse must return the same float
+    for every finite nonnegative target.
     """
     y = float(y)
     if y == 0.0:
@@ -130,11 +140,9 @@ def scalar_inverse_oracle(phi, y):
         if math.isinf(hi):
             raise CertificateError("cannot bracket inverse: target beyond double range")
     lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * hi:
-            break
+    while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if not lo < mid < hi:
             break
         if scalar_phi_oracle(phi, mid) < y:
             lo = mid

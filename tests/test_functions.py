@@ -14,8 +14,8 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        SpaceParams, TabulatedConvex, default_probe_grid,
                        delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
                        theta_bound, validate_orlicz)
-from helpers import (GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess, random_vector,
-                     scalar_inverse_oracle, scalar_phi_oracle)
+from helpers import (GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess, mpmath_explin_root,
+                     random_vector, scalar_inverse_oracle, scalar_phi_oracle)
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -173,12 +173,14 @@ def test_inverses_equal_the_scalar_bisection(phi):
 
 def _dyadic_targets(phi):
     # targets phi(2**-j) and their neighbours, where the doubling bracket
-    # stops (j <= 0) and where a bisection that halves hi from 1 turns, for j
-    # up to and past the 200-halving cap
-    at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in range(-10, 211)]
+    # stops (j <= 0) and where a bisection that halves hi from 1 turns: for j
+    # up to and past 200, where the halving ladder's first part ends, and up
+    # to 1074, where it ends at the smallest double
+    at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in (*range(-10, 211), *range(1064, 1075))]
     ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
                  if 0.0 <= y < math.inf})
-    return ys + [0.9 * at[-1], at[-1] / 3.0, 1e-320]
+    deep = scalar_phi_oracle(phi, 2.0 ** -210)
+    return ys + [0.9 * deep, deep / 3.0, 1e-320]
 
 
 def _check_inverses(phi, ys):
@@ -370,6 +372,39 @@ def test_explin_inverse_against_mpmath():
             root = mpmath.findroot(lambda s: mpmath.expm1(s) - s - target, mpmath.mpf(t),
                                    solver="newton", df=mpmath.expm1)
             assert abs((t - root) / root) <= 1e-14, y
+
+
+# the roots of these targets lie past 2**-150, past 2**-200 and, for the
+# table, among the subnormal doubles; from 1e-310 on phi's values are subnormal
+TINY_TARGETS = (1e-40, 1e-45, 1e-100, 1e-152, 1e-300, 1e-310, 5e-324)
+# phi(t) = 0.3*t below t = 1: one rounding, of the product
+SLOPE_TABLE = TabulatedConvex([(0.0, 0.0), (1.0, 0.3), (2.0, 1.0)])
+
+
+TINY_ROOTS = {
+    "explin": (ExpLinear(), mpmath_explin_root),
+    "tab": (SLOPE_TABLE, lambda mpmath, y: y / mpmath.mpf(SLOPE_TABLE.knots[1][1])),
+    "expof:explin": (ExpCompose(ExpLinear()),
+                     lambda mpmath, y: mpmath_explin_root(mpmath, mpmath.log1p(y))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_ROOTS))
+def test_inverse_of_tiny_targets_against_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    phi, root_of = TINY_ROOTS[name]
+    with mpmath.workprec(200):
+        for y in TINY_TARGETS:
+            t = _forget_roots(phi).inverse(y)
+            # a subnormal phi(t) is rounded to a multiple of 2**-1074, which
+            # moves the target it meets by up to 2**-1075
+            slack = mpmath.ldexp(1, -1075) if y < 2.0 ** -1022 else 0
+            lo = root_of(mpmath, mpmath.mpf(y) - slack) * (1 - mpmath.mpf(2e-15))
+            hi = root_of(mpmath, mpmath.mpf(y) + slack) * (1 + mpmath.mpf(2e-15))
+            if t >= 2.0 ** -1022:
+                assert lo <= t <= hi, y
+            else:  # a subnormal root: t is a double next to [lo, hi] or in it
+                assert np.nextafter(t, math.inf) > lo and np.nextafter(t, 0.0) < hi, y
 
 
 @pytest.mark.parametrize("phi", [TABLE, INEXACT_TABLE], ids=lambda f: f.descriptor()[:24])

@@ -7,6 +7,9 @@ per-vector solver that preceded the batched engine; the engine must
 reproduce them exactly.  ``GOLDEN_INVERSE_NORMS`` was recorded from the
 scalar generic inverse that preceded the lock-step bisection; its vectors put
 the single-term roots phi^{-1}(1/mu(m)) where that inverse is most fragile.
+Its ``far`` record was recorded again when the generic inverse came to solve
+roots below 2**-150 in full; it is 7e-14 relative from the norm an mpmath
+solve at 400 bits gives.
 ``GOLDEN_LARGE`` was recorded from the engine that computed mu one index at a
 time; its supports of 1000 indices on |m| <= 20000 pin the per-support
 measure and |p_m| arrays, including weights that differ between m and -m.
@@ -54,8 +57,9 @@ INVERSE_SPACES = {
 }
 INVERSE_VECTORS = {
     **VECTORS,
-    # explin k=0.5 beyond |m| = 300: 1/mu(m) is below 1e-65, and from
-    # |m| ~ 450 on the inverse stops at its 200-step cap
+    # explin k=0.5 beyond |m| = 300: 1/mu(m) is below 1e-65; from |m| ~ 450
+    # on its root lies below 2**-150, and from |m| ~ 600 on below 2**-200,
+    # where the halving ladder goes on towards the smallest double
     "far": SeqVector({2: 0.7, 310: 1e-20, -455: 3e-40 + 1e-40j, 520: 2e-45,
                       611: -5e-52, 700: 1e-60j}),
     # explin k=0.5: roots on both sides of 1/2 (1.15 at m=0 down to 0.30 at
@@ -125,8 +129,8 @@ GOLDEN_NORMS = {
 
 GOLDEN_INVERSE_NORMS = {
     ("explin/0.5", "far"):
-        ("7137905773099562", "7137905773095818", "7137905773099562",
-         "0.99999999999910483", 40),
+        ("7137905773096892", "7137905773090438", "7137905773096892",
+         "0.99999999999985278", 40),
     ("explin/0.5", "roots"):
         ("4.9382455290489782", "4.9382455290452452", "4.9382455290489782",
          "0.99999999999892941", 40),

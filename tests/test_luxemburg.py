@@ -18,9 +18,9 @@ from orliczseq import (BallTailCertificate, CertificateError,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
 from orliczseq import functions
-from orliczseq.luxemburg import _at_most_one, _solve, _sum_slack
-from helpers import (GUESS_NAMES, bad_guess, power_norm_oracle, random_vector,
-                     scalar_mu_oracle, scalar_norm_oracle)
+from orliczseq.luxemburg import _at_most_one, _Batch, _solve, _sum_slack
+from helpers import (GUESS_NAMES, bad_guess, mpmath_explin_root, power_norm_oracle,
+                     random_vector, scalar_mu_oracle, scalar_norm_oracle)
 
 # sqrt(ln 2) and its reciprocal, the unit-weight ExpSquare spike constants
 SQRT_LN2 = 0.83255461115769775635
@@ -485,3 +485,18 @@ def test_a_lone_solve_takes_a_few_wide_rounds():
     cold = _CountedExpLinear()
     assert cold.inverse(1e-3) == ExpLinear().inverse(1e-3)
     assert cold.exact <= 8  # a round per bisection step took 52
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0])
+@pytest.mark.parametrize("m", [300, 455, 600, 700])
+def test_one_term_explin_norm_against_mpmath(k, m):
+    # ||p_m e_m|| = |p_m| / phi^{-1}(1/mu(m)), with 1/mu(m) from 1e-65 (m = 300,
+    # k = 0.5) down to 1e-304 (m = 700, k = 1)
+    mpmath = pytest.importorskip("mpmath")
+    params, p = SpaceParams(k, ExpLinear(), W1), SeqVector({-m: 3e-5 - 4e-5j})
+    got = luxemburg_norm(params, p).value
+    with mpmath.workprec(200):
+        want = abs(p.values[0]) / mpmath_explin_root(mpmath, 1 / (1 + mpmath.expm1(m) - m) ** k)
+        assert abs(got - want) <= 2 * TOL * want
+    # the solve starts from a lower bracket end near the norm, not far below it
+    assert got / 2 <= _Batch(params, [p]).rho_low[0] <= got

@@ -51,6 +51,14 @@ def test_weight_sequence_validation():
     assert w.inf_w == 0.01
 
 
+@pytest.mark.parametrize("index", [1.5, "3", math.inf, math.nan], ids=repr)
+def test_weight_rejects_an_index_that_is_not_whole(index):
+    w = WeightSequence(1.0, {1: 2.0, 3: 4.0})
+    assert w.weight(3) == w.weight(3.0) == w.weight(np.int64(3)) == 4.0
+    with pytest.raises(DomainError, match="is not an integer"):
+        w.weight(index)
+
+
 def test_parse_weights(tmp_path):
     assert parse_weights("const:0.25").weight(9) == 0.25
     table = tmp_path / "w.csv"
