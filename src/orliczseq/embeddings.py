@@ -30,7 +30,7 @@ from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
                         OrliczFunction, ThetaBound, _PROBE_DEPTH, _libm,
                         _positive, _probe_grid, _whole, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
-from .spaces import SeqVector, SpaceParams, TermBatch, measures
+from .spaces import SeqVector, SpaceParams, TermBatch, _canonical_key, measures
 
 GLOBAL_DOMINATION_SPAN = 1e6
 _DOMINATION_SLACK = 1.0 + 1e-12
@@ -288,7 +288,8 @@ def _finite_measure_index(params: SpaceParams, indices) -> dict:
     while todo:
         _, errors = measures(params, todo)
         finite.update((m, j not in errors) for j, m in enumerate(todo))
-        todo = list({int(m / 2) for m in todo if not finite[m]} - finite.keys())
+        # a membership test per halved index: a set difference would walk every probed one
+        todo = [h for h in {int(m / 2) for m in todo if not finite[m]} if h not in finite]
     usable = {}
     for m in indices:
         h = m
@@ -307,28 +308,35 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
     dyadically up to max_support), random complex values over several decades,
     and is rescaled to u*kappa/||p|| with u uniform in (0, 1], so the computed
     norm is at most kappa.  Indices whose measure overflows are halved toward
-    0 before use, keeping the draw deterministic for a given seed.  All draws
-    come first and the radii are solved in one batch afterwards; the solver
-    draws nothing, so the samples are those of drawing and solving in turn.
+    0 before use, keeping the draw deterministic for a given integer seed.
+    All draws come first and the radii are solved in one batch afterwards;
+    the solver draws nothing, so the samples are those of drawing and solving
+    in turn.  A max_support with log2(max_support + 1) above 1024 leaves
+    double range and is a DomainError.
     """
     count = _whole(count, 1, "sample count must be a positive integer")
     max_support = _whole(max_support, 1, "max_support must be a positive integer")
     kappa = _positive(kappa, "kappa")
-    rng = random.Random(seed)
+    rng = random.Random(_whole(seed, -math.inf, "seed must be an integer"))
     log2_top = math.log2(max_support + 1)
+    if log2_top > 1024:
+        raise DomainError("max_support is beyond double range: "
+                          "log2(max_support + 1) must be at most 1024")
+    # rng.uniform(a, b) is a + (b - a) * rng.random(), written out per draw
+    rand = rng.random
     draws, fractions = [], []
     for _ in range(count):
         n_pts = rng.randint(1, min(MAX_SAMPLE_SUPPORT, 2 * max_support + 1))
         points = []
         for _ in range(n_pts):
-            mag = min(max_support, int(2.0 ** rng.uniform(0.0, log2_top)) - 1)
-            m = mag if rng.random() < 0.5 else -mag
-            scale = 10.0 ** rng.uniform(-2.0, 2.0)
-            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * scale
+            mag = min(max_support, int(2.0 ** (log2_top * rand())) - 1)
+            m = mag if rand() < 0.5 else -mag
+            scale = 10.0 ** (-2.0 + 4.0 * rand())
+            z = complex(-1.0 + 2.0 * rand(), -1.0 + 2.0 * rand()) * scale
             if z != 0:
                 points.append((m, z))
         draws.append(points)
-        fractions.append(1.0 - rng.random())
+        fractions.append(1.0 - rand())
     # halving draws nothing, so it can run after the draws, on all indices at once
     usable = _finite_measure_index(source, {m for points in draws for m, _ in points})
     drawn = []
@@ -336,7 +344,9 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
         entries = {}
         for m, z in points:
             entries.setdefault(usable[m], z)
-        drawn.append(SeqVector(entries or {0: 1.0 + 0.0j}))
+        # int indices, distinct keys, nonzero finite values: sorting makes them canonical
+        items = sorted(entries.items(), key=_canonical_key) or [(0, 1.0 + 0.0j)]
+        drawn.append(SeqVector._canonical(tuple(items)))
     radii = luxemburg_norms(source, drawn, norm_tol)
     return [p.scaled(u * kappa / r.value) for p, u, r in zip(drawn, fractions, radii)]
 

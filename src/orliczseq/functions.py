@@ -48,7 +48,7 @@ SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
 _MAX_HALVINGS = 200  # the halving ladder's first part, and a generic inverse's step cap
-_MEMO_ROOTS = 2 ** 16  # roots one generator's generic inverse remembers
+_MEMO_ROOTS = 2 ** 16  # entries per generator memo: roots, delta2 reports, theta-bounds
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
 _WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
@@ -94,6 +94,16 @@ def _whole(value, least, message: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(message)
+
+
+def _remember(memo: dict, key, value):
+    """Store value under key in a generator's memo and return it; as for the
+    inverse's roots, a memo keeps at most ``_MEMO_ROOTS`` entries and a full
+    one is cleared.  Only results are stored, never a raised error."""
+    if len(memo) >= _MEMO_ROOTS:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _guess(l: float, h: float, e_lo: float, e_hi: float) -> float:
@@ -277,9 +287,11 @@ class OrliczFunction:
     not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
     numpy array.
 
-    A generator is an immutable value.  The generic inverse remembers, on
-    the instance, the roots it has found; a user generator changed after its
-    first inverse keeps them, so build a new one instead.
+    A generator is an immutable value.  It remembers, on the instance, the
+    roots its generic inverse has found, its ``delta2_at_zero`` report per
+    probe and its ``theta_bound`` per (theta, t_theta, grid_points); a
+    user generator changed after its first use keeps them, so build a new
+    one instead.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
@@ -766,10 +778,13 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
     schedule.  ``holds`` additionally requires every ratio to be finite and
     the last quarter not to exceed the preceding quarter (no upward trend as
     t -> 0), so functions whose ratio blows up are flagged even though a
-    finite probe can never prove the limsup finite.
+    finite probe can never prove the limsup finite.  Each generator
+    remembers its report per probe (``probe`` None: the default probe).
     """
-    if probe is None:
-        probe = GeometricProbe()
+    reports = phi.__dict__.setdefault("_delta2_reports", {})
+    if probe in reports:
+        return reports[probe]
+    key, probe = probe, GeometricProbe() if probe is None else probe
     # t_start * 2**-j is 0 from j = 1075 on, where phi(0) = 0 ends the probe
     ts = probe.t_start * np.ldexp(1.0, -np.arange(min(probe.depth, 1075) + 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -779,14 +794,15 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
         ratios = (f2t[:used] / ft[:used]).tolist()
     ts = ts[:used].tolist()
     if not ratios:
-        return Delta2Report((), (), math.nan, math.nan, False, True)
+        return _remember(reports, key, Delta2Report((), (), math.nan, math.nan, False, True))
     sup_ratio = max(ratios)
     q = max(1, len(ratios) // 4)
     last = ratios[-q:]
     prev = ratios[-2 * q:-q] or last
     estimate = max(last)
     holds = math.isfinite(sup_ratio) and max(last) <= max(prev) * (1.0 + 1e-3)
-    return Delta2Report(tuple(ts), tuple(ratios), sup_ratio, estimate, holds, stop.size > 0)
+    return _remember(reports, key, Delta2Report(tuple(ts), tuple(ratios), sup_ratio,
+                                                estimate, holds, stop.size > 0))
 
 
 @dataclass(frozen=True)
@@ -809,7 +825,8 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     For pure powers the constant theta**s is exact for every t.  Otherwise
     c_theta is the supremum of the ratio over a log-uniform grid, inflated by
     the 1+1e-6 safety factor so the certificate survives re-validation at
-    off-grid points of smooth families.  Overflowing or empty ratios raise
+    off-grid points of smooth families.  Each generator remembers its bound
+    per (theta, t_theta, grid_points).  Overflowing or empty ratios raise
     CertificateError (the bound cannot be certified at this t_theta).
     """
     theta = _positive(theta, "theta")
@@ -817,17 +834,23 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     grid_points = _whole(grid_points, 16, "grid_points must be at least 16")
     if grid_points > MAX_GRID_POINTS:
         raise DomainError(f"grid_points must be at most {MAX_GRID_POINTS}")
+    bounds = phi.__dict__.setdefault("_theta_bounds", {})
+    key = (theta, t_theta, grid_points)
+    if key in bounds:
+        return bounds[key]
     if isinstance(phi, Power):
-        return ThetaBound(theta, SAFETY_FACTOR * theta ** phi.s, t_theta)
-    ts = _probe_grid(t_theta, grid_points, "t_theta")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        num = phi.eval(theta * ts)
-        den = phi.eval(ts)
-        mask = den > 0
-        if not np.any(mask):
-            raise CertificateError("generator underflows on the whole probe grid")
-        ratios = num[mask] / den[mask]
-    if not np.all(np.isfinite(ratios)):
+        ratios = _libm(pow, [theta], [phi.s])  # theta**s, inf where it overflows
+    else:
+        ts = _probe_grid(t_theta, grid_points, "t_theta")
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            num = phi.eval(theta * ts)
+            den = phi.eval(ts)
+            mask = den > 0
+            if not np.any(mask):
+                raise CertificateError("generator underflows on the whole probe grid")
+            ratios = num[mask] / den[mask]
+    c_theta = SAFETY_FACTOR * float(np.max(ratios))
+    if not math.isfinite(c_theta):
         raise CertificateError(
             f"scaling ratio overflows on (0, {t_theta:g}] at theta={theta:g}")
-    return ThetaBound(theta, SAFETY_FACTOR * float(np.max(ratios)), t_theta)
+    return _remember(bounds, key, ThetaBound(theta, c_theta, t_theta))

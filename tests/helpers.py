@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, NormResult,
-                       Power, SeqVector, TabulatedConvex)
+                       Power, SeqVector, TabulatedConvex, luxemburg_norms)
 
 # explin below 1/2: the Taylor polynomial sum_{n=2..26} t**n/n! by Horner
 _EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
@@ -203,6 +203,41 @@ def scalar_norm_oracle(params, p, tol):
                 hi = mid
             steps += 1
     return NormResult(hi, (lo, hi), modular(hi), steps)
+
+
+def reference_sample_ball(source, kappa, seed, count, max_support, norm_tol=1e-12):
+    """The samples of ``sample_ball`` by its draw loop written out literally:
+    ``random.uniform``, ``randint`` and ``random`` one draw at a time, each
+    index halved toward 0 while ``scalar_mu_oracle`` finds its measure
+    overflowing (halving draws nothing), and ``SeqVector(...)`` for each drawn
+    vector; the radii come from ``luxemburg_norms``.  ``sample_ball`` must
+    return these vectors item for item, the sign of every zero included.
+    """
+    rng = random.Random(seed)
+    log2_top = math.log2(max_support + 1)
+    drawn, fractions = [], []
+    for _ in range(count):
+        n_pts = rng.randint(1, min(64, 2 * max_support + 1))
+        entries = {}
+        for _ in range(n_pts):
+            mag = min(max_support, int(2.0 ** rng.uniform(0.0, log2_top)) - 1)
+            m = mag if rng.random() < 0.5 else -mag
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * scale
+            if z != 0:
+                while scalar_mu_oracle(source, m) is None:
+                    m = int(m / 2)
+                entries.setdefault(m, z)
+        drawn.append(SeqVector(entries or {0: 1.0 + 0.0j}))
+        fractions.append(1.0 - rng.random())
+    radii = luxemburg_norms(source, drawn, norm_tol)
+    return [p.scaled(u * kappa / r.value) for p, u, r in zip(drawn, fractions, radii)]
+
+
+def exact_items(p):
+    """The items of a SeqVector with each part as its hex text, so that a
+    zero's sign counts."""
+    return [(m, z.real.hex(), z.imag.hex()) for m, z in p.items]
 
 
 GUESS_NAMES = ("lower", "upper", "midpoint", "random")

@@ -297,6 +297,13 @@ ERRORS = [
     ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1 '
      '--weights bad', 2,
      "error: unknown weight descriptor 'bad'\n"),
+    ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1e200 --epsilon 1', 3,
+     'numeric failure: scaling bound failed down to t_theta=5.42101e-20: '
+     'scaling ratio overflows on (0, 1.0842e-19] at theta=2e+200\n'),
+    ('covering --phi power:2 --kprime 1 --k 0 --kappa 1 --epsilon 1 --max-support '
+     + str(10 ** 400), 2,
+     'error: max_support is beyond double range: '
+     'log2(max_support + 1) must be at most 1024\n'),
 ]
 
 FLAGS = {

@@ -18,7 +18,8 @@ from orliczseq import embeddings
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
-from helpers import NON_MONOTONE_TABLE, pow_or_inf, scalar_phi_oracle
+from helpers import (NON_MONOTONE_TABLE, exact_items, pow_or_inf, reference_sample_ball,
+                     scalar_phi_oracle)
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -395,6 +396,36 @@ def test_sample_ball_contract():
         sample_ball(src, 1.0, seed=1, count=0)
 
 
+@pytest.mark.parametrize("source,max_support", [
+    (SpaceParams(1.0, Power(2.0), W1), 1),
+    (SpaceParams(1.0, Power(2.0), W1), 12),
+    (SpaceParams(1.0, ExpSquare(), W1), 64),
+    (SpaceParams(2.0, ExpLinear(), W1), 700),  # mu overflows beyond |m| ~ 354: halving
+    (SpaceParams(0.0, Power(2.0), W1), 2 ** 1023),
+], ids=["power-1", "power-12", "expsq-64", "explin-700", "power-2**1023"])
+def test_sample_ball_equals_the_literal_draw_loop(source, max_support):
+    for seed in (0, 5, -3, 2 ** 70, 900001):
+        got = sample_ball(source, 0.5, seed=seed, count=20, max_support=max_support)
+        want = reference_sample_ball(source, 0.5, seed, 20, max_support)
+        assert list(map(exact_items, got)) == list(map(exact_items, want))
+
+
+def test_sample_ball_rejects_seeds_and_supports_it_cannot_draw(capsys):
+    src = SpaceParams(1.0, Power(2.0), W1)
+    # log2(max_support + 1) > 1024: 2.0 ** u would overflow mid-draw
+    with pytest.raises(DomainError, match="max_support"):
+        sample_ball(src, 1.0, seed=1, max_support=10 ** 400)
+    assert run(["covering", "--phi", "power:2", "--kprime", "1", "--k", "0", "--kappa", "1",
+                "--epsilon", "1", "--max-support", str(10 ** 400)]) == 2
+    assert capsys.readouterr().out == ""
+    # no seed would draw from OS entropy; a seed that is not an integer is refused
+    for seed in (None, 1.5, "7", math.inf):
+        with pytest.raises(DomainError, match="seed"):
+            sample_ball(src, 1.0, seed=seed, count=2)
+    # an integral float draws as its int
+    assert sample_ball(src, 1.0, seed=3.0, count=4) == sample_ball(src, 1.0, seed=3, count=4)
+
+
 def test_sample_ball_probes_each_index_once(monkeypatch):
     # explin with k = 2: mu overflows beyond |m| ~ 354, so large draws halve
     src = SpaceParams(2.0, ExpLinear(), W1)
@@ -410,6 +441,25 @@ def test_sample_ball_probes_each_index_once(monkeypatch):
     assert sample_ball(src, 1.0, seed=5, count=30, max_support=700) == want
     assert len(probed) == len(set(probed))
     assert max(p.max_abs_index for p in want) <= 354 < max(map(abs, probed))
+
+
+@pytest.mark.parametrize("make,kprime,k", [
+    (ExpSquare, 1.0, 0.0),
+    (ExpLinear, 2.0, 0.5),
+    (lambda: TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0), (4.0, 16.0)]),
+     1.0, 0.0),
+    (lambda: ExpCompose(ExpLinear()), 1.0, 0.0),
+], ids=["expsq", "explin", "tab", "expof:explin"])
+def test_uniform_tail_index_on_a_warm_generator_equals_the_cold_one(make, kprime, k):
+    warm = SpaceParams(kprime, make(), W1)
+    for kappa, epsilon in ((1.0, 1.0), (1.0, 0.1), (2.0, 0.05)):
+        first = uniform_tail_index(warm, k, kappa, epsilon)
+        again = uniform_tail_index(warm, k, kappa, epsilon)  # from the remembered reports
+        cold = uniform_tail_index(SpaceParams(kprime, make(), W1), k, kappa, epsilon)
+        for cert in (first, again):
+            assert (cert.m1, cert.m2, cert.m_eps_kappa, cert.theta, cert.bound) == \
+                (cold.m1, cold.m2, cold.m_eps_kappa, cold.theta, cold.bound)
+    assert warm.phi.__dict__["_delta2_reports"]
 
 
 def test_covering_check_passes_on_sampled_ball():

@@ -14,6 +14,7 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        SpaceParams, TabulatedConvex, default_probe_grid,
                        delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
                        theta_bound, validate_orlicz)
+from orliczseq.cli import run
 from helpers import (GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess, mpmath_explin_root,
                      random_vector, scalar_inverse_oracle, scalar_phi_oracle)
 
@@ -548,6 +549,53 @@ def test_theta_bound_identity_scaling():
 def test_theta_bound_grid_sup_frozen():
     tb = theta_bound(ExpSquare(), 2.0, 0.5)
     assert tb.c_theta == pytest.approx(SAFETY * EXPSQ_RATIO_AT_HALF, rel=1e-9)
+
+
+def test_theta_bound_power_overflow_is_certificate_error(capsys):
+    # theta**s overflows: the grid path's error, not an untyped OverflowError
+    with pytest.raises(CertificateError, match="scaling ratio overflows"):
+        theta_bound(Power(2.0), 2e200, 1.0)
+    assert run(["tail-index", "--phi", "power:2", "--kprime", "1", "--k", "0",
+                "--kappa", "1e200", "--epsilon", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+REMEMBERING = [ExpSquare, ExpLinear, lambda: ExpCompose(ExpLinear()),
+               lambda: TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)])]
+
+
+@pytest.mark.parametrize("make", REMEMBERING, ids=["expsq", "explin", "expof:explin", "tab"])
+def test_remembered_delta2_reports_equal_fresh_ones(make):
+    warm = make()
+    for probe in (None, GeometricProbe(), GeometricProbe(0.5, 40), GeometricProbe(0.7, 1100)):
+        first = delta2_at_zero(warm, probe)
+        assert delta2_at_zero(warm, probe) is first
+        assert first == delta2_at_zero(make(), probe)
+    assert delta2_at_zero(warm) == delta2_at_zero(make(), GeometricProbe(1.0, 60))
+
+
+@pytest.mark.parametrize("make", REMEMBERING, ids=["expsq", "explin", "expof:explin", "tab"])
+def test_remembered_theta_bounds_equal_fresh_ones(make):
+    warm = make()
+    for theta in (1.5, 3.0, 20.0):
+        for t_theta in (0.25, 0.05):
+            for grid_points in (16, 4096):
+                first = theta_bound(warm, theta, t_theta, grid_points)
+                assert theta_bound(warm, theta, t_theta, grid_points) is first
+                assert first == theta_bound(make(), theta, t_theta, grid_points)
+    assert len(warm.__dict__["_theta_bounds"]) == 12
+
+
+def test_a_raised_theta_bound_is_not_remembered(monkeypatch):
+    phi = ExpSquare()
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="overflows"):
+            theta_bound(phi, 100.0, 10.0)
+    assert phi.__dict__["_theta_bounds"] == {}
+    # as the inverse's roots: a full memo is cleared before a new entry
+    monkeypatch.setattr(functions, "_MEMO_ROOTS", 2)
+    bounds = [theta_bound(phi, theta, 1.0) for theta in (1.5, 2.0, 3.0)]
+    assert phi.__dict__["_theta_bounds"] == {(3.0, 1.0, 4096): bounds[2]}
 
 
 def test_theta_bound_underflowing_grid_is_domain_error():
