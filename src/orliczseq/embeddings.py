@@ -27,7 +27,7 @@ from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, DomainError, OrliczSeqError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
-                        OrliczFunction, ThetaBound, _PROBE_DEPTH, _libm,
+                        OrliczFunction, Power, ThetaBound, _PROBE_DEPTH, _libm,
                         _positive, _probe_grid, _whole, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, TermBatch, _canonical_key, measures
@@ -221,21 +221,17 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             "no uniform tail index exists on this route")
 
     theta = 2.0 * kappa / epsilon
-    tb: ThetaBound | None = None
     tt = _positive(t_theta, "t_theta")
-    last_err: CertificateError | None = None
-    for _ in range(64):
+    for tries in range(64, 0, -1):
         try:
             tb = theta_bound(phi, theta, tt)
             break
         except CertificateError as exc:
-            last_err = exc
-            if tt * 0.5 * _PROBE_DEPTH == 0:
-                break  # no probe grid below this t_theta
+            # a power's theta**s holds at every t_theta: halving cannot help
+            if isinstance(phi, Power) or tries == 1 or tt * 0.5 * _PROBE_DEPTH == 0:
+                raise CertificateError(
+                    f"scaling bound failed down to t_theta={tt:g}: {exc}") from None
             tt *= 0.5
-    if tb is None:
-        raise CertificateError(
-            f"scaling bound failed down to t_theta={tt:g}: {last_err}")
 
     gap = source.k - target_k
     inv_w = 1.0 / source.weights.inf_w

@@ -85,9 +85,11 @@ class WeightSequence:
                                self._default)
 
     def weights(self, support) -> np.ndarray:
-        """w_m for each integer index of ``support``."""
+        """w_m for each integer index of ``support``, a sequence or an int64 array."""
         if not self._table:
             return np.full(len(support), self._default)
+        if isinstance(support, np.ndarray):
+            support = support.tolist()
         get, default = self._table.get, self._default
         return np.array([get(m, default) for m in support], dtype=float)
 
@@ -187,16 +189,29 @@ def _abs_index(item) -> int:
     return abs(item[0])
 
 
+def _index_list(support) -> list:
+    """The indices of ``support`` as ints; one that is not a whole number is
+    a DomainError, as in ``SeqVector``.  Ints pass in one list comparison."""
+    support = list(support)
+    try:
+        if (ints := list(map(int, support))) == support:
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return [_whole(m, -math.inf, f"index {m!r} is not an integer") for m in support]
+
+
 class SeqVector:
     """Finitely supported complex sequence in canonical support order.
 
     Construction accepts an iterable of (index, value) pairs or a dict.
     Duplicate indices are a hard error; exact zero values are dropped so the
-    stored support is the true support.  The support tuple and the read-only
-    |p_m| array are built on first use and kept.
+    stored support is the true support.  The support tuple, the read-only
+    |p_m| array and the read-only int64 array of the indices (``_indices``)
+    are built on first use and kept; tails and restrictions view them.
     """
 
-    __slots__ = ("_items", "_support", "_abs")
+    __slots__ = ("_items", "_support", "_abs", "_ms")
 
     def __init__(self, items=()):
         pairs = items.items() if isinstance(items, dict) else items
@@ -217,8 +232,7 @@ class SeqVector:
             seen[m] = v
         self._items = tuple(sorted(
             ((m, v) for m, v in seen.items() if v != 0), key=_canonical_key))
-        self._support = None
-        self._abs = None
+        self._support = self._abs = self._ms = None
 
     @classmethod
     def from_csv(cls, path) -> "SeqVector":
@@ -247,6 +261,16 @@ class SeqVector:
             self._abs = a
         return self._abs
 
+    def _indices(self):
+        """The support as an int64 array; None (kept as False) past int64."""
+        if self._ms is None:
+            try:
+                self._ms = np.array(self.support, dtype=np.int64)
+                self._ms.flags.writeable = False
+            except OverflowError:
+                self._ms = False
+        return None if self._ms is False else self._ms
+
     @property
     def max_abs_index(self) -> int:
         return abs(self._items[-1][0]) if self._items else 0
@@ -272,7 +296,10 @@ class SeqVector:
         for m, v in items:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise DomainError(f"value at index {m} must be finite")
-        return SeqVector._canonical(tuple(item for item in items if item[1]))
+        kept = tuple(item for item in items if item[1])
+        if len(kept) < len(items):
+            return SeqVector._canonical(kept)
+        return SeqVector._canonical(kept, self._support, indices=self._ms)
 
     def __add__(self, other: "SeqVector") -> "SeqVector":
         if not isinstance(other, SeqVector):
@@ -288,16 +315,18 @@ class SeqVector:
         return self + other.scaled(-1.0)
 
     @classmethod
-    def _canonical(cls, items: tuple, support=None, abs_values=None) -> "SeqVector":
+    def _canonical(cls, items: tuple, support=None, abs_values=None,
+                   indices=None) -> "SeqVector":
         """The vector of items already in canonical order, nonzero and finite."""
         out = cls.__new__(cls)
-        out._items, out._support, out._abs = items, support, abs_values
+        out._items, out._support, out._abs, out._ms = items, support, abs_values, indices
         return out
 
     def _slice(self, cut: slice) -> "SeqVector":
         """The vector of a slice of the canonical items, viewing this one's arrays."""
+        ms = self._indices()
         return SeqVector._canonical(self._items[cut], self.support[cut],
-                                    self.abs_values()[cut])
+                                    self.abs_values()[cut], None if ms is None else ms[cut])
 
     def restrict(self, max_abs: int) -> "SeqVector":
         """Keep indices with |m| <= max_abs: a prefix in canonical order."""
@@ -360,6 +389,10 @@ def _remembered_factors(params: SpaceParams, ms: np.ndarray) -> np.ndarray:
 def measures(params: SpaceParams, support):
     """The measure w_m * (1 + phi(|m|))**k of each integer index of ``support``.
 
+    An int64 array is taken as it is; any other iterable is checked as
+    ``SeqVector`` checks indices: one that is not a whole number is a
+    DomainError.
+
     Returns ``(mus, errors)``: ``mus[i]`` is the measure of ``support[i]``,
     and ``errors`` maps each position whose measure leaves double range to a
     ComputationOverflowError naming its index, in support order (``mus`` is
@@ -373,30 +406,32 @@ def measures(params: SpaceParams, support):
     each call.  At k = 0 every integer index works; otherwise an index
     beyond double range is an overflow.
     """
-    support = list(map(int, support))
+    if isinstance(support, np.ndarray) and support.dtype == np.int64:
+        ms = support
+    else:
+        support = _index_list(support)
+        try:
+            ms = np.array(support, dtype=np.int64)
+        except OverflowError:  # an index beyond int64
+            ms = None
     w = params.weights.weights(support)
     k = params.k
-    if k == 0 or not support:
+    if k == 0 or not len(support):
         return w, {}
-    factor = np.empty(len(support))
-    try:
-        ms = np.array(support, dtype=np.int64)
+    if ms is None:  # no table; an index beyond double range is inf
+        factor = _factors(params, np.abs(_libm(float, support)), support)
+    else:
+        factor = np.empty(len(ms))
         near = (ms > -_FACTOR_CAP) & (ms < _FACTOR_CAP)  # np.abs(-2**63) overflows
-    except OverflowError:  # an index beyond int64
-        near = np.zeros(len(support), dtype=bool)
-    if near.any():
-        factor[near] = _remembered_factors(params, ms[near])
-    if not near.all():
-        beyond = list(itertools.compress(support, (~near).tolist()))
-        try:
-            at = np.array(beyond, dtype=float)
-        except OverflowError:  # an index beyond double range is inf
-            at = _libm(float, beyond)
-        factor[~near] = _factors(params, np.abs(at), beyond)
+        if near.any():
+            factor[near] = _remembered_factors(params, ms[near])
+        if not near.all():
+            beyond = ms[~near]
+            factor[~near] = _factors(params, np.abs(beyond.astype(float)), beyond)
     mus = w * factor
     errors = {}
     for i in np.flatnonzero(~np.isfinite(mus)).tolist():
-        m = support[i]
+        m = int(support[i])
         if _libm(float, [abs(m)])[0] == math.inf:
             why = "|m| exceeds double range"
         else:
@@ -443,7 +478,11 @@ class TermBatch:
         self.phi, self.where, self.size = params.phi, where, len(vecs)
         supports = [p.support for p in vecs]
         lengths = [len(s) for s in supports]
-        mus, mu_errors = measures(params, list(itertools.chain.from_iterable(supports)))
+        indices = [p._indices() for p in vecs]
+        if vecs and all(ms is not None for ms in indices):
+            mus, mu_errors = measures(params, np.concatenate(indices))
+        else:
+            mus, mu_errors = measures(params, list(itertools.chain.from_iterable(supports)))
         self.errors = {}
         if mu_errors:
             owner = np.repeat(np.arange(len(vecs)), lengths)

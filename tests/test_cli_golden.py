@@ -298,8 +298,8 @@ ERRORS = [
      '--weights bad', 2,
      "error: unknown weight descriptor 'bad'\n"),
     ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1e200 --epsilon 1', 3,
-     'numeric failure: scaling bound failed down to t_theta=5.42101e-20: '
-     'scaling ratio overflows on (0, 1.0842e-19] at theta=2e+200\n'),
+     'numeric failure: scaling bound failed down to t_theta=1: '
+     'scaling ratio overflows on (0, 1] at theta=2e+200\n'),
     ('covering --phi power:2 --kprime 1 --k 0 --kappa 1 --epsilon 1 --max-support '
      + str(10 ** 400), 2,
      'error: max_support is beyond double range: '

@@ -117,6 +117,29 @@ def test_tiny_probe_window():
         uniform_tail_index(src, 0.0, 1.0, 0.1, t_theta=1e-300)
 
 
+def test_failed_scaling_bound_retries_only_where_t_theta_matters(monkeypatch):
+    tried = []
+
+    def counted(phi, theta, t_theta, *rest):
+        tried.append(t_theta)
+        return theta_bound(phi, theta, t_theta, *rest)
+
+    monkeypatch.setattr(embeddings, "theta_bound", counted)
+    # a power's bound theta**s is the same at every t_theta: one try
+    with pytest.raises(CertificateError) as exc:
+        uniform_tail_index(SpaceParams(1.0, Power(2.0), W1), 0.0, 1e200, 1.0, t_theta=3.0)
+    assert str(exc.value) == ("scaling bound failed down to t_theta=3: "
+                              "scaling ratio overflows on (0, 3] at theta=2e+200")
+    assert tried == [3.0]
+    # a grid bound is retried at halved t_theta, and the error names the last one tried
+    tried.clear()
+    with pytest.raises(CertificateError) as exc:
+        uniform_tail_index(SpaceParams(1.0, ExpSquare(), W1), 0.0, 1e200, 1.0)
+    assert tried == [0.5 ** j for j in range(64)]
+    assert str(exc.value) == (f"scaling bound failed down to t_theta={tried[-1]:g}: "
+                              f"scaling ratio overflows on (0, {tried[-1]:g}] at theta=2e+200")
+
+
 @pytest.mark.parametrize("argv,name", [
     ("dominate --phi power:2 --psi expsq --gamma 1 --t0 1e-310", "t0"),
     ("tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1 "

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, ComputationOverflowError,
                        DomainError, ExpCompose, ExpLinear, ExpSquare,
-                       GeometricProbe, Power, SeqVector, SpaceParams,
+                       GeometricProbe, NormResult, Power, SeqVector, SpaceParams,
                        TabulatedConvex, WeightSequence, check_domination,
                        classify, default_probe_grid, geometric_envelope,
                        luxemburg_norm, measures, modular, modular_tail_bound,
@@ -20,6 +21,7 @@ from orliczseq import (CertificateError, ComputationOverflowError,
 from orliczseq import spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
+from orliczseq.luxemburg import _solve
 from orliczseq.spaces import DYADIC_PROBE_DEPTH
 from helpers import scalar_mu_oracle
 
@@ -354,6 +356,115 @@ def test_measures_at_the_edges_keep_their_values_and_messages():
         with pytest.raises(ComputationOverflowError) as exc:
             mu(steep, -70000)
         assert exc.value.index == -70000
+
+
+# a vector's indices as one int64 array, taken by measures as it is
+
+TAB_KNOTS = TabulatedConvex([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
+INDEX_ARRAY_SPACES = [(1.0, Power(2.0), W1), (2.0, ExpLinear(), W1),  # explin overflows
+                      (1.0, TAB_KNOTS, SIGNED_WEIGHTS), (0.0, Power(2.0), SIGNED_WEIGHTS)]
+
+
+def _bits(mus, errors):
+    """measures' result as exact values: the bytes of the array, and each
+    error's position, type, message, index and index type."""
+    return mus.tobytes(), [(i, type(e), str(e), e.index, type(e.index))
+                           for i, e in errors.items()]
+
+
+@pytest.mark.parametrize("k, phi, weights", INDEX_ARRAY_SPACES,
+                         ids=["power2-k1", "explin-k2", "tab-weighted-k1", "power2-k0"])
+def test_index_arrays_measure_as_their_lists(k, phi, weights):
+    rng = random.Random(15)
+    # both sides of the table cap, the explin overflow past |m| = 354, int64's ends
+    support = {*rng.sample(range(-CAP - 500, CAP + 500), 600), *range(-360, -340),
+               *range(350, 370), CAP - 1, -CAP, CAP, 2 ** 63 - 1, -(2 ** 63 - 1)}
+    p = SeqVector({m: 1.0 for m in support})
+    ms = p._indices()
+    assert ms.dtype == np.int64 and ms.tolist() == list(p.support)
+    assert p._indices() is ms and not ms.flags.writeable
+    cold_list, cold_array = (SpaceParams(k, phi, weights) for _ in range(2))
+    want = _bits(*measures(cold_list, list(p.support)))
+    assert _bits(*measures(cold_array, ms)) == want
+    assert _bits(*measures(cold_list, ms)) == want  # warm, from the table
+    assert _bits(*measures(cold_array, list(p.support))) == want
+    for cut in (0, 354, CAP):
+        part = p.tail(cut)._indices()
+        assert (_bits(*measures(cold_array, part))
+                == _bits(*measures(SpaceParams(k, phi, weights), list(p.tail(cut).support))))
+    if k == 2.0:
+        assert want[1] and all(abs(m) > 354 for _, _, _, m, _ in want[1])
+
+
+def test_tails_restricts_and_scales_share_the_index_array():
+    p = SeqVector({m: 1.0 if m % 3 else 1e-10 for m in range(-40, 41)})
+    ms = p._indices()
+    for part in (p.tail(7), p.restrict(12), p.tail(41), p.restrict(0)):
+        assert np.shares_memory(part._indices(), ms) or not len(part)
+        assert part._indices().tolist() == list(part.support)
+        assert not part._indices().flags.writeable
+        with pytest.raises(ValueError):
+            part._indices()[:1] = 5
+    same = p.scaled(-2.5j)
+    assert same.support is p.support and same._indices() is ms
+    # 1e-10 * 1e-320 underflows to 0, so those entries leave the support
+    lost = p.scaled(1e-320)
+    assert len(lost) < len(p)
+    assert lost._indices().tolist() == list(lost.support)
+    assert not np.shares_memory(lost._indices(), ms)
+    assert not lost._indices().flags.writeable
+    # an array not built yet is not shared: the scaled vector builds its own
+    fresh = SeqVector({3: 1.0, -8: 2.0})
+    assert fresh.scaled(2.0)._indices().tolist() == [3, -8]
+
+
+def test_a_vector_past_int64_has_no_index_array_and_batches_keep_their_results():
+    huge = SeqVector({0: 0.5, 2 ** 70: 0.25, -3: 1.0})
+    assert huge._indices() is None and huge._indices() is None
+    assert huge.restrict(5)._indices().tolist() == [0, -3]
+    rng = random.Random(70)
+    vecs = [SeqVector({rng.randint(-400, 400): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                       for _ in range(rng.randint(1, 30))}) for _ in range(6)]
+    mixed = vecs[:3] + [huge] + vecs[3:]
+    for k, phi in ((0.0, ExpSquare()), (1.0, Power(2.0)), (1.0, ExpSquare()),
+                   (1.0, TAB_KNOTS)):
+        params = SpaceParams(k, phi, SIGNED_WEIGHTS)
+        lone = []
+        for p in mixed:
+            try:
+                lone.append(luxemburg_norm(params, p))
+            except ComputationOverflowError as exc:
+                lone.append(exc)
+        batch = _solve(params, mixed, 1e-12)
+        assert [(type(r), str(r)) for r in batch] == [(type(r), str(r)) for r in lone]
+        assert [r for r in batch if isinstance(r, NormResult)] == [
+            r for r in lone if isinstance(r, NormResult)]
+        values, errors = spaces.TermBatch(params, mixed, "for rho=1").modulars(1.0)
+        for i, p in enumerate(mixed):
+            try:
+                want = modular(params, p, 1.0)
+            except ComputationOverflowError as exc:
+                assert (str(errors[i]), errors[i].index) == (str(exc), exc.index)
+                assert type(errors[i].index) is int
+            else:
+                assert i not in errors and values[i] == want
+        if phi.descriptor() == "expsq" and k == 1.0:
+            assert errors[3].index == 2 ** 70
+
+
+@pytest.mark.parametrize("m", [1.5, 2.7, -0.5, "3", math.nan, math.inf, -math.inf, None,
+                               np.float64(4.25)], ids=repr)
+def test_measures_and_mu_reject_an_index_that_is_not_whole(m):
+    params = SpaceParams(1.0, Power(2.0), W1)
+    with pytest.raises(DomainError, match=f"^index {re.escape(repr(m))} is not an integer$"):
+        mu(params, m)
+    with pytest.raises(DomainError, match=f"^index {re.escape(repr(m))} is not an integer$"):
+        measures(params, [0, 3, m, 5])
+    # integral floats, bools and numpy integers keep their values
+    assert mu(params, 2.0) == mu(params, 2) == 5.0
+    assert mu(params, np.int64(-3)) == 10.0
+    assert measures(params, [True, False, -1.0])[0].tolist() == [2.0, 1.0, 2.0]
+    assert measures(SpaceParams(0.0, Power(2.0), W1), [True])[0].tolist() == [1.0]
 
 
 def test_factor_table_remembers_overflows_and_stays_capped():
