@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -27,8 +26,8 @@ from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, DomainError, OrliczSeqError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
-                        OrliczFunction, Power, ThetaBound, _PROBE_DEPTH, _libm,
-                        _positive, _probe_grid, _whole, delta2_at_zero, theta_bound)
+                        OrliczFunction, Power, ThetaBound, _PROBE_DEPTH, _positive,
+                        _probe_grid, _whole, delta2_at_zero, theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, TermBatch, _canonical_key, measures
 
@@ -237,8 +236,8 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     inv_w = 1.0 / source.weights.inf_w
     phi_at_tt = phi.eval(tb.t_theta)
 
-    def growth(f, k):  # (1 + phi(n))**k for a chunk of values phi(n)
-        return _libm(pow, (1.0 + f).tolist(), repeat(k))
+    def growth(f, k):  # (1 + phi(n))**k for a chunk of values phi(n), inf on overflow
+        return (1.0 + f) ** k
 
     # negated comparisons, so that a nan stops each search
     m2 = _least_index(phi, lambda f: ~(growth(f, gap) < tb.c_theta),
@@ -253,7 +252,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
 def _least_index(phi: OrliczFunction, holds, message: str) -> int:
     """The least n in [0, _SEARCH_CAP] with holds(phi(n)), else CertificateError.
 
-    phi is evaluated exactly on chunks of consecutive n that grow to at most
+    phi is evaluated on chunks of consecutive n that grow to at most
     4096 indices; ``holds`` maps a chunk's values to a boolean array, and the
     first n where it is true wins, so no monotonicity is assumed.  A
     negative phi(n) before that n is a DomainError naming n, as the growth
@@ -263,7 +262,7 @@ def _least_index(phi: OrliczFunction, holds, message: str) -> int:
     while start <= _SEARCH_CAP:
         stop = min(start + size, _SEARCH_CAP + 1)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            f = phi._eval_exact(np.arange(start, stop, dtype=float))
+            f = phi._raw_eval(np.arange(start, stop, dtype=float))
             negative = np.flatnonzero(f < 0.0)
             hits = np.flatnonzero(holds(f[:negative[0]] if negative.size else f))
         if hits.size:

@@ -8,11 +8,11 @@ validation of the defining axioms on probe grids, a probe for the doubling
 condition at zero (``limsup_{t->0+} phi(2t)/phi(t) < oo``) and the local
 scaling certificate ``phi(theta*t) <= c_theta * phi(t)`` on ``(0, t_theta]``.
 
-Each generator evaluates exactly through ``_eval_exact`` on an array (``eval``
-on a float is a batch of one; the built-in families take Python's ``pow`` and
-``math`` functions there, through ``_libm``) and fast through its numpy form
-``_raw_eval`` (``eval`` on an array); overflow saturates to ``inf`` (consumers
-that need finiteness convert that to an indexed error).  Inverses
+Each generator has one evaluation, its numpy form ``_raw_eval`` on an array
+(``eval`` on a float is a batch of one), so a value does not depend on the
+batch it is computed in; overflow saturates to ``inf`` (consumers that need
+finiteness convert that to an indexed error).  Each built-in family states a
+bound on its error relative to the exact function.  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
 doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
@@ -53,28 +53,6 @@ _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
 _WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
 _WINDOW_ROWS = 32  # rows a look-ahead round walks at most: beyond, plain rounds cost less
-
-
-def _libm(f, *lists) -> np.ndarray:
-    """The array of ``f`` over the entries of the lists, an overflow giving inf.
-
-    The exact path computes with Python's float ``pow`` and ``math``
-    functions, which numpy's ufuncs can differ from in the last bit.  Each
-    of ``lists`` is a list or an ``itertools.repeat``.  The first pass maps
-    ``f`` with no handler per entry; only a pass that raises OverflowError
-    is run again, each entry under its own.
-    """
-    try:
-        return np.array(list(map(f, *lists)))
-    except OverflowError:
-        pass
-
-    def saturated(*args):
-        try:
-            return f(*args)
-        except OverflowError:
-            return math.inf
-    return np.array(list(map(saturated, *lists)))
 
 
 def _positive(value, what: str) -> float:
@@ -279,13 +257,20 @@ class OrliczFunction:
     """Base class for Orlicz generators.
 
     A subclass defines ``_raw_eval(t)`` on an array of finite nonnegative
-    points and ``descriptor``.  ``_eval_exact`` is the reference evaluation;
-    it defaults to ``_raw_eval`` and is overridden only where numpy rounds
-    differently from the reference formula.  A subclass may override
-    ``_invert`` with a closed form.  ``inverses``, the norm engine and
-    ``ExpCompose`` call ``_invert``, so an override of ``inverse`` alone is
-    not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
+    points and ``descriptor``.  ``_raw_eval`` is the generator's one
+    evaluation: ``eval``, the generic inverse, ``spaces.measures``, the
+    norm engine and the probes all call it, so a value must not depend on
+    the batch it is in, nor on the array's shape or strides.  A subclass may
+    override ``_invert`` with a closed form.  ``inverses``, the norm engine
+    and ``ExpCompose`` call ``_invert``, so an override of ``inverse`` alone
+    is not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
     numpy array.
+
+    Each built-in family states a bound on its error relative to the exact
+    function, in u = 2**-53, the unit roundoff of a double.  A bound holds
+    where phi(t) is a normal double; it takes numpy's ``power`` and
+    ``expm1`` to within one ulp (2u), and the test suite checks it against
+    mpmath.
 
     A generator is an immutable value.  It remembers, on the instance, the
     roots its generic inverse has found, its ``delta2_at_zero`` report per
@@ -297,22 +282,13 @@ class OrliczFunction:
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        """phi at each entry of t by the reference formula.
-
-        The entries are finite and nonnegative.  ``eval`` on a float, the
-        generic inverse, ``spaces.measures`` and the probes evaluate through
-        this method, so a value does not depend on the batch it is in.
-        """
-        return self._raw_eval(t)
-
     def eval(self, t):
-        """phi(t): ``_eval_exact`` on a batch of one for a float, a float back;
-        the numpy form ``_raw_eval`` for an array."""
+        """phi(t): ``_raw_eval`` on the array, or on a batch of one for a
+        float, which gives a float back."""
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if isinstance(t, np.ndarray):
                 return self._raw_eval(_check_point(t))
-            return float(self._eval_exact(_check_point(np.array([float(t)])))[0])
+            return float(self._raw_eval(_check_point(np.array([float(t)])))[0])
 
     __call__ = eval
 
@@ -399,7 +375,7 @@ class OrliczFunction:
         no monotone phi is assumed.  The ladder runs to 2**-200, and on to
         2**-1074 only in a call with a target that phi(2**-200) is not below.
         ``_bisect`` then runs every target from the bracket its ladder hands
-        over, through ``_eval_exact``, with the path and accuracy of a scalar
+        over, through ``_raw_eval``, with the path and accuracy of a scalar
         bisection (the step cap counts from that bracket, which closes in at
         most 53 halvings); its guesses start from the excess log y - log phi
         at the bracket ends, which the doubling and the ladder have evaluated.
@@ -409,7 +385,7 @@ class OrliczFunction:
         live = np.flatnonzero(t)
         top, tops = 1.0, []  # tops[j] = phi(2**j)
         while live.size:  # ends: top reaches inf after 1024 doublings
-            tops.append(self._eval_exact(np.array([top]))[0])
+            tops.append(self._raw_eval(np.array([top]))[0])
             live = live[~(tops[-1] >= y[live])]
             top *= 2.0
             if math.isinf(top):
@@ -426,12 +402,12 @@ class OrliczFunction:
         if unit.size:
             # halvings that keep hi: the leading j with min phi(2**-i) >= target;
             # a nan phi is not below the target, as in the comparison below
-            at = self._eval_exact(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
+            at = self._raw_eval(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
             floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
             if floor[-1] >= target[unit].min():
                 # a target phi(2**-i) has not fallen below yet: the ladder
                 # goes on to 2**-1074, the smallest positive double
-                at = np.concatenate((at, self._eval_exact(
+                at = np.concatenate((at, self._raw_eval(
                     np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1, 1075)))))
                 floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
             keep = np.searchsorted(-floor, -target[unit], side="right")
@@ -446,8 +422,8 @@ class OrliczFunction:
 
         def split(mid, target):  # see _bisect
             if mid.ndim == 1:
-                return self._eval_exact(mid) < target, None
-            f = self._eval_exact(mid.ravel()).reshape(mid.shape)
+                return self._raw_eval(mid) < target, None
+            f = self._raw_eval(mid.ravel()).reshape(mid.shape)
             with np.errstate(divide="ignore"):
                 return f < target[:, None], np.log(target[:, None]) - np.log(f), None
 
@@ -461,7 +437,10 @@ class OrliczFunction:
 
 @dataclass(frozen=True, repr=False)
 class Power(OrliczFunction):
-    """phi(t) = t**s for a fixed exponent s >= 1."""
+    """phi(t) = t**s for a fixed exponent s >= 1, by numpy's power.
+
+    Relative error at most 2u.
+    """
 
     s: float = 2.0
 
@@ -474,11 +453,8 @@ class Power(OrliczFunction):
     def _raw_eval(self, t):
         return t ** self.s
 
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        return _libm(pow, t.tolist(), repeat(self.s))
-
     def _invert(self, y: np.ndarray):
-        return _libm(pow, y.tolist(), repeat(1.0 / self.s)), {}
+        return y ** (1.0 / self.s), {}
 
     def descriptor(self) -> str:
         return f"power:{self.s:.17g}"
@@ -486,17 +462,17 @@ class Power(OrliczFunction):
 
 @dataclass(frozen=True, repr=False)
 class ExpSquare(OrliczFunction):
-    """phi(t) = exp(t^2) - 1, computed as expm1(t^2) to keep small-t accuracy."""
+    """phi(t) = exp(t^2) - 1, computed as expm1(t*t) to keep small-t accuracy.
+
+    Relative error at most (t^2 + 3)u: expm1 amplifies the rounding of t*t
+    by at most 1 + t^2, and adds its own.
+    """
 
     def _raw_eval(self, t):
         return np.expm1(t * t)
 
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        return _libm(math.expm1, (t * t).tolist())
-
     def _invert(self, y: np.ndarray):
-        # np.sqrt is correctly rounded, as math.sqrt is
-        return np.sqrt(_libm(math.log1p, y.tolist())), {}
+        return np.sqrt(np.log1p(y)), {}
 
     def descriptor(self) -> str:
         return "expsq"
@@ -513,24 +489,22 @@ class ExpLinear(OrliczFunction):
     """phi(t) = exp(t) - t - 1.
 
     Direct evaluation loses all relative accuracy as t -> 0 (the difference
-    is O(t^2) while exp(t) is O(1)), so below t = 1/2 the Taylor polynomial
-    sum_{n>=2} t^n/n! is used instead.
+    is O(t^2) while exp(t) is O(1)), so at or below t = 1/2 the Taylor
+    polynomial sum_{n>=2} t^n/n! is used instead, and expm1(t) - t above.
+
+    Relative error at most 10u.  The polynomial sums positive terms; above
+    1/2 the difference amplifies expm1's error by expm1(t)/(expm1(t) - t),
+    which is at most 4.4.
     """
 
     def _raw_eval(self, t):
-        small = np.polyval(_EXPLIN_COEFFS, t) * t * t
-        return np.where(t <= _EXPLIN_SWITCH, small, np.expm1(t) - t)
-
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # the Horner loop (y = y*x + c from 0, as np.polyval runs it) at or
-        # below 1/2, ``_libm``'s expm1 above it
-        out = np.empty(t.size)
+        out = np.empty(t.shape)
         small = t <= _EXPLIN_SWITCH
         if small.any():  # polyval costs two ufunc calls per coefficient
             x = t[small]
             out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
         x = t[~small]
-        out[~small] = _libm(math.expm1, x.tolist()) - x
+        out[~small] = np.expm1(x) - x
         return out
 
     def descriptor(self) -> str:
@@ -539,7 +513,12 @@ class ExpLinear(OrliczFunction):
 
 @dataclass(frozen=True, repr=False)
 class ExpCompose(OrliczFunction):
-    """phi(t) = exp(inner(t)) - 1 for an inner Orlicz function."""
+    """phi(t) = exp(inner(t)) - 1 for an inner Orlicz function.
+
+    Relative error at most (1 + inner(t)) * e(t) + 2u, where e(t) is the
+    inner generator's bound: expm1 amplifies an error of its argument x by
+    at most 1 + x.
+    """
 
     inner: OrliczFunction
 
@@ -550,12 +529,9 @@ class ExpCompose(OrliczFunction):
     def _raw_eval(self, t):
         return np.expm1(self.inner._raw_eval(t))
 
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        return _libm(math.expm1, self.inner._eval_exact(t).tolist())
-
     def _invert(self, y: np.ndarray):
         # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone
-        return self.inner._invert(_libm(math.log1p, y.tolist()))
+        return self.inner._invert(np.log1p(y))
 
     def descriptor(self) -> str:
         return f"expof:{self.inner.descriptor()}"
@@ -568,6 +544,12 @@ class TabulatedConvex(OrliczFunction):
     nonnegative values.  Monotonicity and convexity are deliberately not
     enforced here; validate_orlicz reports on them so that defective tables
     can be diagnosed rather than rejected unseen.
+
+    Evaluated by np.interp, which returns each knot value exactly.  Between
+    knots and past the last one, a table whose values are nondecreasing has
+    relative error at most 6u: a slope from two differences and a quotient,
+    its product with the distance to the knot, and a sum of nonnegative
+    terms.  A falling segment can cancel, and has no relative bound.
     """
 
     def __init__(self, knots):
@@ -608,16 +590,6 @@ class TabulatedConvex(OrliczFunction):
         inside = np.interp(t, ts, vs)
         beyond = vs[-1] + self._final_slope * (t - ts[-1])
         return np.where(t > ts[-1], beyond, inside)
-
-    def _eval_exact(self, t: np.ndarray) -> np.ndarray:
-        # the interpolation formula per interval; np.interp rounds differently
-        ts, vs = self._ts, self._vs
-        last = ts.size - 1
-        i = np.minimum(np.searchsorted(ts, t, side="right") - 1, last - 1)
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        inside = np.where(t == ts[last], vs[last], vs[i] + frac * (vs[i + 1] - vs[i]))
-        beyond = vs[last] + self._final_slope * (t - ts[last])
-        return np.where(t > ts[last], beyond, inside)
 
     def descriptor(self) -> str:
         body = ";".join(f"{t:.17g},{v:.17g}" for t, v in self.knots)
@@ -733,7 +705,7 @@ def validate_orlicz(phi: OrliczFunction, grid=None, divergence_target: float = 1
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ladder = np.ldexp(grid[-1], np.arange(_MAX_DOUBLINGS + 1))
         n = min(_MAX_DOUBLINGS, int(np.count_nonzero(ladder < math.inf)))
-        div_ok = bool(np.any(phi._eval_exact(ladder[:n]) > divergence_target))
+        div_ok = bool(np.any(phi._raw_eval(ladder[:n]) > divergence_target))
     if not div_ok:
         violations.append(("divergent", float(ladder[n]), divergence_target))
 
@@ -788,7 +760,7 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
     # t_start * 2**-j is 0 from j = 1075 on, where phi(0) = 0 ends the probe
     ts = probe.t_start * np.ldexp(1.0, -np.arange(min(probe.depth, 1075) + 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ft, f2t = np.split(phi._eval_exact(np.concatenate((ts, 2.0 * ts))), 2)
+        ft, f2t = np.split(phi._raw_eval(np.concatenate((ts, 2.0 * ts))), 2)
         stop = np.flatnonzero((ft == 0.0) | np.isinf(ft))
         used = int(stop[0]) if stop.size else ts.size
         ratios = (f2t[:used] / ft[:used]).tolist()
@@ -838,11 +810,11 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     key = (theta, t_theta, grid_points)
     if key in bounds:
         return bounds[key]
-    if isinstance(phi, Power):
-        ratios = _libm(pow, [theta], [phi.s])  # theta**s, inf where it overflows
-    else:
-        ts = _probe_grid(t_theta, grid_points, "t_theta")
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if isinstance(phi, Power):
+            ratios = np.power(theta, phi.s)  # inf where it overflows
+        else:
+            ts = _probe_grid(t_theta, grid_points, "t_theta")
             num = phi.eval(theta * ts)
             den = phi.eval(ts)
             mask = den > 0

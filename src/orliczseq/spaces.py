@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
                         OrliczFunction, Power, TabulatedConvex, _check_point,
-                        _csv_rows, _libm, _positive, _whole, parse_orlicz)
+                        _csv_rows, _positive, _whole, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
@@ -81,8 +81,9 @@ class WeightSequence:
     def weight(self, m: int) -> float:
         """w_m; an index that is not a whole number is a DomainError, as in
         the constructor."""
-        return self._table.get(_whole(m, -math.inf, f"weight index {m!r} is not an integer"),
-                               self._default)
+        if type(m) is not int:
+            m = _whole(m, -math.inf, f"weight index {m!r} is not an integer")
+        return self._table.get(m, self._default)
 
     def weights(self, support) -> np.ndarray:
         """w_m for each integer index of ``support``, a sequence or an int64 array."""
@@ -187,6 +188,14 @@ def _canonical_key(item):
 
 def _abs_index(item) -> int:
     return abs(item[0])
+
+
+def _magnitude(m: int) -> float:
+    """|m| as a float, inf beyond double range."""
+    try:
+        return float(abs(m))
+    except OverflowError:
+        return math.inf
 
 
 def _index_list(support) -> list:
@@ -345,19 +354,19 @@ class SeqVector:
 
 def _factors(params: SpaceParams, at: np.ndarray, ms) -> np.ndarray:
     """(1 + phi(t))**k for each t of ``at``, the |m| of the indices ``ms`` as
-    floats, through ``_eval_exact`` and ``_libm``'s power, once per distinct
-    t.  An inf t (|m| beyond double range) gives nan; a negative phi(t) is a
-    DomainError naming the first index with that |m|."""
+    floats, in numpy once per distinct t, an overflow giving inf.  An inf t
+    (|m| beyond double range) gives nan; a negative phi(t) is a DomainError
+    naming the first index with that |m|."""
     ts, slot = np.unique(at, return_inverse=True)
     finite = ts < math.inf
-    f = params.phi._eval_exact(ts[finite])
+    f = params.phi._raw_eval(ts[finite])
     if (f < 0.0).any():
         j = int(np.argmax(f < 0.0))
         m = int(ms[int(np.argmax(at == ts[finite][j]))])
         raise DomainError(f"measure undefined at index {m}: "
                           f"phi({abs(m)}) = {float(f[j]):g} is negative")
     out = np.full(ts.size, math.nan)
-    out[finite] = _libm(pow, (f + 1.0).tolist(), itertools.repeat(params.k))
+    out[finite] = (f + 1.0) ** params.k
     return out[slot]
 
 
@@ -400,7 +409,8 @@ def measures(params: SpaceParams, support):
     that is accepted, the true value being below anything representable.
     A generator negative at some |m| is a DomainError naming the index.
 
-    Each measure equals w_m * (1.0 + phi.eval(float(|m|)))**k bit for bit.
+    Each measure equals w_m * np.power(1.0 + phi.eval(float(|m|)), k) bit
+    for bit.
     The factors of |m| < ``_FACTOR_CAP`` come from the space's table; larger
     |m|, and every index of a support with one beyond int64, are computed on
     each call.  At k = 0 every integer index works; otherwise an index
@@ -419,7 +429,7 @@ def measures(params: SpaceParams, support):
     if k == 0 or not len(support):
         return w, {}
     if ms is None:  # no table; an index beyond double range is inf
-        factor = _factors(params, np.abs(_libm(float, support)), support)
+        factor = _factors(params, np.array([_magnitude(m) for m in support]), support)
     else:
         factor = np.empty(len(ms))
         near = (ms > -_FACTOR_CAP) & (ms < _FACTOR_CAP)  # np.abs(-2**63) overflows
@@ -432,7 +442,7 @@ def measures(params: SpaceParams, support):
     errors = {}
     for i in np.flatnonzero(~np.isfinite(mus)).tolist():
         m = int(support[i])
-        if _libm(float, [abs(m)])[0] == math.inf:
+        if _magnitude(m) == math.inf:
             why = "|m| exceeds double range"
         else:
             why = f"(1 + phi({abs(m)}))**{k:g} exceeds double range"
@@ -512,7 +522,7 @@ class TermBatch:
         scale, ``avals`` and ``mus`` an axis of length 1 before their last,
         and the mask covers each (row, scale) cell.
 
-        phi runs through its numpy form ``_raw_eval``, not ``eval``: the
+        phi runs through ``_raw_eval`` directly, not ``eval``: the
         arguments are nonnegative, and the overflow scan zeroes each row that
         is not finite, so ``eval``'s point check would find nothing."""
         args = avals / rho[..., None]
@@ -766,10 +776,11 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
             # terms up to the first overflow only: a bad point before it raises
             # first, as in a loop over the indices
             first = next(iter(errors), len(off))
-            # the envelope in scalar arithmetic: np.power can differ in the last bit
+            # each bound as bound_at gives it, by Python's pow, from which
+            # np.power can differ in the last bit
             args = _check_point(np.array([envelope.bound_at(m) / rho for m in off[:first]]))
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                terms = mus[:first] * params.phi._eval_exact(args)
+                terms = mus[:first] * params.phi._raw_eval(args)
             if errors:
                 raise errors[first]
             upper = explicit + _fsum(terms.tolist(), f"for rho={rho:g}") + tail

@@ -1,6 +1,5 @@
 """Shared builders and independent oracles for the test suite."""
 
-import bisect
 import functools
 import math
 import random
@@ -14,54 +13,46 @@ from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, NormR
 _EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
 
 
-def _expm1_or_inf(x):
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
+def _np(f, *args):
+    """numpy's scalar ufunc f on floats, one point at a time, as a float;
+    an overflow gives inf."""
+    with np.errstate(over="ignore"):
+        return float(f(*args))
 
 
 def pow_or_inf(base, exp):
-    """base ** exp in float arithmetic, inf where it overflows."""
-    try:
-        return base ** exp
-    except OverflowError:
-        return math.inf
+    """base ** exp by np.power on one float, inf where it overflows."""
+    return _np(np.power, base, exp)
 
 
 def scalar_phi_oracle(phi, t):
-    """phi(t) for a finite t >= 0 by each family's scalar formula.
+    """phi(t) for a finite t >= 0 by each family's formula, one point at a time.
 
-    Python float arithmetic and the math module, one point at a time:
-    overflow gives inf.  ``_eval_exact`` and ``eval`` on a float must return
-    the same float.  A generator of another family is evaluated by its
-    ``_raw_eval`` on the float t, so it must be written with arithmetic that
-    floats support too.
+    Python float arithmetic and numpy's scalar ufuncs (np.power, np.expm1,
+    np.interp): overflow gives inf.  ``eval`` on a float and each entry of
+    ``eval`` on an array must return the same float.  A generator of another
+    family is evaluated by its ``_raw_eval`` on a batch of one.
     """
     t = float(t)
     if isinstance(phi, Power):
         return pow_or_inf(t, phi.s)
     if isinstance(phi, ExpSquare):
-        return _expm1_or_inf(t * t)
+        return _np(np.expm1, t * t)
     if isinstance(phi, ExpLinear):
         if t <= 0.5:
             acc = 0.0
             for c in _EXPLIN_COEFFS:
                 acc = acc * t + c
             return acc * t * t
-        return _expm1_or_inf(t) - t
+        return _np(np.expm1, t) - t
     if isinstance(phi, ExpCompose):
-        return _expm1_or_inf(scalar_phi_oracle(phi.inner, t))
+        return _np(np.expm1, scalar_phi_oracle(phi.inner, t))
     if isinstance(phi, TabulatedConvex):
-        ts, vs = zip(*phi.knots)
+        ts, vs = phi._ts, phi._vs  # the knots as arrays, which np.interp takes as they are
         if t > ts[-1]:
-            return vs[-1] + phi.final_slope * (t - ts[-1])
-        i = bisect.bisect_right(ts, t) - 1
-        if i >= len(ts) - 1:
-            return vs[-1]
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return vs[i] + frac * (vs[i + 1] - vs[i])
-    return float(phi._raw_eval(t))
+            return phi.final_value + phi.final_slope * (t - float(ts[-1]))
+        return float(np.interp(t, ts, vs))
+    return _np(lambda x: phi._raw_eval(np.array([x]))[0], t)
 
 
 # phi(2**-j) rises again between 2**-40 and 2**-30 and between 2**-20 and
@@ -81,7 +72,7 @@ def power_norm_oracle(k, s, weight_of, p):
 
 
 def scalar_mu_oracle(params, m):
-    """w_m * (1 + phi(|m|))**k by the scalar formula, one index at a time.
+    """w_m * (1 + phi(|m|))**k by the scalar formulas, one index at a time.
 
     Returns None where the value leaves double range, including an index
     beyond double range at k != 0.  ``spaces.measures`` must return the same
@@ -91,8 +82,8 @@ def scalar_mu_oracle(params, m):
     if params.k == 0:
         return w
     try:
-        val = w * (1.0 + scalar_phi_oracle(params.phi, abs(m))) ** params.k
-    except OverflowError:
+        val = w * pow_or_inf(1.0 + scalar_phi_oracle(params.phi, abs(m)), params.k)
+    except OverflowError:  # float(|m|) in scalar_phi_oracle
         return None
     return val if math.isfinite(val) else None
 
@@ -153,14 +144,14 @@ def scalar_inverse_oracle(phi, y):
 
 @functools.lru_cache(maxsize=None)
 def scalar_root(phi, y):
-    """phi^{-1}(y) one target at a time: each closed form by its scalar
-    formula, every other generator by ``scalar_inverse_oracle``."""
+    """phi^{-1}(y) one target at a time: each closed form by numpy's scalar
+    ufuncs, every other generator by ``scalar_inverse_oracle``."""
     if isinstance(phi, Power):
         return pow_or_inf(y, 1.0 / phi.s)
     if isinstance(phi, ExpSquare):
-        return math.sqrt(math.log1p(y))
+        return _np(np.sqrt, _np(np.log1p, y))
     if isinstance(phi, ExpCompose):
-        return scalar_root(phi.inner, math.log1p(y))
+        return scalar_root(phi.inner, _np(np.log1p, y))
     return scalar_inverse_oracle(phi, y)
 
 

@@ -57,7 +57,7 @@ GOLDEN = [
      ' "tail_bound": 2.1091485258666651, "modular_upper": 21.152213244266662},'
      ' {"rho": 0.25, "trunc": 6, "tail_bound": 4.1339311106986631,'
      ' "modular_upper": 82.077874746026652}, {"rho": 0.125, "trunc": 8,'
-     ' "tail_bound": 3.9702274387149941, "modular_upper": 320.92003015817733},'
+     ' "tail_bound": 3.9702274387149949, "modular_upper": 320.92003015817733},'
      ' {"rho": 0.0625, "trunc": 10, "tail_bound": 3.8130064321418806,'
      ' "modular_upper": 1276.5813539722872}, {"rho": 0.03125, "trunc": 12,'
      ' "tail_bound": 3.6620113774290615, "modular_upper": 5099.5077603884783},'
@@ -94,7 +94,7 @@ GOLDEN = [
      '1,5,0.52728713146666628,5.2880533110666654\n'
      '0.5,5,2.1091485258666651,21.152213244266662\n'
      '0.25,6,4.1339311106986631,82.077874746026652\n'
-     '0.125,8,3.9702274387149941,320.92003015817733\n'
+     '0.125,8,3.9702274387149949,320.92003015817733\n'
      '0.0625,10,3.8130064321418806,1276.5813539722872\n'
      '0.03125,12,3.6620113774290615,5099.5077603884783\n'
      '0.015625,14,3.5169957268828691,20391.483365211072\n'
@@ -120,11 +120,11 @@ GOLDEN = [
     ('classify --phi expsq --k 1 --in {vec}', 'csv', 0,
      'rho,trunc,tail_bound,modular_upper\n'),
     ('delta2 --phi expsq --depth 40', 'json', 0,
-     '{"limsup_estimate": 4, "sup_ratio": 31.192874850577365, "holds": true,'
+     '{"limsup_estimate": 4, "sup_ratio": 31.192874850577361, "holds": true,'
      ' "probes_used": 41, "truncated": false}\n'),
     ('delta2 --phi expsq --depth 40', 'csv', 0,
      'limsup_estimate,sup_ratio,holds,probes_used,truncated\n'
-     '4,31.192874850577365,True,41,False\n'),
+     '4,31.192874850577361,True,41,False\n'),
     ('dominate --phi power:2 --psi expsq --gamma 1', 'json', 0,
      '{"holds": true, "gamma": 1, "t0": Infinity, "grid_checked": 4096,'
      ' "first_violation": null}\n'),

@@ -1,8 +1,11 @@
 """Generator families: evaluation, inverses, axiom probes, scaling bounds."""
 
+import ast
+import bisect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,23 +88,23 @@ def test_inverse_worked_values():
 
 
 CLOSED_FORMS = [
-    (Power(1.5), lambda v: v ** (1.0 / 1.5)),
-    (Power(3.0), lambda v: v ** (1.0 / 3.0)),
-    (ExpSquare(), lambda v: math.sqrt(math.log1p(v))),
-    (ExpCompose(Power(2.0)), lambda v: math.log1p(v) ** 0.5),
-    (ExpCompose(ExpSquare()), lambda v: math.sqrt(math.log1p(math.log1p(v)))),
-    (ExpCompose(ExpLinear()), lambda v: ExpLinear().inverse(math.log1p(v))),
+    (Power(1.5), lambda v: np.power(v, 1.0 / 1.5)),
+    (Power(3.0), lambda v: np.power(v, 1.0 / 3.0)),
+    (ExpSquare(), lambda v: np.sqrt(np.log1p(v))),
+    (ExpCompose(Power(2.0)), lambda v: np.power(np.log1p(v), 0.5)),
+    (ExpCompose(ExpSquare()), lambda v: np.sqrt(np.log1p(np.log1p(v)))),
+    (ExpCompose(ExpLinear()), lambda v: ExpLinear().inverse(float(np.log1p(v)))),
 ]
 
 
 @pytest.mark.parametrize("phi,formula", CLOSED_FORMS,
                          ids=[phi.descriptor() for phi, _ in CLOSED_FORMS])
 def test_closed_form_inverses_equal_the_scalar_formula(phi, formula):
-    # bit for bit: np.power and np.log1p differ from Python's in the last bit
+    # bit for bit, against numpy's scalar ufuncs one target at a time
     ys = np.geomspace(1e-300, 1e300, 500)
     t, errors = phi.inverses(ys)
     assert not errors
-    assert t.tolist() == [formula(v) for v in ys.tolist()]
+    assert t.tolist() == [float(formula(v)) for v in ys.tolist()]
 
 
 def test_inverse_rejects_bad_targets():
@@ -129,9 +132,8 @@ def test_inverse_contract(phi):
 
 
 class ScalarOnly(OrliczFunction):
-    """t**2 * (t + 1/2) in arithmetic that floats and arrays share: a user
-    generator that defines one evaluation, ``_raw_eval``, and gets the exact
-    evaluation and the inverse from the base class."""
+    """t**2 * (t + 1/2): a user generator that defines one evaluation,
+    ``_raw_eval``, and gets ``eval`` and the inverse from the base class."""
 
     def _raw_eval(self, t):
         return t * t * (t + 0.5)
@@ -185,7 +187,7 @@ def _dyadic_targets(phi):
 
 
 def _check_inverses(phi, ys):
-    inner, arg = ((phi.inner, math.log1p) if isinstance(phi, ExpCompose)
+    inner, arg = ((phi.inner, np.log1p) if isinstance(phi, ExpCompose)
                   else (phi, float))
     want = [scalar_inverse_oracle(inner, arg(y)) for y in ys]
     t, errors = _forget_roots(phi).inverses(ys)
@@ -250,18 +252,108 @@ def test_a_narrow_batch_looks_ahead_every_round_once_it_can(monkeypatch):
     assert windows and None not in windows  # no planned window was discarded
 
 
-@pytest.mark.parametrize("phi", FAMILIES + BISECTED[2:], ids=lambda f: f.descriptor()[:24])
-def test_eval_exact_equals_scalar_raw_eval(phi):
-    rng = np.random.default_rng(7)
-    knots = [t for t, _ in TABLE.knots + INEXACT_TABLE.knots]
-    ts = np.array([0.0, 0.5, *knots, 4.5, 1e3, 1e300,
-                   *rng.uniform(0.0, 5.0, 500), *10.0 ** rng.uniform(-300.0, 2.0, 500)])
-    with np.errstate(over="ignore"):
-        got = phi._eval_exact(ts)
-    want = [scalar_phi_oracle(phi, t) for t in ts.tolist()]
-    assert got.tolist() == want
-    # eval on a float is a batch of one of _eval_exact
-    assert [phi.eval(t) for t in ts.tolist()[:200]] == want[:200]
+U = 2.0 ** -53  # the unit roundoff of a double
+# the grid of the error-bound test: log-uniform on [1e-8, 31.6], uniform on
+# [0, 4] and on [0.45, 0.55], around explin's switch at 1/2
+_RNG = np.random.default_rng(20261019)
+ERROR_GRID = np.concatenate((10.0 ** _RNG.uniform(-8.0, 1.5, 2000), _RNG.uniform(0.0, 4.0, 1000),
+                             _RNG.uniform(0.45, 0.55, 400)))
+ALL_FAMILIES = FAMILIES + BISECTED[2:] + [Power(2.0), ExpCompose(ExpSquare()), NON_MONOTONE_TABLE]
+
+
+@pytest.mark.parametrize("phi", ALL_FAMILIES, ids=lambda f: f.descriptor()[:24])
+def test_eval_does_not_depend_on_the_batch(phi):
+    # the generic inverse's memo and the norm engine rely on one value per point
+    knots = [t for t, _ in TABLE.knots + INEXACT_TABLE.knots + NON_MONOTONE_TABLE.knots]
+    ts = np.concatenate((ERROR_GRID, knots, [0.0, 0.5, 4.5, 1e3, 1e300]))
+    ts = np.concatenate((ts, 10.0 ** np.random.default_rng(7).uniform(-300.0, 2.0, 4096 - ts.size)))
+    want = [phi.eval(t) for t in ts.tolist()]
+    assert want == [scalar_phi_oracle(phi, t) for t in ts.tolist()]
+    for n in (1, 3, 8, 17, 4096):
+        got = np.concatenate([phi.eval(ts[i:i + n]) for i in range(0, ts.size, n)])
+        assert got.tolist() == want, n
+    assert phi.eval(np.repeat(ts, 2)[::2]).tolist() == want  # a strided view
+    assert phi.eval(ts.reshape(64, 64)).ravel().tolist() == want  # rows x terms
+
+
+def test_functions_define_one_evaluation_method():
+    # eval (alias __call__) is the public entry; _raw_eval is the one evaluation
+    tree = ast.parse(Path(functions.__file__).read_text())
+    methods = [f"{cls.name}.{node.name}" for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and "eval" in node.name
+               and node.name not in ("eval", "_raw_eval")]
+    assert methods == []
+
+
+def _exact_phi(mpmath, phi, t):
+    """phi(t) for a double t >= 0 by each family's definition, in mpmath."""
+    t = mpmath.mpf(t)
+    if isinstance(phi, Power):
+        return t ** mpmath.mpf(phi.s)
+    if isinstance(phi, ExpSquare):
+        return mpmath.expm1(t * t)
+    if isinstance(phi, ExpLinear):
+        return mpmath.expm1(t) - t
+    if isinstance(phi, ExpCompose):
+        return mpmath.expm1(_exact_phi(mpmath, phi.inner, t))
+    ts, vs = (list(map(mpmath.mpf, col)) for col in zip(*phi.knots))
+    i = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1  # the last segment extends
+    return vs[i] + (t - ts[i]) * (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
+
+
+def _error_bound(phi, t):
+    """The relative error bound each family's docstring states, in units of U."""
+    if isinstance(phi, Power):
+        return 2.0
+    if isinstance(phi, ExpSquare):
+        return t * t + 3.0
+    if isinstance(phi, ExpLinear):
+        return 10.0
+    if isinstance(phi, ExpCompose):
+        return (1.0 + phi.inner.eval(t)) * _error_bound(phi.inner, t) + 2.0
+    return 6.0  # a table with nondecreasing values
+
+
+def _random_table(rng):
+    """A table of 2 to 12 knots with nondecreasing values, not binary fractions."""
+    n = int(rng.integers(1, 12))
+    ts = np.cumsum(rng.uniform(0.01, 1.5, n))
+    vs = np.cumsum(rng.uniform(0.0, 2.0, n) * rng.uniform(0.0, 1.0) ** 3)
+    return TabulatedConvex([(0.0, 0.0), *zip(ts.tolist(), vs.tolist())])
+
+
+_BOUNDED = [Power(1.5), Power(2.0), Power(3.0), ExpSquare(), ExpLinear(),
+            ExpCompose(Power(1.5)), ExpCompose(Power(2.0)), ExpCompose(ExpSquare()),
+            ExpCompose(ExpLinear()), TABLE, INEXACT_TABLE,
+            *(_random_table(np.random.default_rng(seed)) for seed in range(3))]
+
+
+@pytest.mark.parametrize("phi", _BOUNDED, ids=lambda f: f.descriptor()[:24])
+def test_eval_within_its_error_bound_of_mpmath(phi):
+    mpmath = pytest.importorskip("mpmath")
+    knots = [t for t, _ in phi.knots] if isinstance(phi, TabulatedConvex) else []
+    ts = np.concatenate((ERROR_GRID, knots))
+    got = phi.eval(ts)
+    with mpmath.workprec(200):
+        for t, g in zip(ts.tolist(), got.tolist()):
+            if not math.isfinite(g):
+                continue
+            want = _exact_phi(mpmath, phi, t)
+            if want == 0:
+                assert g == 0.0, t
+            else:
+                assert abs(g - want) <= _error_bound(phi, t) * U * want, t
+
+
+def test_tables_return_their_knot_values_exactly():
+    # a breakpoint supremum evaluates the table at its knots
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        phi = _random_table(rng)
+        ts, vs = zip(*phi.knots)
+        assert phi.eval(np.array(ts)).tolist() == list(vs)
+        assert [phi.eval(t) for t in ts] == list(vs)
 
 
 def test_failing_targets_fail_alone():
@@ -311,7 +403,7 @@ def test_remembered_roots_are_bit_identical(name, tmp_path, monkeypatch):
     assert [phi.inverse(y) for y in ys] == cold.tolist()
     # warm, every root comes from the memo: no evaluation of phi
     solver = phi.inner if isinstance(phi, ExpCompose) else phi
-    monkeypatch.setattr(type(solver), "_eval_exact", _no_eval)
+    monkeypatch.setattr(type(solver), "_raw_eval", _no_eval)
     assert phi.inverses(ys[::-1])[0].tolist() == cold.tolist()[::-1]
 
 
