@@ -27,7 +27,8 @@ from .errors import (CertificateError, CertificateRefutedError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
                         OrliczFunction, Power, ThetaBound, _PROBE_DEPTH, _positive,
-                        _probe_grid, _whole, delta2_at_zero, theta_bound)
+                        _probe_grid, _remember, _whole, delta2_at_zero,
+                        theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
 from .spaces import SeqVector, SpaceParams, TermBatch, _canonical_key, measures
 
@@ -202,7 +203,9 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     rewriting of phi^{-1}((1/inf w)*(1+phi(n))**(-k')) <= t_theta; beyond it
     every ball member's entries are small enough for the scaling bound, and
     beyond m2 the measure growth absorbs c_theta, so the tail modular of
-    2*(p - truncation)/epsilon stays at most 1.
+    2*(p - truncation)/epsilon stays at most 1.  Each generator remembers
+    (m1, m2) per (k', k, inf w, c_theta, t_theta) and search cap, the
+    searches' only inputs.
     """
     kappa = _positive(kappa, "kappa")
     epsilon = _positive(epsilon, "epsilon")
@@ -232,6 +235,19 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
                     f"scaling bound failed down to t_theta={tt:g}: {exc}") from None
             tt *= 0.5
 
+    indices = phi.__dict__.setdefault("_tail_indices", {})
+    key = (source.k, target_k, source.weights.inf_w, tb.c_theta, tb.t_theta, _SEARCH_CAP)
+    if key in indices:
+        m1, m2 = indices[key]
+    else:
+        m1, m2 = _remember(indices, key, _tail_searches(phi, source, target_k, tb))
+    return BallTailCertificate(kappa, epsilon, theta, tb, m1, m2,
+                               max(m1, m2), source, target_k)
+
+
+def _tail_searches(phi: OrliczFunction, source: SpaceParams, target_k: float,
+                   tb: ThetaBound):
+    """``uniform_tail_index``'s (m1, m2) for the bound ``tb``."""
     gap = source.k - target_k
     inv_w = 1.0 / source.weights.inf_w
     phi_at_tt = phi.eval(tb.t_theta)
@@ -244,9 +260,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
                       "measure growth did not absorb c_theta at desk scale")
     m1 = _least_index(phi, lambda f: ~(inv_w * growth(f, -source.k) > phi_at_tt),
                       "ball entries did not enter the scaling window at desk scale")
-
-    return BallTailCertificate(kappa, epsilon, theta, tb, m1, m2,
-                               max(m1, m2), source, target_k)
+    return m1, m2
 
 
 def _least_index(phi: OrliczFunction, holds, message: str) -> int:

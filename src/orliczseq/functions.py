@@ -48,11 +48,12 @@ SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
 _MAX_HALVINGS = 200  # the halving ladder's first part, and a generic inverse's step cap
-_MEMO_ROOTS = 2 ** 16  # entries per generator memo: roots, delta2 reports, theta-bounds
+_MEMO_ROOTS = 2 ** 16  # entries per generator memo: roots, reports, bounds, tail indices
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
 _WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
 _WINDOW_ROWS = 32  # rows a look-ahead round walks at most: beyond, plain rounds cost less
+_NO_ROOTS = (np.empty(0), np.empty(0))  # an empty memo of the generic inverse
 
 
 def _positive(value, what: str) -> float:
@@ -274,9 +275,9 @@ class OrliczFunction:
 
     A generator is an immutable value.  It remembers, on the instance, the
     roots its generic inverse has found, its ``delta2_at_zero`` report per
-    probe and its ``theta_bound`` per (theta, t_theta, grid_points); a
-    user generator changed after its first use keeps them, so build a new
-    one instead.
+    probe, its ``theta_bound`` per (theta, t_theta, grid_points) and the
+    tail indices of ``uniform_tail_index``; a user generator changed after
+    its first use keeps them, so build a new one instead.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
@@ -345,22 +346,31 @@ class OrliczFunction:
         """``inverses`` on finite nonnegative targets: (t, {position: error}).
 
         The generic inverse: the targets this generator has solved before
-        come from its memo, and only the others are bisected.  A new root is
-        stored, a failing target is not; at most ``_MEMO_ROOTS`` roots are
-        kept, and a full memo is cleared.
+        come from its memo, and only the others are bisected.  The memo is a
+        sorted array of targets and one of their roots, searched with
+        ``np.searchsorted`` (fastest on sorted targets, as a batch's are).
+        A new root is stored, a failing target is not; at most
+        ``_MEMO_ROOTS`` roots are kept, and a full memo is cleared.
         """
-        roots = self.__dict__.setdefault("_inverse_roots", {})
-        keys = y.tolist()
-        t = np.array([roots.get(v, math.nan) for v in keys], dtype=float)
+        keys, roots = self.__dict__.get("_inverse_roots", _NO_ROOTS)
+        if keys.size:
+            at = np.searchsorted(keys, y).clip(max=keys.size - 1)
+            t = roots[at]
+            t[keys[at] != y] = math.nan
+        else:
+            t = np.full(y.size, math.nan)
         miss = np.flatnonzero(np.isnan(t))
         if not miss.size:
             return t, {}
         t[miss], failed = self._bisect_roots(y[miss])
-        new = [(keys[i], r) for i, r in zip(miss.tolist(), t[miss].tolist())
-               if not math.isnan(r)]  # nan: the target failed
-        if len(roots) + len(new) > _MEMO_ROOTS:
-            roots.clear()
-        roots.update(new[:_MEMO_ROOTS])
+        solved = miss[~np.isnan(t[miss])]  # nan: the target failed
+        new, first = np.unique(y[solved], return_index=True)  # a repeat is stored once
+        found = t[solved][first]
+        if keys.size + new.size > _MEMO_ROOTS:
+            keys, roots = _NO_ROOTS
+            new, found = new[:_MEMO_ROOTS], found[:_MEMO_ROOTS]
+        at = np.searchsorted(keys, new)
+        self.__dict__["_inverse_roots"] = np.insert(keys, at, new), np.insert(roots, at, found)
         return t, {int(miss[j]): exc for j, exc in failed.items()}
 
     @np.errstate(over="ignore", under="ignore", invalid="ignore")

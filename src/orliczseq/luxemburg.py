@@ -40,10 +40,12 @@ Numerical Algorithms*, section 4.2).  s is trusted when
 where sum|terms| is bounded above by its own computed sum over
 (1 - gamma_{n-1}), and the 2**-52 covers fsum's final rounding (an exact
 sum in (1, 1 + 2**-53] rounds to 1.0).  Otherwise that row falls back to
-math.fsum.  Every decision therefore equals the fsum decision, and so does
-every bracket, step count and value.  Of the midpoints laid out ahead, only
-those on a row's path up to its first decision that differs from the guess
-fall back to fsum or fail the row on overflow; the others are discarded.
+math.fsum's value, which ``spaces.exact_sum`` computes from per-exponent
+bucket sums for long rows.  Every decision therefore equals the fsum
+decision, and so does every bracket, step count and value.  Of the
+midpoints laid out ahead, only those on a row's path up to its first
+decision that differs from the guess fall back to fsum or fail the row on
+overflow; the others are discarded.
 The returned value is the smallest scale found with modular <= 1, and
 ``modular_at_value`` is the fsum there: the correctly rounded sum of the
 computed terms is at most 1 at the reported value.  Each term carries its
@@ -63,7 +65,7 @@ import numpy as np
 
 from .errors import ComputationOverflowError, OrliczSeqError
 from .functions import _MAX_DOUBLINGS, _bisect, _positive, _whole
-from .spaces import SeqVector, SpaceParams, TermBatch
+from .spaces import SeqVector, SpaceParams, TermBatch, exact_sum
 
 DEFAULT_TOL_REL = 1e-12
 _MAX_BISECTIONS = 4000
@@ -123,7 +125,7 @@ def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray):
     ok = s <= 1.0
     if near.any():
         for j in np.flatnonzero(near):
-            ok[j] = math.fsum(terms[j, :n[j]].tolist()) <= 1.0
+            ok[j] = exact_sum(terms[j, :n[j]]) <= 1.0
     return ok, s
 
 

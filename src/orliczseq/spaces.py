@@ -9,8 +9,10 @@ and the modular of a finitely supported complex sequence p at scale rho > 0 is
     modular(p, rho) = sum_m mu(m) * phi(|p_m| / rho)
 
 summed in canonical support order: increasing |m|, negative index before
-positive at equal |m|.  Canonical order plus exact summation (math.fsum)
-makes modular values reproducible bit for bit across runs and input orders.
+positive at equal |m|.  Canonical order plus exact summation makes modular
+values reproducible bit for bit across runs and input orders: each sum is
+math.fsum's correctly rounded value, which ``exact_sum`` computes from
+per-exponent bucket sums for long rows.
 ``measures`` computes mu for a whole support at once, and every caller in
 the package goes through it.  Each space remembers its factors
 (1 + phi(|m|))**k for |m| < 2**16 in a table on the instance: a
@@ -41,6 +43,7 @@ DYADIC_PROBE_DEPTH = 20
 _FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
 _FACTOR_CAP = 2 ** 16  # tables cover |m| below this: 512 KB at most, whole blocks
 _ENVELOPE_SLACK = 1.0 + 1e-12
+_BUCKET_SUM_MIN = 700  # terms from which exact_sum's buckets beat math.fsum
 
 
 class WeightSequence:
@@ -464,10 +467,53 @@ def mu(params: SpaceParams, m: int) -> float:
     return float(mus[0])
 
 
-def _fsum(terms: list, where: str) -> float:
-    """math.fsum of the terms; a sum past double range is a ComputationOverflowError."""
+def exact_sum(terms: np.ndarray) -> float:
+    """``math.fsum(terms.tolist())``, bit for bit, from per-exponent bucket sums.
+
+    With m, e = frexp(x), each term x is hi * 2**(e-26) + lo * 2**(e-53) for
+    the integers hi = trunc(m * 2**26) and lo = m * 2**53 - hi * 2**27, with
+    |hi| < 2**26 and |lo| < 2**27.  Below 2**26 terms, every partial sum of
+    the his, or of the los, is an integer below 2**53, so ``np.bincount``
+    adds each exponent's bucket exactly, in any order.  Scaling a bucket sum
+    back by its power of two is exact too: it is a sum of multiples of the
+    term's last bit, so of 2**-1074, and stays below overflow (below).  The
+    nonzero scaled sums, about two per distinct exponent, thus add up to the
+    same real number as the terms, and fsum rounds that correctly to the
+    same double.
+
+    ``math.fsum`` itself sums the terms, so every error, inf, nan and signed
+    zero is fsum's own, for fewer than ``_BUCKET_SUM_MIN`` terms (where it is
+    faster), for 2**26 terms or more, where sum|terms| could reach 2**1023
+    (n * 2**max(e) could), where a bucket is not finite (an inf or nan
+    term), and where every bucket sums to zero.
+    """
+    n = terms.size
+    if n < _BUCKET_SUM_MIN or n >= 2 ** 26:
+        return math.fsum(terms.tolist())
+    m, e = np.frexp(terms)
+    low, top = int(e.min()), int(e.max())
+    if top + n.bit_length() > 1023:
+        return math.fsum(terms.tolist())
+    m *= 2.0 ** 26
+    hi = np.trunc(m)
+    with np.errstate(invalid="ignore"):  # inf - inf: the nan falls back below
+        m -= hi
+    m *= 2.0 ** 27  # lo
+    e -= low
+    exps = np.arange(low, top + 1)
+    parts = np.concatenate((np.ldexp(np.bincount(e, weights=hi), exps - 26),
+                            np.ldexp(np.bincount(e, weights=m), exps - 53)))
+    parts = parts[parts != 0.0]
+    if not parts.size or not np.isfinite(parts).all():
+        return math.fsum(terms.tolist())
+    return math.fsum(parts.tolist())
+
+
+def _fsum(terms: np.ndarray, where: str) -> float:
+    """``exact_sum`` of the terms; a sum past double range is a
+    ComputationOverflowError."""
     try:
-        return math.fsum(terms)
+        return exact_sum(terms)
     except OverflowError:
         raise ComputationOverflowError(f"modular sum overflow {where}") from None
 
@@ -482,6 +528,8 @@ class TermBatch:
     vector's position to its first ComputationOverflowError: a measure, else
     a scaled argument or a term ("<what> overflow at index <m> <where>"),
     else the sum ("modular sum overflow <where>") that leaves double range.
+    ``sums`` gives math.fsum's value of each row, from ``exact_sum``'s
+    bucket sums for long rows.
     """
 
     def __init__(self, params: SpaceParams, vecs, where: str):
@@ -554,7 +602,7 @@ class TermBatch:
         out = []
         for r, row in zip(rows.tolist(), terms):
             try:
-                out.append(_fsum(row[:self.n[r]].tolist(), self.where))
+                out.append(_fsum(row[:self.n[r]], self.where))
             except ComputationOverflowError as exc:
                 self.fail(r, exc)
                 out.append(math.nan)
@@ -783,7 +831,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
                 terms = mus[:first] * params.phi._raw_eval(args)
             if errors:
                 raise errors[first]
-            upper = explicit + _fsum(terms.tolist(), f"for rho={rho:g}") + tail
+            upper = explicit + _fsum(terms, f"for rho={rho:g}") + tail
             if not math.isfinite(upper):
                 upper = None
         except ComputationOverflowError:
@@ -817,7 +865,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
 
 __all__ = [
     "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "measures",
-    "mu", "modular", "GeometricEnvelope", "geometric_envelope", "weight_poly_bound",
-    "modular_tail_bound", "TailCertificate", "MembershipReport", "classify",
-    "parse_orlicz",
+    "mu", "exact_sum", "modular", "GeometricEnvelope", "geometric_envelope",
+    "weight_poly_bound", "modular_tail_bound", "TailCertificate", "MembershipReport",
+    "classify", "parse_orlicz",
 ]

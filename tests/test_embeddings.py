@@ -372,8 +372,10 @@ def test_tail_index_search_cap_is_inclusive(monkeypatch, w, m1, m2, message):
     cert = uniform_tail_index(src, 0.0, 1.0, 0.1)
     assert (cert.m1, cert.m2) == (m1, m2)
     monkeypatch.setattr(embeddings, "_SEARCH_CAP", cap - 1)
-    with pytest.raises(CertificateError, match=message):
-        uniform_tail_index(src, 0.0, 1.0, 0.1)
+    for _ in range(2):
+        with pytest.raises(CertificateError, match=message):
+            uniform_tail_index(src, 0.0, 1.0, 0.1)
+    assert list(src.phi.__dict__["_tail_indices"].values()) == [(m1, m2)]  # no error stored
 
 
 def test_tail_index_monotone_in_accuracy_and_radius():
@@ -482,7 +484,14 @@ def test_uniform_tail_index_on_a_warm_generator_equals_the_cold_one(make, kprime
         for cert in (first, again):
             assert (cert.m1, cert.m2, cert.m_eps_kappa, cert.theta, cert.bound) == \
                 (cold.m1, cold.m2, cold.m_eps_kappa, cold.theta, cold.bound)
+        # the same generator with one remembered input changed: its own tail indices
+        for kp, kk, w in ((kprime, k, WeightSequence.constant(1e-3)),
+                          (kprime + 1.0, k, W1), (kprime, k + 0.25, W1)):
+            shared = uniform_tail_index(SpaceParams(kp, warm.phi, w), kk, kappa, epsilon)
+            alone = uniform_tail_index(SpaceParams(kp, make(), w), kk, kappa, epsilon)
+            assert (shared.m1, shared.m2, shared.bound) == (alone.m1, alone.m2, alone.bound)
     assert warm.phi.__dict__["_delta2_reports"]
+    assert len(warm.phi.__dict__["_tail_indices"]) == 12
 
 
 def test_covering_check_passes_on_sampled_ball():

@@ -428,18 +428,20 @@ def test_failing_targets_are_not_remembered():
         t, errors = phi.inverses([0.5, 1e3, math.nan])
         assert isinstance(errors[1], CertificateError) and isinstance(errors[2], DomainError)
         assert t[0] == scalar_inverse_oracle(phi, 0.5) and math.isnan(t[1])
-    assert list(vars(phi)["_inverse_roots"]) == [0.5]
+    assert vars(phi)["_inverse_roots"][0].tolist() == [0.5]
 
 
 def test_memo_never_exceeds_its_cap(monkeypatch):
     monkeypatch.setattr(functions, "_MEMO_ROOTS", 8)
     phi, rng, seen = ExpLinear(), np.random.default_rng(3), []
     for size in (3, 5, 1, 20, 8, 9, 2):
-        # new targets mixed with ones solved before
-        ys = [*seen[-3:], *(10.0 ** rng.uniform(-30.0, 3.0, size)).tolist()]
+        # new targets, one of them twice, mixed with ones solved before
+        new = (10.0 ** rng.uniform(-30.0, 3.0, size)).tolist()
+        ys = [*seen[-3:], *new, new[0]]
         seen += ys
         assert phi.inverses(ys)[0].tolist() == [scalar_inverse_oracle(phi, y) for y in ys]
-        assert len(vars(phi)["_inverse_roots"]) <= 8
+        keys = vars(phi)["_inverse_roots"][0]
+        assert keys.size <= 8 and (np.diff(keys) > 0.0).all()  # sorted, each once
 
 
 def test_norms_equal_with_a_cold_and_a_warm_memo():

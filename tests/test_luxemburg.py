@@ -17,7 +17,7 @@ from orliczseq import (BallTailCertificate, CertificateError,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
-from orliczseq import functions
+from orliczseq import functions, spaces
 from orliczseq.luxemburg import _at_most_one, _Batch, _solve, _sum_slack
 from helpers import (GUESS_NAMES, bad_guess, mpmath_explin_root, power_norm_oracle,
                      random_vector, scalar_mu_oracle, scalar_norm_oracle)
@@ -206,13 +206,16 @@ def test_batch_rows_equal_single_solves(phi):
     assert luxemburg_norms(params, []) == []
 
 
-def test_sum_decision_equals_fsum_on_adversarial_terms():
+# padded with zero terms, each row takes exact_sum's bucket path
+@pytest.mark.parametrize("pad", [0, spaces._BUCKET_SUM_MIN])
+def test_sum_decision_equals_fsum_on_adversarial_terms(pad):
     rows = ([0.1] * 10,                      # fsum gives exactly 1.0, np.sum less
             [1.0, 2.0 ** -53, 2.0 ** -53],   # np.sum gives 1.0, fsum more
             [0.5, 0.5 + 2.0 ** -53],         # exact sum rounds to 1.0
             [0.75, 0.25 + 2.0 ** -52],
             [1.0 - 2.0 ** -53],
             [1.0])
+    rows = [r + [0.0] * pad for r in rows]
     width = max(map(len, rows))
     terms = np.array([r + [0.0] * (width - len(r)) for r in rows])
     n = np.array([len(r) for r in rows])
@@ -225,8 +228,10 @@ def test_sum_decision_equals_fsum_on_adversarial_terms():
 def test_sum_decision_equals_fsum_near_one():
     rng = random.Random(71)
     rows = []
-    for _ in range(400):
-        r = [rng.random() * 10.0 ** rng.uniform(-8, 0) for _ in range(rng.randint(1, 60))]
+    for i in range(400):
+        # the last rows are long enough for exact_sum's bucket path
+        size = rng.randint(1, 60) if i < 380 else rng.randint(700, 1500)
+        r = [rng.random() * 10.0 ** rng.uniform(-8, 0) for _ in range(size)]
         total = math.fsum(r)
         r = [x / total for x in r]
         r[rng.randrange(len(r))] += rng.choice((-1, 0, 1)) * rng.randint(0, 4) * 2.0 ** -53

@@ -622,6 +622,94 @@ def test_modular_convex_in_the_sequence(lam, seed):
     assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
 
 
+BUCKET_MIN = spaces._BUCKET_SUM_MIN
+SPECIAL_TERMS = (1.0, 2.0 ** -53, -2.0 ** -53, 2.0 ** -54, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e300, 1e-300)
+
+
+def _sum_outcome(summed, terms):
+    """The hex of the sum, or the type and message of what it raised."""
+    try:
+        return summed(terms).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum_outcome(terms):
+    return _sum_outcome(lambda a: math.fsum(a.tolist()), terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                          st.sampled_from(SPECIAL_TERMS)), min_size=1, max_size=30),
+       st.integers(-1, 2 * BUCKET_MIN), st.integers(0, 600), st.floats(-300.0, 300.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_sum_is_fsum_bit_for_bit(base, extra, spread, top, seed):
+    # a length of at least BUCKET_MIN - 1 (the threshold's both sides):
+    # terms drawn from ``base`` (subnormals, ties, +-0.0, +-1e300 among them)
+    # and signed log-uniform magnitudes 10**[top - spread, top]
+    rng = np.random.default_rng(seed)
+    size = BUCKET_MIN + extra
+    drawn = rng.integers(0, size + 1)
+    logs = rng.uniform(max(top - spread, -300.0), min(top, 300.0), size - drawn)
+    terms = np.concatenate((rng.choice(np.array(base), drawn),
+                            rng.choice((-1.0, 1.0), logs.size) * 10.0 ** logs))
+    rng.shuffle(terms)
+    assert _sum_outcome(spaces.exact_sum, terms) == _fsum_outcome(terms)
+
+
+@pytest.mark.parametrize("size", [BUCKET_MIN - 1, BUCKET_MIN, 5000])
+@pytest.mark.parametrize("head", [
+    [1.0, 2.0 ** -53],                        # a tie: rounds down to even 1.0
+    [1.0 + 2.0 ** -52, 2.0 ** -53],           # a tie: rounds up to even
+    [1.0, 2.0 ** -53, 2.0 ** -105],           # just past the tie
+    [1.0, -2.0 ** -54, -2.0 ** -54, 2.0 ** -1074],
+    [0.0], [-0.0], [0.0, -0.0], [5e-324, -5e-324], [1e300, -1e300, 1.0],
+], ids=repr)
+def test_exact_sum_of_ties_zeros_and_cancellations_is_fsum(size, head):
+    # padded with zeros or with -0.0 to ``size`` terms; a tie spread over many terms
+    for pad in (0.0, -0.0):
+        terms = np.array(head + [pad] * (size - len(head)))
+        assert _sum_outcome(spaces.exact_sum, terms) == _fsum_outcome(terms)
+    ulps = np.array([1.0] + [2.0 ** -53] * (size - 1))  # (size - 1)/2 ulps of 1.0
+    assert spaces.exact_sum(ulps).hex() == math.fsum(ulps.tolist()).hex()
+
+
+@pytest.mark.parametrize("size", [BUCKET_MIN - 1, BUCKET_MIN, 5000])
+@pytest.mark.parametrize("head, raised", [
+    ([math.inf], None), ([-math.inf, 1e300], None), ([math.nan], None),
+    ([math.inf, -math.inf], ValueError),
+    ([1e308, 1e308], OverflowError),          # past double range
+    ([1e308, 1e308, -1e308], OverflowError),  # fsum's intermediate overflow
+    ([1.7e308, -1.7e308, 1e308], None),
+    ([1e303, 1e303, -1e303], None),           # large, on the bucket path
+], ids=repr)
+def test_exact_sum_errors_and_non_finite_sums_are_fsum_ones(size, head, raised):
+    terms = np.array(head + [1.0] * (size - len(head)))
+    want = _fsum_outcome(terms)  # nan.hex() is "nan"
+    assert _sum_outcome(spaces.exact_sum, terms) == want
+    assert isinstance(want, str) == (raised is None)
+    if raised is not None:
+        assert want[0] is raised
+    if raised is OverflowError:
+        with pytest.raises(ComputationOverflowError, match="^modular sum overflow here$"):
+            spaces._fsum(terms, "here")
+
+
+def test_a_long_modular_is_the_literal_fsum_of_its_terms():
+    rng = random.Random(5)
+    p = SeqVector({m: complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-8, 0)
+                   for m in range(-2500, 2500)})
+    assert len(p) == 5000
+    for params in (SpaceParams(1.0, Power(2.0), WeightSequence(1.0, {7: 0.3})),
+                   SpaceParams(0.0, ExpSquare(), W1)):
+        mus, errors = measures(params, p.support)
+        assert not errors
+        for rho in (0.5, 3.0, 40.0):
+            terms = mus * params.phi.eval(p.abs_values() / rho)
+            assert modular(params, p, rho).hex() == math.fsum(terms.tolist()).hex()
+
+
 def test_convex_combination_stays_in_unit_class():
     rng = random.Random(5)
     params = SpaceParams(0.5, ExpLinear(), W1)
