@@ -488,10 +488,22 @@ class ExpSquare(OrliczFunction):
         return "expsq"
 
 
-# Taylor coefficients 1/n! for n = 2..26; degree 26 keeps the truncation error
-# below 1e-30 relative on [0, 1/2].
-_EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
+# Taylor coefficients 1/n! for n = 20..2, highest degree first.  The tail past
+# degree 20 is below 2*t**19/21! * 22/21.5 of phi(t) >= t*t/2, at most 7.7e-26
+# relative on [0, 1/2].
+_EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(20, 1, -1))
 _EXPLIN_SWITCH = 0.5
+
+
+def _explin_series(x):
+    """sum_{n=2}^{20} x^n/n! by Horner's rule, in one array updated in place."""
+    y = np.full(x.shape, _EXPLIN_COEFFS[0])
+    for c in _EXPLIN_COEFFS[1:]:
+        y *= x
+        y += c
+    y *= x
+    y *= x
+    return y
 
 
 @dataclass(frozen=True, repr=False)
@@ -500,7 +512,9 @@ class ExpLinear(OrliczFunction):
 
     Direct evaluation loses all relative accuracy as t -> 0 (the difference
     is O(t^2) while exp(t) is O(1)), so at or below t = 1/2 the Taylor
-    polynomial sum_{n>=2} t^n/n! is used instead, and expm1(t) - t above.
+    polynomial sum_{n=2}^{20} t^n/n! is used instead, by Horner's rule, and
+    expm1(t) - t above.  The terms past degree 20 are below 7.7e-26 of
+    phi(t) on [0, 1/2], far under one rounding.
 
     Relative error at most 10u.  The polynomial sums positive terms; above
     1/2 the difference amplifies expm1's error by expm1(t)/(expm1(t) - t),
@@ -508,11 +522,12 @@ class ExpLinear(OrliczFunction):
     """
 
     def _raw_eval(self, t):
-        out = np.empty(t.shape)
         small = t <= _EXPLIN_SWITCH
-        if small.any():  # polyval costs two ufunc calls per coefficient
-            x = t[small]
-            out[small] = np.polyval(_EXPLIN_COEFFS, x) * x * x
+        if small.all():  # the common case: no gather or scatter
+            return _explin_series(t)
+        out = np.empty(t.shape)
+        if small.any():
+            out[small] = _explin_series(t[small])
         x = t[~small]
         out[~small] = np.expm1(x) - x
         return out

@@ -304,14 +304,24 @@ def schauder_curve(params: SpaceParams, p: SeqVector,
 
     The curve is nonincreasing and its last entry is exactly 0 (the final
     truncation keeps the whole support).  The empty sequence yields [(0, 0)].
-    All tails are solved in one batch, so mu and the single-term inverse run
-    once per support index rather than once per tail.
+    Cuts between two support indices leave the same tail, so each distinct
+    tail, one per distinct |m| >= 1 plus the empty one, is solved once and
+    its norm repeated for each of its cuts.  They are solved in one batch, so
+    mu and the single-term inverse run once per support index; a failing
+    tail raises the error of the first cut that has it.
     """
     if not p:
         return [(0, 0.0)]
-    cuts = range(p.max_abs_index + 1)
-    tails = luxemburg_norms(params, [p.tail(m_cut + 1) for m_cut in cuts], tol_rel)
-    return [(m_cut, r.value) for m_cut, r in zip(cuts, tails)]
+    tails, cuts, prev = [], [], 0
+    for m in p.support:
+        if abs(m) > prev:  # cuts prev .. |m| - 1 keep the tail from |m| on
+            tails.append(p.tail(abs(m)))
+            cuts.append(abs(m) - prev)
+            prev = abs(m)
+    tails.append(p.tail(prev + 1))
+    cuts.append(1)
+    norms = luxemburg_norms(params, tails, tol_rel)
+    return list(enumerate(r.value for r, n in zip(norms, cuts) for _ in range(n)))
 
 
 __all__ = ["NormResult", "luxemburg_norm", "luxemburg_norms", "AxiomReport",

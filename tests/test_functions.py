@@ -18,8 +18,9 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
                        delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
                        theta_bound, validate_orlicz)
 from orliczseq.cli import run
-from helpers import (GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess, mpmath_explin_root,
-                     random_vector, scalar_inverse_oracle, scalar_phi_oracle)
+from helpers import (_EXPLIN_COEFFS, GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess,
+                     mpmath_explin_root, random_vector, scalar_inverse_oracle,
+                     scalar_phi_oracle)
 
 E_MINUS_2 = 0.71828182845904523536
 SQRT_LN2 = 0.83255461115769775635
@@ -70,6 +71,37 @@ def test_explin_small_argument_accuracy():
     t = 1e-8
     expected = t * t / 2.0 * (1.0 + t / 3.0)
     assert ExpLinear()(t) == pytest.approx(expected, rel=1e-12)
+
+
+def _degree26_series(t):
+    """The oracle's degree-26 Horner sum of t^n/n!, on a whole array."""
+    acc = np.zeros(t.shape)
+    for c in _EXPLIN_COEFFS:
+        acc = acc * t + c
+    return acc * t * t
+
+
+def test_explin_series_equals_the_degree_26_oracle_bit_for_bit():
+    # the library stops at degree 20; the terms it drops are below 1e-25 relative
+    rng = np.random.default_rng(18)
+    ts = np.concatenate((np.minimum(10.0 ** rng.uniform(-300.0, math.log10(0.5), 10**6), 0.5),
+                         rng.uniform(0.25, 0.5, 10**6),
+                         0.5 - np.arange(1, 10**5 + 1) * 2.0**-54))  # the doubles below 1/2
+    want = _degree26_series(ts)
+    phi = ExpLinear()
+    got = phi.eval(ts.reshape(-1, 700))  # every point on the series branch
+    assert np.count_nonzero(got.ravel() != want) == 0
+    assert np.count_nonzero(phi.eval(np.repeat(ts, 2)[1::2]) != want) == 0  # a strided view
+    mixed = np.where(np.arange(ts.size) % 3 == 0, ts + 1.0, ts)  # straddles 1/2
+    small = mixed <= 0.5
+    got = phi.eval(mixed)
+    assert np.count_nonzero(got[small] != want[small]) == 0
+    big = mixed[~small]
+    assert np.count_nonzero(got[~small] != np.expm1(big) - big) == 0
+    for empty in (np.empty(0), np.empty((0, 5))):
+        assert phi.eval(empty).shape == empty.shape and phi.eval(empty).dtype == float
+    picks = np.concatenate((ts[::400], [0.0, 0.5]))
+    assert [phi.eval(t) for t in picks.tolist()] == _degree26_series(picks).tolist()
 
 
 def test_overflow_saturates_to_inf():

@@ -17,7 +17,7 @@ from orliczseq import (BallTailCertificate, CertificateError,
                        covering_check, luxemburg_norm, luxemburg_norms, modular,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
-from orliczseq import functions, spaces
+from orliczseq import functions, luxemburg, spaces
 from orliczseq.luxemburg import _at_most_one, _Batch, _solve, _sum_slack
 from helpers import (GUESS_NAMES, bad_guess, mpmath_explin_root, power_norm_oracle,
                      random_vector, scalar_mu_oracle, scalar_norm_oracle)
@@ -185,6 +185,36 @@ def test_schauder_curve_nonincreasing_to_zero():
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a * (1.0 + 1e-9) + 1e-15
     assert schauder_curve(params, SeqVector()) == [(0, 0.0)]
+
+
+def test_schauder_curve_solves_each_distinct_tail_once(monkeypatch):
+    explin, power = SpaceParams(1.0, ExpLinear(), W1), SpaceParams(1.0, Power(2.0), W1)
+    p = SeqVector({0: 1.0, -3: 2.0, 3: 0.5j, 4: 1.0, 9: -0.25, -12: 3.0})
+    per_cut = [(c, r.value) for c, r in enumerate(
+        luxemburg_norms(explin, [p.tail(c + 1) for c in range(13)]))]
+    sparse = SeqVector({0: 1.0, 100000: 0.5})
+    lone = luxemburg_norm(power, sparse.tail(1)).value
+    solved = []
+
+    def counting(params, vecs, tol_rel):
+        solved.append(len(vecs))
+        return luxemburg_norms(params, vecs, tol_rel)
+
+    monkeypatch.setattr(luxemburg, "luxemburg_norms", counting)
+    assert schauder_curve(explin, p) == per_cut
+    assert schauder_curve(power, sparse) == [(c, lone) for c in range(100000)] + [(100000, 0.0)]
+    assert schauder_curve(power, SeqVector({0: 2.0})) == [(0, 0.0)]
+    assert solved == [5, 2, 1]  # |m| = 3, 4, 9, 12 and the empty tail; 100000 and empty; empty
+
+
+def test_schauder_curve_raises_the_first_cuts_error():
+    params = SpaceParams(200.0, Power(2.0), W1)  # mu(m) overflows from |m| = 7 on
+    p = SeqVector({1: 1.0, -3: 2.0, 3: 1.0, 7: 1.0, -9: 0.5})
+    with pytest.raises(ComputationOverflowError) as per_cut:
+        luxemburg_norms(params, [p.tail(c + 1) for c in range(10)])
+    with pytest.raises(ComputationOverflowError) as curve:
+        schauder_curve(params, p)
+    assert str(curve.value) == str(per_cut.value) and curve.value.index == 7
 
 
 GENERATORS = (Power(1.0), Power(2.5), ExpSquare(), ExpLinear(), ExpCompose(Power(2.0)),
