@@ -88,6 +88,34 @@ def scalar_mu_oracle(params, m):
     return val if math.isfinite(val) else None
 
 
+def classify_upper_oracle(params, p, envelope, rho, trunc, tail):
+    """A ``classify`` certificate's ``modular_upper`` by brute force, one
+    index at a time: the modular of p at rho, plus the sum of
+    mu(m) * phi(bound_at(m) / rho) over the indices of -trunc..trunc off p's
+    support (an underflowed bound included), plus ``tail``.  Each part is a
+    ``math.fsum`` of its terms, taken from ``scalar_mu_oracle`` and
+    ``scalar_phi_oracle``.  None where a measure, a sum or the total leaves
+    double range, or a term is not finite.
+    """
+    supp = set(p.support)
+    parts = ([(m, abs(v)) for m, v in p.items],
+             [(m, envelope.bound_at(m)) for m in range(-trunc, trunc + 1) if m not in supp])
+    sums = []
+    for part in parts:
+        terms = []
+        for m, a in part:
+            mu = scalar_mu_oracle(params, m)
+            if mu is None:
+                return None
+            terms.append(mu * scalar_phi_oracle(params.phi, a / rho))
+        try:
+            sums.append(math.fsum(terms))
+        except (OverflowError, ValueError):  # past double range, or inf - inf
+            return None
+    upper = sums[0] + sums[1] + tail
+    return upper if math.isfinite(upper) else None
+
+
 def random_vector(rng, max_points, max_index, decades=(-3.0, 3.0)):
     """Random finitely supported vector with values spread over decades."""
     n = rng.randint(1, max_points)

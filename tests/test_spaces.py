@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, ComputationOverflowError,
                        DomainError, ExpCompose, ExpLinear, ExpSquare,
-                       GeometricProbe, NormResult, Power, SeqVector, SpaceParams,
+                       GeometricEnvelope, GeometricProbe, NormResult, Power,
+                       SeqVector, SpaceParams,
                        TabulatedConvex, WeightSequence, check_domination,
                        classify, default_probe_grid, geometric_envelope,
                        luxemburg_norm, measures, modular, modular_tail_bound,
@@ -23,7 +24,7 @@ from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.luxemburg import _solve
 from orliczseq.spaces import DYADIC_PROBE_DEPTH
-from helpers import pow_or_inf, scalar_mu_oracle
+from helpers import classify_upper_oracle, pow_or_inf, scalar_mu_oracle
 
 HALF_E_SQUARED = 3.69452804946532511362  # 0.5 * e**2
 
@@ -934,6 +935,63 @@ def test_classify_reports_an_overflowing_upper_bound_as_none(capsys, amplitude):
                 "--env-r", "0.5"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and "Infinity" not in out and '"modular_upper": null' in out
+
+
+CLASSIFY_SPACES = [SpaceParams(1.0, Power(2.0), WeightSequence(1.0, {0: 0.5, -3: 2.0})),
+                   SpaceParams(0.5, Power(1.5), W1),
+                   SpaceParams(0.0, ExpSquare(), WeightSequence.constant(0.5)),
+                   SpaceParams(1.0, TAB_KNOTS, SIGNED_WEIGHTS)]
+
+
+@pytest.mark.parametrize("params", CLASSIFY_SPACES, ids=lambda s: f"{s.phi.descriptor()[:8]}")
+@pytest.mark.parametrize("amplitude, ratio", [(1.0, 0.5), (2.0, 0.7), (0.3, 0.9),
+                                              (1.2e154, 0.5)])
+def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio):
+    # at 1.2e154 the off-support sum overflows at rho = 1 (the bound is None)
+    env = geometric_envelope(params, amplitude, ratio)
+    dominated = SeqVector({m: 0.5 * env.bound_at(m) * (1j if m % 2 else 1.0)
+                           for m in (0, -1, 2, -4)})
+    for p in (SeqVector(), dominated):
+        for depth in (0, 3, 8):
+            report = classify(params, p, env, depth)
+            assert len(report.certificates) == depth + 1
+            for cert in report.certificates:
+                assert cert.tail_bound == modular_tail_bound(params, env, cert.rho, cert.trunc)
+                want = classify_upper_oracle(params, p, env, cert.rho, cert.trunc,
+                                             cert.tail_bound)
+                got = cert.modular_upper
+                assert (None if got is None else got.hex()) == (
+                    None if want is None else want.hex())
+
+
+def test_classify_checks_the_measure_of_an_underflowed_bound():
+    # the bound is 0.0 from |m| = 2 on, and mu(m) overflows from |m| = 6 on:
+    # the window's sum is not certified, though every term there would be 0
+    params = SpaceParams(200.0, Power(2.0), W1)
+    env = GeometricEnvelope(1.0, 1e-200, 1.0, 0.0, valid_from=10)
+    assert env.bound_at(2) == 0.0
+    report = classify(params, None, env, 3)
+    assert report.in_class and report.in_small
+    assert [c.trunc for c in report.certificates] == [10] * 4
+    assert all(c.tail_bound == 0.0 and c.modular_upper is None for c in report.certificates)
+    # the same window with every measure finite is summed
+    finite = classify(SpaceParams(200.0, Power(2.0), W1), None,
+                      GeometricEnvelope(1.0, 1e-200, 1.0, 0.0, valid_from=5), 0)
+    assert finite.certificates[0].modular_upper == 1.0  # mu(0) * phi(1); phi(1e-200) is 0
+
+
+def test_classify_of_a_table_negative_beyond_its_knots_names_the_index():
+    # phi(t) = 0.5 - 0.5 * (t - 2) beyond the last knot: phi(4) = -0.5
+    params = SpaceParams(0.5, TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]), W1)
+    env = geometric_envelope(params, 1.0, 0.5)
+    # the window reaches |m| = 4 at rho = 1/16, where -4 comes first
+    with pytest.raises(DomainError) as off_support:
+        classify(params, SeqVector({0: 0.5, 1: 0.25}), env, 8)
+    assert str(off_support.value) == "measure undefined at index -4: phi(4) = -0.5 is negative"
+    # p's own index 4 is measured first, at rho = 1
+    with pytest.raises(DomainError) as explicit:
+        classify(params, SeqVector({0: 0.5, 4: 0.05}), env, 8)
+    assert str(explicit.value) == "measure undefined at index 4: phi(4) = -0.5 is negative"
 
 
 @pytest.mark.parametrize("text, line, row", [
