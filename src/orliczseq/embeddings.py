@@ -385,22 +385,22 @@ def covering_check(cert: BallTailCertificate, samples,
     relative slack 1+1e-9 for the solver tolerance).  A violation raises
     CertificateRefutedError carrying the offending sample index.  The
     residual norms are solved in one batch; samples are then checked in
-    order, so the first failing sample is the one reported.  All tail
-    modulars come from one ``TermBatch``; a sample's tail modular error comes
-    before its solve error, and both before its refutations.
+    order, so the first failing sample is the one reported.  The tails are
+    one ``TermBatch``: its tail modulars come first, then the solve of the
+    same batch, so a sample's tail modular error comes before its solve
+    error, and both before its refutations.
     """
+    norm_tol = _positive(norm_tol, "tol_rel")
     target = cert.target_params
     rho = cert.epsilon / 2.0
     cut = cert.m_eps_kappa
     tails = [p.tail(cut) for p in samples]
-    solved = _solve(target, tails, norm_tol)
+    batch = TermBatch(target, tails)
     if any(tails):  # an empty tail has modular 0 at any scale
         rho = _positive(rho, "scale rho")
-    tail_mods, errors = TermBatch(target, tails, f"for rho={rho:g}").modulars(rho)
+    tail_mods, _ = batch.modulars(rho, f"for rho={rho:g}")
     resids = []
-    for i, (tail_mod, res) in enumerate(zip(tail_mods, solved)):
-        if i in errors:
-            raise errors[i]
+    for i, (tail_mod, res) in enumerate(zip(tail_mods, _solve(batch, norm_tol))):
         if isinstance(res, OrliczSeqError):
             raise res
         resid = res.value

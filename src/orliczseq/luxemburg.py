@@ -5,9 +5,10 @@ modular is continuous and strictly decreasing in rho wherever positive, so
 the infimum is attained and bracketed bisection resolves it.
 
 ``luxemburg_norms`` solves a batch of vectors in one pass and
-``luxemburg_norm`` is a batch of one.  The terms come from one
-``spaces.TermBatch``, the padded arrays of |p_m| and mu(m) that ``modular``
-and ``covering_check`` sum as well, and phi^{-1}(1/mu(m)) from one call of
+``luxemburg_norm`` is a batch of one.  The solver takes a
+``spaces.TermBatch``, the padded arrays of |p_m| and mu(m) that
+``covering_check`` also takes its tail modulars from, and gets every term
+and its final modulars from it; phi^{-1}(1/mu(m)) comes from one call of
 ``phi.inverses`` on the distinct values of 1/mu(m).  Each of its targets
 takes the path of a scalar bisection, so a root does not depend on the
 batch it is solved in; the generic inverse remembers the roots it found, so
@@ -47,10 +48,10 @@ midpoints laid out ahead, only those on a row's path up to its first
 decision that differs from the guess fall back to fsum or fail the row on
 overflow; the others are discarded.
 The returned value is the smallest scale found with modular <= 1, and
-``modular_at_value`` is the fsum there: the correctly rounded sum of the
-computed terms is at most 1 at the reported value.  Each term carries its
-own rounding, so the modular in exact arithmetic can exceed 1 by a few
-units in the last place.
+``modular_at_value`` is the batch's modular there, the fsum: the correctly
+rounded sum of the computed terms is at most 1 at the reported value.  Each
+term carries its own rounding, so the modular in exact arithmetic can
+exceed 1 by a few units in the last place.
 
 A row that fails does not stop the others.  The batch then raises the error
 of the lowest failing row, the one a loop over the vectors would meet first.
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationOverflowError, OrliczSeqError
-from .functions import _MAX_DOUBLINGS, _bisect, _positive, _whole
+from .errors import ComputationOverflowError, DomainError, OrliczSeqError
+from .functions import MAX_GRID_POINTS, _MAX_DOUBLINGS, _bisect, _positive, _whole
 from .spaces import SeqVector, SpaceParams, TermBatch, exact_sum
 
 DEFAULT_TOL_REL = 1e-12
@@ -129,46 +130,44 @@ def _at_most_one(terms: np.ndarray, n: np.ndarray, slack: np.ndarray):
     return ok, s
 
 
-class _Batch(TermBatch):
-    """The term batch of a solve, with each row's lower bracket ``rho_low``."""
-
-    def __init__(self, params: SpaceParams, vecs):
-        super().__init__(params, vecs, _WHERE)
-        # phi^{-1}(1/mu(m)) in one call, once per distinct measure; 0 marks an
-        # underflowed measure or padding, whose term never binds
-        scale = np.zeros(self.mus.shape)
-        solvable = self.mus != 0.0
-        targets, which = np.unique(1.0 / self.mus[solvable], return_inverse=True)
-        roots, failed = self.phi.inverses(targets)
-        scale[solvable] = roots[which]
-        ratio = np.divide(self.avals, scale, out=np.zeros(scale.shape), where=scale > 0.0)
-        self.rho_low = ratio.max(axis=1, initial=0.0)
-        if failed:
-            # a row fails on its first entry without an inverse, and has no bracket
-            target = np.full(scale.shape, -1)
-            target[solvable] = which
-            for r, c in zip(*np.nonzero(np.isin(target, list(failed)))):
-                self.fail(r, failed[int(target[r, c])])
-                self.rho_low[r] = math.nan
-        self.slack = _sum_slack(self.n)
+def _rho_low(batch: TermBatch) -> np.ndarray:
+    """Each row's lower bracket end, max |p_m| / phi^{-1}(1/mu(m)), from one
+    ``phi.inverses`` call on the distinct values of 1/mu(m).  A row with a
+    measure that has no inverse fails on its first one, and its end is nan."""
+    # 0 marks an underflowed measure or padding, whose term never binds
+    scale = np.zeros(batch.mus.shape)
+    solvable = batch.mus != 0.0
+    targets, which = np.unique(1.0 / batch.mus[solvable], return_inverse=True)
+    roots, failed = batch.phi.inverses(targets)
+    scale[solvable] = roots[which]
+    ratio = np.divide(batch.avals, scale, out=np.zeros(scale.shape), where=scale > 0.0)
+    rho_low = ratio.max(axis=1, initial=0.0)
+    if failed:
+        target = np.full(scale.shape, -1)
+        target[solvable] = which
+        for r, c in zip(*np.nonzero(np.isin(target, list(failed)))):
+            batch.fail(r, failed[int(target[r, c])])
+            rho_low[r] = math.nan
+    return rho_low
 
 
 # overflow, underflow and inf * 0 surface as typed errors naming the index
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
-    """The NormResult, or the typed error, of each vector in ``vecs``."""
-    tol_rel = _positive(tol_rel, "tol_rel")
-    batch = _Batch(params, vecs)
-    columns = (batch.avals, batch.mus, batch.n, batch.slack)
+def _solve(batch: TermBatch, tol_rel: float) -> list:
+    """The NormResult, or the typed error, of each vector of ``batch``; a
+    vector that has failed already keeps its first error.  ``tol_rel`` must
+    be positive."""
+    slack = _sum_slack(batch.n)
+    columns = (batch.avals, batch.mus, batch.n, slack)
 
     def above(rho, rows, avals, mus, n, slack):
         """Per row whether modular > 1 (the norm lies above rho), and the
         overflowed rows; for a column of trial scales per row, per cell whether
         np.sum decides that, the log of the sum, and the cells it does not decide."""
         if rho.ndim == 1:
-            terms, lost = batch.terms(rows, avals, mus, rho)
+            terms, lost = batch.terms(rows, avals, mus, rho, _WHERE)
             return ~_at_most_one(terms, n, slack)[0], lost
-        terms, lost = batch.terms(None, avals[:, None], mus[:, None], rho)
+        terms, lost = batch.terms(None, avals[:, None], mus[:, None], rho, _WHERE)
         s, near = _near_one(terms, slack[:, None])
         with np.errstate(divide="ignore"):
             return s > 1.0, np.log(s), near if lost is None else near | lost
@@ -176,8 +175,8 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     def probe(rows, rho):
         """``rows`` with modular <= 1 at rho, and the rest (overflowed rows in
         neither); the log of each row's sum goes to ``excess``."""
-        terms, lost = batch.terms(rows, batch.avals[rows], batch.mus[rows], rho)
-        ok, s = _at_most_one(terms, batch.n[rows], batch.slack[rows])
+        terms, lost = batch.terms(rows, batch.avals[rows], batch.mus[rows], rho, _WHERE)
+        ok, s = _at_most_one(terms, batch.n[rows], slack[rows])
         with np.errstate(divide="ignore"):
             excess[rows] = np.log(s)
         if lost is not None:
@@ -188,7 +187,7 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
         for r in rows.tolist():
             batch.fail(r, ComputationOverflowError(message))
 
-    rho_low = batch.rho_low
+    rho_low = _rho_low(batch)
     lo, hi = rho_low.copy(), rho_low.copy()
     excess = np.full(rho_low.size, math.nan)  # log of the modular sum at hi, then lo
     lo_excess = excess.copy()
@@ -196,9 +195,8 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
     valid = (rho_low > 0.0) & np.isfinite(rho_low)
     fail(np.flatnonzero(~valid), _NOT_REPRESENTABLE)
 
-    # rho_low itself may already satisfy the modular
-    closed, live = probe(np.flatnonzero(valid), rho_low[valid])
-    done = [closed]
+    # rho_low itself may already satisfy the modular: such a row is closed
+    live = probe(np.flatnonzero(valid), rho_low[valid])[1]
 
     # double the upper end until the modular drops to at most 1
     doubled = []
@@ -222,16 +220,14 @@ def _solve(params: SpaceParams, vecs, tol_rel: float) -> list:
         lo[live], hi[live], iters[live], tol_rel, _MAX_BISECTIONS, above,
         (live, *(x[live] for x in columns)), (lo_excess[live], excess[live]),
         batch.avals.shape[1])
-    done.append(live)
 
-    out = [_ZERO_NORM if not p else None for p in vecs]
-    fin = np.sort(np.concatenate(done))
-    fin = fin[np.array([batch.pos[r] not in batch.errors for r in fin.tolist()], dtype=bool)]
-    terms, _ = batch.terms(fin, batch.avals[fin], batch.mus[fin], hi[fin])
-    for r, at_value in zip(fin.tolist(), batch.sums(fin, terms)):
-        out[batch.pos[r]] = NormResult(float(hi[r]), (float(lo[r]), float(hi[r])),
-                                       at_value, int(iters[r]))
-    for i, exc in batch.errors.items():
+    # every row that has not failed is closed: its modular at the value
+    at_value, errors = batch.modulars(hi, _WHERE)
+    out = [_ZERO_NORM] * batch.size
+    for r, i in enumerate(batch.pos):
+        out[i] = NormResult(float(hi[r]), (float(lo[r]), float(hi[r])), at_value[i],
+                            int(iters[r]))
+    for i, exc in errors.items():
         out[i] = exc
     return out
 
@@ -244,7 +240,8 @@ def luxemburg_norms(params: SpaceParams, vecs,
     ``luxemburg_norm`` returns for that vector alone.  If any vector fails,
     the error of the first failing vector is raised.
     """
-    out = _solve(params, list(vecs), tol_rel)
+    tol_rel = _positive(tol_rel, "tol_rel")
+    out = _solve(TermBatch(params, list(vecs)), tol_rel)
     for res in out:
         if isinstance(res, OrliczSeqError):
             raise res
@@ -308,10 +305,15 @@ def schauder_curve(params: SpaceParams, p: SeqVector,
     tail, one per distinct |m| >= 1 plus the empty one, is solved once and
     its norm repeated for each of its cuts.  They are solved in one batch, so
     mu and the single-term inverse run once per support index; a failing
-    tail raises the error of the first cut that has it.
+    tail raises the error of the first cut that has it.  A curve of more
+    than ``MAX_GRID_POINTS`` points is a DomainError naming the index that
+    needs them, raised before any solve.
     """
     if not p:
         return [(0, 0.0)]
+    if p.max_abs_index + 1 > MAX_GRID_POINTS:
+        raise DomainError(f"schauder curve to index {p.support[-1]} needs "
+                          f"{p.max_abs_index + 1} points; at most {MAX_GRID_POINTS} are allowed")
     tails, cuts, prev = [], [], 0
     for m in p.support:
         if abs(m) > prev:  # cuts prev .. |m| - 1 keep the tail from |m| on

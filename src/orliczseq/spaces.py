@@ -14,7 +14,10 @@ values reproducible bit for bit across runs and input orders: each sum is
 math.fsum's correctly rounded value, which ``exact_sum`` computes from
 per-exponent bucket sums for long rows.
 ``measures`` computes mu for a whole support at once, and every caller in
-the package goes through it.  Each space remembers its factors
+the package goes through it.  Every modular term and sum comes from a
+``TermBatch``: ``modular`` is a batch of one, ``classify`` sums its window
+off the support as a second, and ``covering_check`` and the norm solver
+share one.  Each space remembers its factors
 (1 + phi(|m|))**k for |m| < 2**16 in a table on the instance: a
 ``SpaceParams``, its generator and its weights are immutable values, so the
 table never goes stale, and ``dataclasses.replace`` yields a fresh one.
@@ -36,8 +39,8 @@ import numpy as np
 
 from .errors import CertificateError, ComputationOverflowError, DomainError
 from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
-                        OrliczFunction, Power, TabulatedConvex, _check_point,
-                        _csv_rows, _positive, _whole, parse_orlicz)
+                        OrliczFunction, Power, TabulatedConvex, _csv_rows,
+                        _positive, _whole, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
@@ -329,7 +332,9 @@ class SeqVector:
     @classmethod
     def _canonical(cls, items: tuple, support=None, abs_values=None,
                    indices=None) -> "SeqVector":
-        """The vector of items already in canonical order, nonzero and finite."""
+        """The vector of items already in canonical order, nonzero and finite
+        (``classify``'s row of bounds, which only a term batch reads, keeps
+        its zeros)."""
         out = cls.__new__(cls)
         out._items, out._support, out._abs, out._ms = items, support, abs_values, indices
         return out
@@ -509,17 +514,10 @@ def exact_sum(terms: np.ndarray) -> float:
     return math.fsum(parts.tolist())
 
 
-def _fsum(terms: np.ndarray, where: str) -> float:
-    """``exact_sum`` of the terms; a sum past double range is a
-    ComputationOverflowError."""
-    try:
-        return exact_sum(terms)
-    except OverflowError:
-        raise ComputationOverflowError(f"modular sum overflow {where}") from None
-
-
 class TermBatch:
-    """The modular terms mu(m) * phi(|p_m| / rho) of a batch of vectors.
+    """The modular terms mu(m) * phi(|p_m| / rho) of a batch of vectors, and
+    their sums: ``modular``, ``classify``, ``covering_check`` and the norm
+    solver take every term and every modular from one.
 
     One ``measures`` call covers the batch.  Each nonempty vector with finite
     measures is a row (at batch position ``pos[r]``, of length ``n[r]``) of
@@ -527,13 +525,12 @@ class TermBatch:
     padding is 0, so a padded term is exactly 0.  ``errors`` maps a failed
     vector's position to its first ComputationOverflowError: a measure, else
     a scaled argument or a term ("<what> overflow at index <m> <where>"),
-    else the sum ("modular sum overflow <where>") that leaves double range.
-    ``sums`` gives math.fsum's value of each row, from ``exact_sum``'s
-    bucket sums for long rows.
+    else the sum ("modular sum overflow <where>") that leaves double range;
+    ``where`` is the message suffix of the call that finds it.
     """
 
-    def __init__(self, params: SpaceParams, vecs, where: str):
-        self.phi, self.where, self.size = params.phi, where, len(vecs)
+    def __init__(self, params: SpaceParams, vecs):
+        self.phi, self.size = params.phi, len(vecs)
         supports = [p.support for p in vecs]
         lengths = [len(s) for s in supports]
         indices = [p._indices() for p in vecs]
@@ -561,7 +558,7 @@ class TermBatch:
         """Fail row r with exc, unless its vector has failed already."""
         self.errors.setdefault(self.pos[r], exc)
 
-    def terms(self, rows, avals: np.ndarray, mus: np.ndarray, rho: np.ndarray):
+    def terms(self, rows, avals: np.ndarray, mus: np.ndarray, rho: np.ndarray, where: str):
         """Terms of ``rows`` at scales ``rho`` (``avals``, ``mus``: the arrays of
         ``rows``) and the mask of rows that overflowed, or None.  Such a row
         fails with the error naming its first offending index; its terms are
@@ -576,17 +573,17 @@ class TermBatch:
         args = avals / rho[..., None]
         lost = None
         if not np.isfinite(args).all():
-            lost = self._overflow(rows, args, "scaled argument")
+            lost = self._overflow(rows, args, "scaled argument", where)
             args[lost] = 0.0
         # terms overwrite args, read no more: a wide solve touches fewer fresh pages
         terms = np.multiply(mus, self.phi._raw_eval(args), out=args)
         if not np.isfinite(terms).all():
-            more = self._overflow(rows, terms, "modular term")
+            more = self._overflow(rows, terms, "modular term", where)
             terms[more] = 0.0
             lost = more if lost is None else lost | more
         return terms, lost
 
-    def _overflow(self, rows, values, what: str) -> np.ndarray:
+    def _overflow(self, rows, values, what: str, where: str) -> np.ndarray:
         finite = np.isfinite(values)
         bad = ~finite.all(axis=-1)
         if rows is not None:
@@ -594,29 +591,26 @@ class TermBatch:
                 r = int(rows[j])
                 m = self.supports[r][int(np.argmin(finite[j]))]
                 self.fail(r, ComputationOverflowError(
-                    f"{what} overflow at index {m} {self.where}", index=m))
+                    f"{what} overflow at index {m} {where}", index=m))
         return bad
 
-    def sums(self, rows: np.ndarray, terms: np.ndarray) -> list:
-        """The exact sum of each row's terms; a row whose sum overflows fails (nan)."""
-        out = []
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def modulars(self, rho, where: str):
+        """The modular of every vector at scale rho, one float or one per
+        row, and ``errors``.  An empty vector's modular is 0.0; each row's is
+        ``exact_sum`` of its terms, and a sum past double range fails the
+        row.  A vector that has failed already keeps its first error and is
+        not summed; the value of a vector that failed is meaningless."""
+        values = [0.0] * self.size
+        rows = np.array([r for r, i in enumerate(self.pos) if i not in self.errors],
+                        dtype=np.int64)
+        rho = np.broadcast_to(rho, self.n.shape)[rows]
+        terms, _ = self.terms(rows, self.avals[rows], self.mus[rows], rho, where)
         for r, row in zip(rows.tolist(), terms):
             try:
-                out.append(_fsum(row[:self.n[r]], self.where))
-            except ComputationOverflowError as exc:
-                self.fail(r, exc)
-                out.append(math.nan)
-        return out
-
-    @np.errstate(over="ignore", under="ignore", invalid="ignore")
-    def modulars(self, rho: float):
-        """The modular of every vector at scale rho (0.0 for an empty one) and
-        ``errors``; the value of a vector that failed is meaningless."""
-        values = [0.0] * self.size
-        rows = np.arange(len(self.pos))
-        terms, _ = self.terms(rows, self.avals, self.mus, np.full(rows.size, rho))
-        for i, value in zip(self.pos, self.sums(rows, terms)):
-            values[i] = value
+                values[self.pos[r]] = exact_sum(row[:self.n[r]])
+            except OverflowError:
+                self.fail(r, ComputationOverflowError(f"modular sum overflow {where}"))
         return values, self.errors
 
 
@@ -624,7 +618,7 @@ def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
     """Weighted modular sum_m mu(m) * phi(|p_m| / rho) at scale rho > 0:
     a ``TermBatch`` of one."""
     rho = _positive(rho, "scale rho")
-    values, errors = TermBatch(params, [p], f"for rho={rho:g}").modulars(rho)
+    values, errors = TermBatch(params, [p]).modulars(rho, f"for rho={rho:g}")
     if errors:
         raise errors[0]
     return values[0]
@@ -816,27 +810,20 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
         tail = modular_tail_bound(params, envelope, rho, trunc)
         if 2 * trunc + 1 > MAX_GRID_POINTS:
             return TailCertificate(rho, trunc, tail, None)
-        supp = set(p.support)
         try:
             explicit = modular(params, p, rho)
-            off = [m for m in range(-trunc, trunc + 1) if m not in supp]
-            mus, errors = measures(params, off)
-            # terms up to the first overflow only: a bad point before it raises
-            # first, as in a loop over the indices
-            first = next(iter(errors), len(off))
-            # each bound as bound_at gives it, by Python's pow, from which
-            # np.power can differ in the last bit
-            args = _check_point(np.array([envelope.bound_at(m) / rho for m in off[:first]]))
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                terms = mus[:first] * params.phi._raw_eval(args)
-            if errors:
-                raise errors[first]
-            upper = explicit + _fsum(terms, f"for rho={rho:g}") + tail
-            if not math.isfinite(upper):
-                upper = None
         except ComputationOverflowError:
-            upper = None
-        return TailCertificate(rho, trunc, tail, upper)
+            return TailCertificate(rho, trunc, tail, None)
+        # the off-support bounds, in canonical order, as one row: each as
+        # bound_at gives it, by Python's pow, from which np.power can differ
+        # in the last bit; a bound that underflows to 0 stays, so its
+        # measure is still checked
+        supp = set(p.support)
+        row = SeqVector._canonical(tuple((m, envelope.bound_at(m)) for m in sorted(
+            range(-trunc, trunc + 1), key=abs) if m not in supp))
+        values, errors = TermBatch(params, [row]).modulars(rho, f"for rho={rho:g}")
+        upper = math.inf if errors else explicit + values[0] + tail
+        return TailCertificate(rho, trunc, tail, upper if math.isfinite(upper) else None)
 
     certs = []
     in_class = False

@@ -14,7 +14,7 @@ from orliczseq import (CertificateError, CertificateRefutedError,
                        embedding_constant, luxemburg_norm, modular, sample_ball,
                        schauder_curve, theta_bound, uniform_tail_index,
                        verify_embedding)
-from orliczseq import embeddings
+from orliczseq import embeddings, spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
@@ -504,6 +504,23 @@ def test_covering_check_passes_on_sampled_ball():
     assert rep.max_residual <= 0.125 * (1.0 + 1e-9)
     assert rep.covering_dim == cert.covering_dim
     assert len(rep.residuals) == 60 and max(rep.residuals) == rep.max_residual
+
+
+def test_covering_check_measures_its_tails_once(monkeypatch):
+    # one term batch serves both the tail modulars and the residual solve
+    src = SpaceParams(1.0, Power(2.0), W1)
+    cert = uniform_tail_index(src, 0.0, 1.0, 0.25)
+    samples = sample_ball(src, 1.0, seed=3, count=20, max_support=16)
+    want = covering_check(cert, samples)
+    calls = []
+
+    def counting_measures(params, support):
+        calls.append(len(support))
+        return measures(params, support)
+
+    monkeypatch.setattr(spaces, "measures", counting_measures)
+    assert covering_check(cert, samples) == want
+    assert calls == [sum(len(p.tail(cert.m_eps_kappa)) for p in samples)] and calls[0] > 0
 
 
 def test_covering_check_empty_tails():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,10 @@ from orliczseq import (BallTailCertificate, CertificateError,
                        schauder_curve, schauder_truncate, uniform_tail_index,
                        verify_norm_axioms)
 from orliczseq import functions, luxemburg, spaces
-from orliczseq.luxemburg import _at_most_one, _Batch, _solve, _sum_slack
+from orliczseq.cli import run
+from orliczseq.functions import MAX_GRID_POINTS
+from orliczseq.luxemburg import _at_most_one, _rho_low, _solve, _sum_slack
+from orliczseq.spaces import TermBatch
 from helpers import (GUESS_NAMES, bad_guess, mpmath_explin_root, power_norm_oracle,
                      random_vector, scalar_mu_oracle, scalar_norm_oracle)
 
@@ -207,6 +211,24 @@ def test_schauder_curve_solves_each_distinct_tail_once(monkeypatch):
     assert solved == [5, 2, 1]  # |m| = 3, 4, 9, 12 and the empty tail; 100000 and empty; empty
 
 
+def test_schauder_curve_refuses_more_points_than_the_grid_allows(capsys, tmp_path, monkeypatch):
+    # one point per cut 0..|m|: a billion would not fit in memory
+    params = SpaceParams(0.0, Power(2.0), W1)
+    monkeypatch.setattr(luxemburg, "luxemburg_norms", None)  # no solve may start
+    for m in (10 ** 9, -(10 ** 9), MAX_GRID_POINTS):
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as exc:
+            schauder_curve(params, SeqVector({0: 1.0, m: 1.0}))
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == (f"schauder curve to index {m} needs {abs(m) + 1} points; "
+                                  f"at most {MAX_GRID_POINTS} are allowed")
+    f = tmp_path / "far.csv"
+    f.write_text("1000000000,1,0\n")
+    assert run(["schauder-curve", "--phi", "power:2", "--in", str(f)]) == 2
+    assert capsys.readouterr() == ("", "error: schauder curve to index 1000000000 needs "
+                                       "1000000001 points; at most 1048576 are allowed\n")
+
+
 def test_schauder_curve_raises_the_first_cuts_error():
     params = SpaceParams(200.0, Power(2.0), W1)  # mu(m) overflows from |m| = 7 on
     p = SeqVector({1: 1.0, -3: 2.0, 3: 1.0, 7: 1.0, -9: 0.5})
@@ -318,7 +340,7 @@ def test_row_without_an_inverse_fails_alone():
     unbounded = SeqVector({3: 0.5, -2: 1.0})
     with pytest.raises(DomainError) as target:
         luxemburg_norm(params, unbounded)
-    out = _solve(params, [good, stuck, SeqVector(), good.tail(1), unbounded], TOL)
+    out = _solve(TermBatch(params, [good, stuck, SeqVector(), good.tail(1), unbounded]), TOL)
     assert out[0] == luxemburg_norm(params, good)
     assert out[3] == luxemburg_norm(params, good.tail(1))
     assert out[2].value == 0.0
@@ -367,7 +389,7 @@ def _check_hole_fails_alone():
     holed = SeqVector({0: 1.0, 1: c})
     good, other = SeqVector({0: 1.0, 2: 0.5}), SeqVector({-1: 0.25})
     batch = [good, holed, other]
-    out = _solve(params, batch, TOL)
+    out = _solve(TermBatch(params, batch), TOL)
     assert isinstance(out[1], ComputationOverflowError)
     assert (str(out[1]), out[1].index) == (
         "modular term overflow at index 1 during norm solve", 1)
@@ -530,4 +552,4 @@ def test_one_term_explin_norm_against_mpmath(k, m):
         want = abs(p.values[0]) / mpmath_explin_root(mpmath, 1 / (1 + mpmath.expm1(m) - m) ** k)
         assert abs(got - want) <= 2 * TOL * want
     # the solve starts from a lower bracket end near the norm, not far below it
-    assert got / 2 <= _Batch(params, [p]).rho_low[0] <= got
+    assert got / 2 <= _rho_low(TermBatch(params, [p]))[0] <= got

@@ -439,11 +439,11 @@ def test_a_vector_past_int64_has_no_index_array_and_batches_keep_their_results()
                 lone.append(luxemburg_norm(params, p))
             except ComputationOverflowError as exc:
                 lone.append(exc)
-        batch = _solve(params, mixed, 1e-12)
+        batch = _solve(spaces.TermBatch(params, mixed), 1e-12)
         assert [(type(r), str(r)) for r in batch] == [(type(r), str(r)) for r in lone]
         assert [r for r in batch if isinstance(r, NormResult)] == [
             r for r in lone if isinstance(r, NormResult)]
-        values, errors = spaces.TermBatch(params, mixed, "for rho=1").modulars(1.0)
+        values, errors = spaces.TermBatch(params, mixed).modulars(1.0, "for rho=1")
         for i, p in enumerate(mixed):
             try:
                 want = modular(params, p, 1.0)
@@ -693,8 +693,12 @@ def test_exact_sum_errors_and_non_finite_sums_are_fsum_ones(size, head, raised):
     if raised is not None:
         assert want[0] is raised
     if raised is OverflowError:
-        with pytest.raises(ComputationOverflowError, match="^modular sum overflow here$"):
-            spaces._fsum(terms, "here")
+        # the same terms as a modular: phi(t) = t at unit weights and scale
+        row = SeqVector({m: a for m, a in enumerate(terms.tolist())})
+        batch = spaces.TermBatch(SpaceParams(0.0, Power(1.0), W1), [SeqVector(), row])
+        values, errors = batch.modulars(1.0, "here")
+        assert values[0] == 0.0 and list(errors) == [1]
+        assert (str(errors[1]), errors[1].index) == ("modular sum overflow here", None)
 
 
 def test_a_long_modular_is_the_literal_fsum_of_its_terms():
