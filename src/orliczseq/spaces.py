@@ -819,8 +819,9 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
         # in the last bit; a bound that underflows to 0 stays, so its
         # measure is still checked
         supp = set(p.support)
-        row = SeqVector._canonical(tuple((m, envelope.bound_at(m)) for m in sorted(
-            range(-trunc, trunc + 1), key=abs) if m not in supp))
+        ms = [m for m in sorted(range(-trunc, trunc + 1), key=abs) if m not in supp]
+        bounds = [envelope.bound_at(m) for m in ms]
+        row = SeqVector._canonical(tuple(zip(ms, bounds)), tuple(ms), np.array(bounds))
         values, errors = TermBatch(params, [row]).modulars(rho, f"for rho={rho:g}")
         upper = math.inf if errors else explicit + values[0] + tail
         return TailCertificate(rho, trunc, tail, upper if math.isfinite(upper) else None)
