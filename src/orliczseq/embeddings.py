@@ -395,7 +395,7 @@ def covering_check(cert: BallTailCertificate, samples,
     rho = cert.epsilon / 2.0
     cut = cert.m_eps_kappa
     tails = [p.tail(cut) for p in samples]
-    batch = TermBatch(target, tails)
+    batch = TermBatch(target, [p._row() for p in tails])
     if any(tails):  # an empty tail has modular 0 at any scale
         rho = _positive(rho, "scale rho")
     tail_mods, _ = batch.modulars(rho, f"for rho={rho:g}")

@@ -241,7 +241,7 @@ def luxemburg_norms(params: SpaceParams, vecs,
     the error of the first failing vector is raised.
     """
     tol_rel = _positive(tol_rel, "tol_rel")
-    out = _solve(TermBatch(params, list(vecs)), tol_rel)
+    out = _solve(TermBatch(params, [p._row() for p in vecs]), tol_rel)
     for res in out:
         if isinstance(res, OrliczSeqError):
             raise res

@@ -15,12 +15,14 @@ math.fsum's correctly rounded value, which ``exact_sum`` computes from
 per-exponent bucket sums for long rows.
 ``measures`` computes mu for a whole support at once, and every caller in
 the package goes through it.  Every modular term and sum comes from a
-``TermBatch``: ``modular`` is a batch of one, ``classify`` sums its window
-off the support as a second, and ``covering_check`` and the norm solver
-share one.  Each space remembers its factors
-(1 + phi(|m|))**k for |m| < 2**16 in a table on the instance: a
-``SpaceParams``, its generator and its weights are immutable values, so the
-table never goes stale, and ``dataclasses.replace`` yields a fresh one.
+``TermBatch``, whose rows are pairs of arrays: the indices (int64, or
+Python ints past int64) and |p_m|.  ``modular`` is a batch of one vector's
+row, ``classify`` sums its window off the support as a second row built in
+numpy, and ``covering_check`` and the norm solver share one.  Each space
+remembers its factors (1 + phi(|m|))**k for |m| < 2**16 in a table on the
+instance, which every ``measures`` call reads: a ``SpaceParams``, its
+generator and its weights are immutable values, so the table never goes
+stale, and ``dataclasses.replace`` yields a fresh one.
 
 Geometric envelopes |p_m| <= C * r**|m| with a certified polynomial bound on
 the measure give closed-form tail majorants, which in turn certify membership
@@ -31,7 +33,6 @@ without truncating blindly.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -92,7 +93,7 @@ class WeightSequence:
         return self._table.get(m, self._default)
 
     def weights(self, support) -> np.ndarray:
-        """w_m for each integer index of ``support``, a sequence or an int64 array."""
+        """w_m for each integer index of ``support``, a sequence or an index array."""
         if not self._table:
             return np.full(len(support), self._default)
         if isinstance(support, np.ndarray):
@@ -204,6 +205,17 @@ def _magnitude(m: int) -> float:
         return math.inf
 
 
+def _index_array(ms) -> np.ndarray:
+    """The ints ``ms`` as a read-only array: int64, or Python ints (object)
+    when one is beyond int64."""
+    try:
+        out = np.array(ms, dtype=np.int64)
+    except OverflowError:
+        out = np.array(ms, dtype=object)
+    out.flags.writeable = False
+    return out
+
+
 def _index_list(support) -> list:
     """The indices of ``support`` as ints; one that is not a whole number is
     a DomainError, as in ``SeqVector``.  Ints pass in one list comparison."""
@@ -222,8 +234,8 @@ class SeqVector:
     Construction accepts an iterable of (index, value) pairs or a dict.
     Duplicate indices are a hard error; exact zero values are dropped so the
     stored support is the true support.  The support tuple, the read-only
-    |p_m| array and the read-only int64 array of the indices (``_indices``)
-    are built on first use and kept; tails and restrictions view them.
+    |p_m| array and the read-only array of the indices (``_indices``) are
+    built on first use and kept; tails and restrictions view them.
     """
 
     __slots__ = ("_items", "_support", "_abs", "_ms")
@@ -276,15 +288,16 @@ class SeqVector:
             self._abs = a
         return self._abs
 
-    def _indices(self):
-        """The support as an int64 array; None (kept as False) past int64."""
+    def _indices(self) -> np.ndarray:
+        """The support as a read-only array: int64, or Python ints (object)
+        when an index is beyond int64."""
         if self._ms is None:
-            try:
-                self._ms = np.array(self.support, dtype=np.int64)
-                self._ms.flags.writeable = False
-            except OverflowError:
-                self._ms = False
-        return None if self._ms is False else self._ms
+            self._ms = _index_array(self.support)
+        return self._ms
+
+    def _row(self):
+        """The vector as a term batch row: its indices and |p_m|."""
+        return self._indices(), self.abs_values()
 
     @property
     def max_abs_index(self) -> int:
@@ -332,18 +345,15 @@ class SeqVector:
     @classmethod
     def _canonical(cls, items: tuple, support=None, abs_values=None,
                    indices=None) -> "SeqVector":
-        """The vector of items already in canonical order, nonzero and finite
-        (``classify``'s row of bounds, which only a term batch reads, keeps
-        its zeros)."""
+        """The vector of items already in canonical order, nonzero and finite."""
         out = cls.__new__(cls)
         out._items, out._support, out._abs, out._ms = items, support, abs_values, indices
         return out
 
     def _slice(self, cut: slice) -> "SeqVector":
         """The vector of a slice of the canonical items, viewing this one's arrays."""
-        ms = self._indices()
         return SeqVector._canonical(self._items[cut], self.support[cut],
-                                    self.abs_values()[cut], None if ms is None else ms[cut])
+                                    self.abs_values()[cut], self._indices()[cut])
 
     def restrict(self, max_abs: int) -> "SeqVector":
         """Keep indices with |m| <= max_abs: a prefix in canonical order."""
@@ -406,9 +416,9 @@ def _remembered_factors(params: SpaceParams, ms: np.ndarray) -> np.ndarray:
 def measures(params: SpaceParams, support):
     """The measure w_m * (1 + phi(|m|))**k of each integer index of ``support``.
 
-    An int64 array is taken as it is; any other iterable is checked as
-    ``SeqVector`` checks indices: one that is not a whole number is a
-    DomainError.
+    An int64 array is taken as it is; any other iterable, an object array of
+    ints past int64 included, is checked as ``SeqVector`` checks indices: one
+    that is not a whole number is a DomainError.
 
     Returns ``(mus, errors)``: ``mus[i]`` is the measure of ``support[i]``,
     and ``errors`` maps each position whose measure leaves double range to a
@@ -419,37 +429,33 @@ def measures(params: SpaceParams, support):
 
     Each measure equals w_m * np.power(1.0 + phi.eval(float(|m|)), k) bit
     for bit.
-    The factors of |m| < ``_FACTOR_CAP`` come from the space's table; larger
-    |m|, and every index of a support with one beyond int64, are computed on
-    each call.  At k = 0 every integer index works; otherwise an index
-    beyond double range is an overflow.
+    The factors of |m| < ``_FACTOR_CAP`` come from the space's table, in
+    any call; larger |m| are computed on each call.  At k = 0 every integer
+    index works; otherwise an index beyond double range is an overflow.
     """
     if isinstance(support, np.ndarray) and support.dtype == np.int64:
         ms = support
     else:
-        support = _index_list(support)
-        try:
-            ms = np.array(support, dtype=np.int64)
-        except OverflowError:  # an index beyond int64
-            ms = None
-    w = params.weights.weights(support)
+        ms = _index_array(_index_list(support))
+    w = params.weights.weights(ms)
     k = params.k
-    if k == 0 or not len(support):
+    if k == 0 or not ms.size:
         return w, {}
-    if ms is None:  # no table; an index beyond double range is inf
-        factor = _factors(params, np.array([_magnitude(m) for m in support]), support)
-    else:
-        factor = np.empty(len(ms))
-        near = (ms > -_FACTOR_CAP) & (ms < _FACTOR_CAP)  # np.abs(-2**63) overflows
-        if near.any():
-            factor[near] = _remembered_factors(params, ms[near])
-        if not near.all():
-            beyond = ms[~near]
-            factor[~near] = _factors(params, np.abs(beyond.astype(float)), beyond)
+    factor = np.empty(ms.size)
+    near = (ms > -_FACTOR_CAP) & (ms < _FACTOR_CAP)  # np.abs(-2**63) overflows
+    if near.any():
+        factor[near] = _remembered_factors(params, ms[near].astype(np.int64, copy=False))
+    if not near.all():
+        beyond = ms[~near]
+        try:
+            at = np.abs(beyond.astype(float))
+        except OverflowError:  # an index beyond double range
+            at = np.array([_magnitude(m) for m in beyond.tolist()])
+        factor[~near] = _factors(params, at, beyond)
     mus = w * factor
     errors = {}
     for i in np.flatnonzero(~np.isfinite(mus)).tolist():
-        m = int(support[i])
+        m = int(ms[i])
         if _magnitude(m) == math.inf:
             why = "|m| exceeds double range"
         else:
@@ -515,47 +521,45 @@ def exact_sum(terms: np.ndarray) -> float:
 
 
 class TermBatch:
-    """The modular terms mu(m) * phi(|p_m| / rho) of a batch of vectors, and
+    """The modular terms mu(m) * phi(|p_m| / rho) of a batch of rows, and
     their sums: ``modular``, ``classify``, ``covering_check`` and the norm
     solver take every term and every modular from one.
 
-    One ``measures`` call covers the batch.  Each nonempty vector with finite
+    Each input row is a pair of arrays in canonical order: the indices m
+    (as ``SeqVector._indices`` gives them) and |p_m| as floats;
+    ``SeqVector._row`` gives a vector's.  One ``measures`` call on the
+    joined indices covers the batch.  Each nonempty input row with finite
     measures is a row (at batch position ``pos[r]``, of length ``n[r]``) of
-    padded arrays ``avals`` = |p_m| and ``mus`` = mu(m) in support order;
-    padding is 0, so a padded term is exactly 0.  ``errors`` maps a failed
-    vector's position to its first ComputationOverflowError: a measure, else
-    a scaled argument or a term ("<what> overflow at index <m> <where>"),
-    else the sum ("modular sum overflow <where>") that leaves double range;
-    ``where`` is the message suffix of the call that finds it.
+    padded arrays ``avals`` = |p_m| and ``mus`` = mu(m); padding is 0, so a
+    padded term is exactly 0.  ``errors`` maps a failed row's position to
+    its first ComputationOverflowError: a measure, else a scaled argument
+    or a term ("<what> overflow at index <m> <where>"), else the sum
+    ("modular sum overflow <where>") that leaves double range; ``where`` is
+    the message suffix of the call that finds it.
     """
 
-    def __init__(self, params: SpaceParams, vecs):
-        self.phi, self.size = params.phi, len(vecs)
-        supports = [p.support for p in vecs]
-        lengths = [len(s) for s in supports]
-        indices = [p._indices() for p in vecs]
-        if vecs and all(ms is not None for ms in indices):
-            mus, mu_errors = measures(params, np.concatenate(indices))
-        else:
-            mus, mu_errors = measures(params, list(itertools.chain.from_iterable(supports)))
+    def __init__(self, params: SpaceParams, rows):
+        self.phi, self.size = params.phi, len(rows)
+        lengths = [len(ms) for ms, _ in rows]
+        mus, mu_errors = measures(params, np.concatenate([ms for ms, _ in rows]) if rows else ())
         self.errors = {}
         if mu_errors:
-            owner = np.repeat(np.arange(len(vecs)), lengths)
-            for j, exc in mu_errors.items():  # in support order: a vector keeps its first
+            owner = np.repeat(np.arange(len(rows)), lengths)
+            for j, exc in mu_errors.items():  # in support order: a row keeps its first
                 self.errors.setdefault(int(owner[j]), exc)
             mus = mus[~np.isin(owner, list(self.errors))]
         self.pos = [i for i, n in enumerate(lengths) if n and i not in self.errors]
-        self.supports = [supports[i] for i in self.pos]
+        self.indices = [rows[i][0] for i in self.pos]
         n = [lengths[i] for i in self.pos]
         self.n = np.array(n, dtype=np.int64)
         filled = np.arange(max(n, default=0)) < self.n[:, None]
         self.avals, self.mus = np.zeros(filled.shape), np.zeros(filled.shape)
         if self.pos:
-            self.avals[filled] = np.concatenate([vecs[i].abs_values() for i in self.pos])
+            self.avals[filled] = np.concatenate([rows[i][1] for i in self.pos])
             self.mus[filled] = mus
 
     def fail(self, r: int, exc) -> None:
-        """Fail row r with exc, unless its vector has failed already."""
+        """Fail row r with exc, unless it has failed already."""
         self.errors.setdefault(self.pos[r], exc)
 
     def terms(self, rows, avals: np.ndarray, mus: np.ndarray, rho: np.ndarray, where: str):
@@ -589,18 +593,18 @@ class TermBatch:
         if rows is not None:
             for j in np.flatnonzero(bad).tolist():
                 r = int(rows[j])
-                m = self.supports[r][int(np.argmin(finite[j]))]
+                m = int(self.indices[r][int(np.argmin(finite[j]))])
                 self.fail(r, ComputationOverflowError(
                     f"{what} overflow at index {m} {where}", index=m))
         return bad
 
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def modulars(self, rho, where: str):
-        """The modular of every vector at scale rho, one float or one per
-        row, and ``errors``.  An empty vector's modular is 0.0; each row's is
+        """The modular of every input row at scale rho, one float or one per
+        row, and ``errors``.  An empty row's modular is 0.0; each row's is
         ``exact_sum`` of its terms, and a sum past double range fails the
-        row.  A vector that has failed already keeps its first error and is
-        not summed; the value of a vector that failed is meaningless."""
+        row.  A row that has failed already keeps its first error and is not
+        summed; the value of a row that failed is meaningless."""
         values = [0.0] * self.size
         rows = np.array([r for r, i in enumerate(self.pos) if i not in self.errors],
                         dtype=np.int64)
@@ -618,7 +622,7 @@ def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
     """Weighted modular sum_m mu(m) * phi(|p_m| / rho) at scale rho > 0:
     a ``TermBatch`` of one."""
     rho = _positive(rho, "scale rho")
-    values, errors = TermBatch(params, [p]).modulars(rho, f"for rho={rho:g}")
+    values, errors = TermBatch(params, [p._row()]).modulars(rho, f"for rho={rho:g}")
     if errors:
         raise errors[0]
     return values[0]
@@ -657,7 +661,8 @@ class GeometricEnvelope:
         object.__setattr__(self, "valid_from", valid_from)
 
     def bound_at(self, m: int) -> float:
-        return self.amplitude * self.ratio ** abs(m)
+        """amplitude * ratio**|m|; 0.0 for |m| beyond double range."""
+        return self.amplitude * self.ratio ** _magnitude(m)
 
     def dominates(self, p: SeqVector) -> bool:
         return all(abs(v) <= self.bound_at(m) * _ENVELOPE_SLACK for m, v in p.items)
@@ -735,7 +740,7 @@ def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
             f"truncation index {trunc} precedes envelope validity {envelope.valid_from}")
     if envelope.amplitude == 0.0:
         return 0.0
-    t_star = envelope.amplitude * envelope.ratio ** trunc / rho
+    t_star = envelope.bound_at(trunc) / rho
     if t_star == 0.0:
         # Every dominated tail value underflows, so all representable tails are 0.
         return 0.0
@@ -800,6 +805,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
 
     base_trunc = max(1, envelope.valid_from, p.max_abs_index)
     log_r = math.log(envelope.ratio)
+    by_abs = []  # bound_at(|m|) for each |m| < len(by_abs), shared by every window
 
     def certify(rho: float) -> TailCertificate:
         trunc = base_trunc
@@ -814,14 +820,16 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
             explicit = modular(params, p, rho)
         except ComputationOverflowError:
             return TailCertificate(rho, trunc, tail, None)
-        # the off-support bounds, in canonical order, as one row: each as
-        # bound_at gives it, by Python's pow, from which np.power can differ
-        # in the last bit; a bound that underflows to 0 stays, so its
-        # measure is still checked
-        supp = set(p.support)
-        ms = [m for m in sorted(range(-trunc, trunc + 1), key=abs) if m not in supp]
-        bounds = [envelope.bound_at(m) for m in ms]
-        row = SeqVector._canonical(tuple(zip(ms, bounds)), tuple(ms), np.array(bounds))
+        # the off-support window as one row in canonical order (0, -1, 1,
+        # -2, 2, ...), each bound as bound_at gives it for its |m|, by
+        # Python's pow, from which np.power can differ in the last bit; a
+        # bound that underflows to 0 stays, so its measure is still checked
+        by_abs.extend(map(envelope.bound_at, range(len(by_abs), trunc + 1)))
+        mags = np.arange(trunc + 1)
+        ms = np.stack((-mags, mags), axis=1).ravel()[1:]
+        bounds = np.array(by_abs[:trunc + 1])[np.abs(ms)]
+        off = ~np.isin(ms, p._indices())
+        row = (ms[off], bounds[off])
         values, errors = TermBatch(params, [row]).modulars(rho, f"for rho={rho:g}")
         upper = math.inf if errors else explicit + values[0] + tail
         return TailCertificate(rho, trunc, tail, upper if math.isfinite(upper) else None)

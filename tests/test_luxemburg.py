@@ -340,7 +340,8 @@ def test_row_without_an_inverse_fails_alone():
     unbounded = SeqVector({3: 0.5, -2: 1.0})
     with pytest.raises(DomainError) as target:
         luxemburg_norm(params, unbounded)
-    out = _solve(TermBatch(params, [good, stuck, SeqVector(), good.tail(1), unbounded]), TOL)
+    vecs = [good, stuck, SeqVector(), good.tail(1), unbounded]
+    out = _solve(TermBatch(params, [p._row() for p in vecs]), TOL)
     assert out[0] == luxemburg_norm(params, good)
     assert out[3] == luxemburg_norm(params, good.tail(1))
     assert out[2].value == 0.0
@@ -389,7 +390,7 @@ def _check_hole_fails_alone():
     holed = SeqVector({0: 1.0, 1: c})
     good, other = SeqVector({0: 1.0, 2: 0.5}), SeqVector({-1: 0.25})
     batch = [good, holed, other]
-    out = _solve(TermBatch(params, batch), TOL)
+    out = _solve(TermBatch(params, [p._row() for p in batch]), TOL)
     assert isinstance(out[1], ComputationOverflowError)
     assert (str(out[1]), out[1].index) == (
         "modular term overflow at index 1 during norm solve", 1)
@@ -552,4 +553,4 @@ def test_one_term_explin_norm_against_mpmath(k, m):
         want = abs(p.values[0]) / mpmath_explin_root(mpmath, 1 / (1 + mpmath.expm1(m) - m) ** k)
         assert abs(got - want) <= 2 * TOL * want
     # the solve starts from a lower bracket end near the norm, not far below it
-    assert got / 2 <= _rho_low(TermBatch(params, [p]))[0] <= got
+    assert got / 2 <= _rho_low(TermBatch(params, [p._row()]))[0] <= got

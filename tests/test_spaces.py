@@ -272,6 +272,33 @@ def test_huge_index_has_a_typed_overflow_unless_k_is_zero():
     assert luxemburg_norm(flat, p).value == pytest.approx(math.sqrt(1.25), rel=1e-12)
 
 
+def test_envelopes_at_indices_beyond_double_range():
+    params = SpaceParams(0.0, Power(2.0), W1)
+    env = geometric_envelope(params, 1.0, 0.5)
+    assert env.bound_at(10 ** 400) == 0.0 and env.bound_at(-(10 ** 400)) == 0.0
+    assert env.bound_at(2 ** 70) == 0.0 and env.bound_at(-7) == 0.5 ** 7
+    assert modular_tail_bound(params, env, 1.0, 10 ** 400) == 0.0
+    for m in (10 ** 400, 2 ** 70):
+        with pytest.raises(DomainError,
+                           match=f"envelope does not dominate the sequence at index {m}$"):
+            classify(params, SeqVector({m: 1e-300}), env)
+    far = classify(params, None, geometric_envelope(params, 1.0, 0.5, valid_from=10 ** 400), 2)
+    assert far.in_class and far.in_small
+    assert [(c.trunc, c.tail_bound, c.modular_upper) for c in far.certificates] == [
+        (10 ** 400, 0.0, None)] * 3
+
+
+@pytest.mark.parametrize("m", [10 ** 400, 2 ** 70], ids=["past-double", "past-int64"])
+def test_huge_index_outside_the_envelope_cli_exits_two(capsys, tmp_path, m):
+    f = tmp_path / "huge.csv"
+    f.write_text(f"{m},1e-300,0\n")
+    assert run(["classify", "--phi", "power:2", "--in", str(f),
+                "--env-c", "1", "--env-r", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: envelope does not dominate the sequence at index {m}\n"
+
+
 def test_huge_index_cli_exits_three(capsys, tmp_path):
     f = tmp_path / "huge.csv"
     f.write_text(f"{10 ** 400},1.0,0\n")
@@ -422,10 +449,13 @@ def test_tails_restricts_and_scales_share_the_index_array():
     assert fresh.scaled(2.0)._indices().tolist() == [3, -8]
 
 
-def test_a_vector_past_int64_has_no_index_array_and_batches_keep_their_results():
+def test_a_vector_past_int64_has_an_int_index_array_and_batches_keep_their_results():
     huge = SeqVector({0: 0.5, 2 ** 70: 0.25, -3: 1.0})
-    assert huge._indices() is None and huge._indices() is None
+    ms = huge._indices()
+    assert huge._indices() is ms and ms.dtype == object and not ms.flags.writeable
+    assert ms.tolist() == [0, -3, 2 ** 70] and all(type(m) is int for m in ms)
     assert huge.restrict(5)._indices().tolist() == [0, -3]
+    assert np.shares_memory(huge.tail(5)._indices(), ms)
     rng = random.Random(70)
     vecs = [SeqVector({rng.randint(-400, 400): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                        for _ in range(rng.randint(1, 30))}) for _ in range(6)]
@@ -439,11 +469,12 @@ def test_a_vector_past_int64_has_no_index_array_and_batches_keep_their_results()
                 lone.append(luxemburg_norm(params, p))
             except ComputationOverflowError as exc:
                 lone.append(exc)
-        batch = _solve(spaces.TermBatch(params, mixed), 1e-12)
+        rows = [p._row() for p in mixed]
+        batch = _solve(spaces.TermBatch(params, rows), 1e-12)
         assert [(type(r), str(r)) for r in batch] == [(type(r), str(r)) for r in lone]
         assert [r for r in batch if isinstance(r, NormResult)] == [
             r for r in lone if isinstance(r, NormResult)]
-        values, errors = spaces.TermBatch(params, mixed).modulars(1.0, "for rho=1")
+        values, errors = spaces.TermBatch(params, rows).modulars(1.0, "for rho=1")
         for i, p in enumerate(mixed):
             try:
                 want = modular(params, p, 1.0)
@@ -469,6 +500,10 @@ def test_measures_and_mu_reject_an_index_that_is_not_whole(m):
     assert mu(params, np.int64(-3)) == 10.0
     assert measures(params, [True, False, -1.0])[0].tolist() == [2.0, 1.0, 2.0]
     assert measures(SpaceParams(0.0, Power(2.0), W1), [True])[0].tolist() == [1.0]
+    # an array that is not int64 is checked as a list is
+    assert measures(params, np.array([2.0, -3.0]))[0].tolist() == [5.0, 10.0]
+    with pytest.raises(DomainError, match=r"^index np.float64\(1.5\) is not an integer$"):
+        measures(params, np.array([0.0, 1.5]))
 
 
 def test_factor_table_remembers_overflows_and_stays_capped():
@@ -479,10 +514,12 @@ def test_factor_table_remembers_overflows_and_stays_capped():
     assert table[1] == 1.0 + np.expm1(1.0) and np.isnan(table[[0, 2]]).all()
     assert table[[30, 1000]].tolist() == [math.inf, math.inf]  # overflows, remembered
     measures(steep, [CAP - 1, CAP + 100, -(2 ** 63)])
-    measures(steep, [10 ** 400, 5])  # beyond int64: the whole call skips the table
+    # an index beyond int64 in the call does not keep 5 from the table
+    assert measures(steep, [10 ** 400, 5])[0][1] == 1.0 + np.expm1(25.0)
     table = steep.__dict__["_mu_factors"]
     assert table.size == CAP and table.nbytes == 512 * 1024
-    assert np.flatnonzero(~np.isnan(table)).tolist() == [1, 30, 1000, CAP - 1]
+    assert np.flatnonzero(~np.isnan(table)).tolist() == [1, 5, 30, 1000, CAP - 1]
+    assert table[5] == 1.0 + np.expm1(25.0)
 
     square = SpaceParams(1.0, Power(2.0), W1)
     measures(square, [4096])  # grown to the block holding 4096
@@ -695,7 +732,8 @@ def test_exact_sum_errors_and_non_finite_sums_are_fsum_ones(size, head, raised):
     if raised is OverflowError:
         # the same terms as a modular: phi(t) = t at unit weights and scale
         row = SeqVector({m: a for m, a in enumerate(terms.tolist())})
-        batch = spaces.TermBatch(SpaceParams(0.0, Power(1.0), W1), [SeqVector(), row])
+        batch = spaces.TermBatch(SpaceParams(0.0, Power(1.0), W1),
+                                 [SeqVector()._row(), row._row()])
         values, errors = batch.modulars(1.0, "here")
         assert values[0] == 0.0 and list(errors) == [1]
         assert (str(errors[1]), errors[1].index) == ("modular sum overflow here", None)
@@ -945,18 +983,24 @@ CLASSIFY_SPACES = [SpaceParams(1.0, Power(2.0), WeightSequence(1.0, {0: 0.5, -3:
                    SpaceParams(0.5, Power(1.5), W1),
                    SpaceParams(0.0, ExpSquare(), WeightSequence.constant(0.5)),
                    SpaceParams(1.0, TAB_KNOTS, SIGNED_WEIGHTS)]
+# each space at each envelope, and one power:2 window of 11 981 to 20 297 indices
+CLASSIFY_CASES = [
+    *(pytest.param(params, amplitude, ratio, (0, 3, 8),
+                   id=f"{amplitude}-{ratio}-{params.phi.descriptor()[:8]}")
+      for amplitude, ratio in ((1.0, 0.5), (2.0, 0.7), (0.3, 0.9), (1.2e154, 0.5))
+      for params in CLASSIFY_SPACES),
+    pytest.param(CLASSIFY_SPACES[0], 20.0, 0.9995, (0, 3), id="long-window-power:2"),
+]
 
 
-@pytest.mark.parametrize("params", CLASSIFY_SPACES, ids=lambda s: f"{s.phi.descriptor()[:8]}")
-@pytest.mark.parametrize("amplitude, ratio", [(1.0, 0.5), (2.0, 0.7), (0.3, 0.9),
-                                              (1.2e154, 0.5)])
-def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio):
+@pytest.mark.parametrize("params, amplitude, ratio, depths", CLASSIFY_CASES)
+def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio, depths):
     # at 1.2e154 the off-support sum overflows at rho = 1 (the bound is None)
     env = geometric_envelope(params, amplitude, ratio)
     dominated = SeqVector({m: 0.5 * env.bound_at(m) * (1j if m % 2 else 1.0)
                            for m in (0, -1, 2, -4)})
     for p in (SeqVector(), dominated):
-        for depth in (0, 3, 8):
+        for depth in depths:
             report = classify(params, p, env, depth)
             assert len(report.certificates) == depth + 1
             for cert in report.certificates:
@@ -966,6 +1010,19 @@ def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio):
                 got = cert.modular_upper
                 assert (None if got is None else got.hex()) == (
                     None if want is None else want.hex())
+
+
+def test_classify_builds_no_vector_for_its_window(monkeypatch):
+    params = SpaceParams(0.0, Power(2.0), W1)
+    env = geometric_envelope(params, 4.0, 0.9)
+    want = classify(params, None, env, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector was built")
+
+    monkeypatch.setattr(SeqVector, "_canonical", refuse)
+    got = classify(params, None, env, 3)
+    assert got == want and all(c.modular_upper is not None for c in got.certificates)
 
 
 def test_classify_checks_the_measure_of_an_underflowed_bound():
