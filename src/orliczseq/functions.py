@@ -18,14 +18,15 @@ one): closed forms where the family admits one, otherwise a bisection on a
 doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
 one bisection of the package: the generic inverse and the Luxemburg norm
 solver both run it over their rows, and each row keeps the midpoints,
-decisions, step count and stopping test of a scalar bisection.  A plain
-round halves every row once.  Once the rows are few and small, every round
-looks ahead instead: each row guesses its root by a secant in log rho
-through the signed excess at its bracket ends and lays out the midpoints
-the plain rounds would visit if that guess holds, up to its own stop, its
-step cap or the round's cell budget; one wide evaluation decides every
-row's path.  The row then moves to its first decision that differs from
-the guess, or to the end of its path.  Each decision is the same
+decisions, step count and stopping test of a scalar bisection.  Each
+bracket it gets is at most one binade wide and closes within 53 halvings,
+so it needs no step cap.  A plain round halves every row once.  Once the
+rows are few and small, every round looks ahead instead: each row guesses
+its root by a secant in log rho through the signed excess at its bracket
+ends and lays out the midpoints the plain rounds would visit if that guess
+holds, up to its own stop or the round's cell budget; one wide evaluation
+decides every row's path.  The row then moves to its first decision that
+differs from the guess, or to the end of its path.  Each decision is the same
 comparison at the same midpoint as in a plain round, and the cells past it
 are discarded, so every result is bit for bit that of the plain rounds,
 whatever the guess.
@@ -47,7 +48,7 @@ MAX_GRID_POINTS = 2 ** 20  # desk scale: a grid of this size takes 8 MiB per arr
 SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
-_MAX_HALVINGS = 200  # the halving ladder's first part, and a generic inverse's step cap
+_MAX_HALVINGS = 200  # the halving ladder's first part
 _MEMO_ROOTS = 2 ** 16  # entries per generator memo: roots, reports, bounds, tail indices
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
@@ -96,15 +97,20 @@ def _guess(l: float, h: float, e_lo: float, e_hi: float) -> float:
     return g if l <= g <= h else 0.5 * (l + h)
 
 
-def _bisect(lo, hi, steps, width: float, cap: int, split, carry, excess, cells: int = 1):
+def _bisect(lo, hi, width: float, split, carry, excess, cells: int = 1):
     """Bisect the brackets [lo[i], hi[i]]; each row takes the path of a
     scalar bisection and stops on its own.
 
-    A row stops once hi - lo <= width*hi, once mid = 0.5*(lo + hi) is not
-    strictly inside, or after ``cap`` steps counted from ``steps[i]``.
-    Writes the final brackets and step counts into lo, hi and steps, which it
-    returns; a dropped row keeps its input values.  ``carry`` holds arrays
-    with a row each, and ``cells`` the cells one row's split evaluates.
+    A row stops once hi - lo <= width*hi, or once mid = 0.5*(lo + hi) is
+    not strictly inside.  Each step moves an end to a double strictly
+    inside the bracket, so every row stops, whatever ``split`` decides.
+    Callers hand over brackets at most one binade wide, which close within
+    53 steps: [x, 2x] from the norm solver's doubling, [2**(j-1), 2**j]
+    from the inverse's doubling, and [2**-(j+1), 2**-j] or [0, 2**-1074]
+    from its halving ladder.  Writes the final brackets into lo and hi and
+    returns them with each row's step count; a dropped row keeps its input
+    bracket and 0 steps.  ``carry`` holds arrays with a row each, and
+    ``cells`` the cells one row's split evaluates.
 
     ``split(mid, *carried)`` gets the open rows of each array in ``carry``.
     Given one mid per row it returns the rows whose root lies above mid (lo
@@ -120,59 +126,53 @@ def _bisect(lo, hi, steps, width: float, cap: int, split, carry, excess, cells: 
     ``_WINDOW_MIN`` levels in ``_WINDOW_CELLS``, every round looks ahead
     instead (``_look_ahead``); rows only leave, so that stays true.
     """
-    rows, l, h, k = np.arange(lo.size), lo, hi, steps
-    # done: the plain rounds every open row has run since k; none meets its cap before soonest
-    soonest, done = cap - k.max(initial=0), 0
+    rows, l, h = np.arange(lo.size), lo, hi
+    steps = np.zeros(lo.size, dtype=np.int64)
+    done = 0  # the plain rounds every open row has run
     while rows.size and (rows.size > _WINDOW_ROWS
                          or _WINDOW_CELLS // (rows.size * cells) < _WINDOW_MIN):
         mid = 0.5 * (l + h)
         go = (h - l > width * h) & (mid > l) & (mid < h)
-        if done >= soonest:
-            go &= k + done < cap
         if not go.all():
             stop = rows[~go]
-            lo[stop], hi[stop] = l[~go], h[~go]
-            steps[stop] = k[~go] + done
-            rows, l, h, k, mid, *carry = (x[go] for x in (rows, l, h, k, mid, *carry))
+            lo[stop], hi[stop], steps[stop] = l[~go], h[~go], done
+            rows, l, h, mid, *carry = (x[go] for x in (rows, l, h, mid, *carry))
             if not rows.size:
                 break
         up, drop = split(mid, *carry)
         l, h, done = np.where(up, mid, l), np.where(up, h, mid), done + 1
         if drop is not None:
-            rows, l, h, k, *carry = (x[~drop] for x in (rows, l, h, k, *carry))
+            rows, l, h, *carry = (x[~drop] for x in (rows, l, h, *carry))
     # each open row's excess at l and at h; a plain round moved the ends past it
-    ends = list(zip(*(e.tolist() for e in excess)) if not done
-                else repeat((math.nan, math.nan), rows.size))
-    k = k + done
+    ends = (zip(*(e.tolist() for e in excess)) if not done
+            else repeat((math.nan, math.nan)))
+    state = list(zip(l.tolist(), h.tolist(), repeat(done), ends))
     while rows.size:
-        rows, l, h, k, ends, carry = _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry,
-                                                 width, cap, split,
-                                                 _WINDOW_CELLS // (rows.size * cells))
+        rows, state, carry = _look_ahead(lo, hi, steps, rows, state, carry, width, split,
+                                         _WINDOW_CELLS // (rows.size * cells))
     return lo, hi, steps
 
 
-def _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry, width: float, cap: int, split,
-                budget: int):
-    """One look-ahead round of ``_bisect``: the open rows, their brackets,
-    step counts, excesses at the bracket ends and carried arrays after it,
-    with the stopped rows written out.
+def _look_ahead(lo, hi, steps, rows, state, carry, width: float, split, budget: int):
+    """One look-ahead round of ``_bisect``: the open rows, their state and
+    their carried arrays after it, with the stopped rows written out.
 
-    Each row guesses its root (``_guess``) and lays out the midpoints that
-    plain rounds visit if the guess holds, in their float steps (Python's
-    are IEEE's, as numpy's), up to its stop, its cap or ``budget`` levels.
-    One call of ``split`` evaluates every row's path, padded to the longest,
-    and each row then walks its own: every decision is the one a plain
-    round makes at the same midpoint, a cell split left undecided goes to
-    split as a plain round of its own, and the walk ends at the first
-    decision that differs from the guess, or at the end of the path, where
-    a path shorter than the budget stops the row.  Cells beyond that are
-    discarded, so the result does not depend on the guess.
+    A row's state is the tuple (lo, hi, steps, (excess at lo, excess at
+    hi)).  Each row guesses its root (``_guess``) and lays out the
+    midpoints that plain rounds visit if the guess holds, in their float
+    steps (Python's are IEEE's, as numpy's), up to its stop or ``budget``
+    levels.  One call of ``split`` evaluates every row's path, padded to
+    the longest, and each row then walks its own: every decision is the
+    one a plain round makes at the same midpoint, a cell split left
+    undecided goes to split as a plain round of its own, and the walk ends
+    at the first decision that differs from the guess, or at the end of the
+    path, where a path shorter than the budget stops the row.  Cells beyond
+    that are discarded, so the result does not depend on the guess.
     """
-    ls, hs, ks = l.tolist(), h.tolist(), k.tolist()
     guesses, paths, pads = [], [], []
-    for a, b, n, (e_lo, e_hi) in zip(ls, hs, ks, ends):
+    for a, b, _, (e_lo, e_hi) in state:
         g, path = _guess(a, b, e_lo, e_hi), []
-        for _ in range(min(budget, cap - n)):
+        for _ in range(budget):
             m = 0.5 * (a + b)
             if not (b - a > width * b and a < m < b):
                 break
@@ -194,9 +194,9 @@ def _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry, width: float, cap: in
         up, excess, undecided = split(np.array(mids).reshape(rows.size, levels), *carry)
         up, excess = up.tolist(), excess.tolist()
         undecided = undecided.tolist() if undecided is not None else repeat(repeat(False))
-    keep, stop, state = [], [], []
+    keep, stop, kept = [], [], []
     for i, (path, g, ups, exs, vague) in enumerate(zip(paths, guesses, up, excess, undecided)):
-        a, b, (e_lo, e_hi) = ls[i], hs[i], ends[i]
+        a, b, n, (e_lo, e_hi) = state[i]
         for j, (m, u, e, v) in enumerate(zip(path, ups, exs, vague)):
             if v:
                 u, lost = split(np.array([m]), *(x[i:i + 1] for x in carry))
@@ -209,19 +209,17 @@ def _look_ahead(lo, hi, steps, rows, l, h, k, ends, carry, width: float, cap: in
                 b, e_hi = m, e
             if u != (m < g):
                 keep.append(i)
-                state.append((a, b, ks[i] + j + 1, (e_lo, e_hi)))
+                kept.append((a, b, n + j + 1, (e_lo, e_hi)))
                 break
         else:
             if len(path) < budget:  # the row stops
-                stop.append((rows[i], a, b, ks[i] + len(path)))
+                stop.append((rows[i], a, b, n + len(path)))
             else:
                 keep.append(i)
-                state.append((a, b, ks[i] + len(path), (e_lo, e_hi)))
+                kept.append((a, b, n + len(path), (e_lo, e_hi)))
     if stop:
         r, lo[r], hi[r], steps[r] = (np.array(x) for x in zip(*stop))
-    l, h, k, ends = zip(*state) if state else ((), (), (), ())
-    return (rows[keep], np.array(l, dtype=float), np.array(h, dtype=float),
-            np.array(k, dtype=np.int64), list(ends), [x[keep] for x in carry])
+    return rows[keep], kept, [x[keep] for x in carry]
 
 
 def _csv_rows(path, kind: str, shape: str, parse) -> list:
@@ -318,11 +316,12 @@ class OrliczFunction:
         Accuracy of the generic bisection: the bracket [lo, hi] starts at
         [0, 1], or at [2**(j-1), 2**j] for the first j with phi(2**j) >= y,
         and halves until its relative width is at most 1e-15 or its midpoint
-        is not strictly inside; ``hi`` is returned.  Every root a double can
-        hold gets there, down to the smallest double 2**-1074: a normal root
-        is within 1e-15 relative of where phi, as computed, crosses y, and a
-        subnormal one a neighbouring double (``ExpLinear().inverse(1e-152)``
-        is 1.4142135623730954e-76).  Where phi's values are subnormal, their
+        is not strictly inside; ``hi`` is returned.  A halving ladder takes
+        [0, 1] to one binade first, so ``_bisect`` runs at most 53 halvings.
+        Every root a double can hold gets there, down to the smallest double
+        2**-1074: a normal root is within 1e-15 relative of where phi, as
+        computed, crosses y, and a subnormal one a neighbouring double
+        (``ExpLinear().inverse(1e-152)`` is 1.4142135623730954e-76).  Where phi's values are subnormal, their
         own rounding moves that crossing.
 
         Each target takes its own doubling, prefix and bisection path, so a
@@ -386,9 +385,10 @@ class OrliczFunction:
         2**-1074 only in a call with a target that phi(2**-200) is not below.
         ``_bisect`` then runs every target from the bracket its ladder hands
         over, through ``_raw_eval``, with the path and accuracy of a scalar
-        bisection (the step cap counts from that bracket, which closes in at
-        most 53 halvings); its guesses start from the excess log y - log phi
-        at the bracket ends, which the doubling and the ladder have evaluated.
+        bisection; each bracket is one binade wide, or [0, 2**-1074], so it
+        closes within 53 halvings.  Its guesses start from the excess
+        log y - log phi at the bracket ends, which the doubling and the ladder
+        have evaluated.
         """
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
         failed = {}
@@ -437,8 +437,7 @@ class OrliczFunction:
             with np.errstate(divide="ignore"):
                 return f < target[:, None], np.log(target[:, None]) - np.log(f), None
 
-        t[live] = _bisect(lo, h, np.zeros(live.size, dtype=np.int64), _INVERSE_REL_WIDTH,
-                          _MAX_HALVINGS, split, (target,), excess)[1]
+        t[live] = _bisect(lo, h, _INVERSE_REL_WIDTH, split, (target,), excess)[1]
         return t, failed
 
     def __repr__(self) -> str:
@@ -822,8 +821,10 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     For pure powers the constant theta**s is exact for every t.  Otherwise
     c_theta is the supremum of the ratio over a log-uniform grid, inflated by
     the 1+1e-6 safety factor so the certificate survives re-validation at
-    off-grid points of smooth families.  Each generator remembers its bound
-    per (theta, t_theta, grid_points).  Overflowing or empty ratios raise
+    off-grid points of smooth families.  A c_theta that underflows to 0
+    (theta**s, or every grid ratio, below the smallest double) is rounded
+    up to 2**-1074.  Each generator remembers its bound per (theta,
+    t_theta, grid_points).  Overflowing or empty ratios raise
     CertificateError (the bound cannot be certified at this t_theta).
     """
     theta = _positive(theta, "theta")
@@ -850,4 +851,6 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     if not math.isfinite(c_theta):
         raise CertificateError(
             f"scaling ratio overflows on (0, {t_theta:g}] at theta={theta:g}")
+    # a ratio that underflowed to 0 rounds up: an upper bound stays one
+    c_theta = max(c_theta, math.ulp(0.0))
     return _remember(bounds, key, ThetaBound(theta, c_theta, t_theta))

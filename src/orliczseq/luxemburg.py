@@ -69,7 +69,6 @@ from .functions import MAX_GRID_POINTS, _MAX_DOUBLINGS, _bisect, _positive, _who
 from .spaces import SeqVector, SpaceParams, TermBatch, exact_sum
 
 DEFAULT_TOL_REL = 1e-12
-_MAX_BISECTIONS = 4000
 _U = 2.0 ** -53
 _FSUM_ROUNDING = 2.0 ** -52
 _WHERE = "during norm solve"
@@ -82,7 +81,8 @@ class NormResult:
     ``value`` is the upper bracket end (smallest scale observed with modular
     at most 1); ``bracket`` is (rho_low, rho_high) with modular > 1 strictly
     below and <= 1 at the top; ``modular_at_value`` is the modular evaluated
-    at ``value``; ``iterations`` counts bisection steps.
+    at ``value``; ``iterations`` counts bisection steps, at most 53: the
+    bisection starts from a doubling's [x, 2x].
     """
 
     value: float
@@ -217,9 +217,8 @@ def _solve(batch: TermBatch, tol_rel: float) -> list:
     # bisect every closed bracket; a row that overflows is dropped
     live = np.sort(np.concatenate(doubled)) if doubled else live[:0]
     lo[live], hi[live], iters[live] = _bisect(
-        lo[live], hi[live], iters[live], tol_rel, _MAX_BISECTIONS, above,
-        (live, *(x[live] for x in columns)), (lo_excess[live], excess[live]),
-        batch.avals.shape[1])
+        lo[live], hi[live], tol_rel, above, (live, *(x[live] for x in columns)),
+        (lo_excess[live], excess[live]), batch.avals.shape[1])
 
     # every row that has not failed is closed: its modular at the value
     at_value, errors = batch.modulars(hi, _WHERE)

@@ -122,6 +122,15 @@ def test_tail_index_matches_library(capsys):
     assert rec["m1"] == cert.m1 and rec["m2"] == cert.m2
 
 
+def test_tail_index_of_a_tiny_ball(capsys):
+    # theta = 2e-320: theta**2 underflows, and c_theta rounds up to 2**-1074
+    rec = _json_out(capsys, [
+        "tail-index", "--phi", "power:2", "--kprime", "1", "--k", "0",
+        "--kappa", "1e-320", "--epsilon", "1"])
+    assert rec["m_eps_kappa"] == 0 and rec["covering_dim"] == 1
+    assert rec["c_theta"] == math.ulp(0.0)
+
+
 def test_covering_command_json_and_determinism(capsys):
     argv = ["covering", "--phi", "power:2", "--kprime", "1", "--k", "0",
             "--kappa", "1", "--epsilon", "0.5", "--samples", "20",

@@ -264,6 +264,20 @@ def test_tail_index_frozen_exponential_cases():
     assert c2.theta == 20.0
 
 
+@pytest.mark.parametrize("phi, kappa, m", [(Power(2.0), 1e-200, 0), (ExpSquare(), 1e-170, 0),
+                                           (ExpLinear(), 1e-170, 1)],
+                         ids=["power:2", "expsq", "explin"])
+def test_a_tiny_ball_gets_a_certificate(phi, kappa, m):
+    # theta**s, or every grid ratio, underflows to 0: c_theta rounds up to
+    # the smallest double, and the tail searches still hold
+    src = SpaceParams(1.0, phi, W1)
+    cert = uniform_tail_index(src, 0.0, kappa, 1.0)
+    assert cert.bound.c_theta == math.ulp(0.0)
+    assert cert.m_eps_kappa == m
+    samples = sample_ball(src, kappa, seed=5, count=20, max_support=12)
+    assert covering_check(cert, samples).max_tail_modular <= 1.0 + 1e-9
+
+
 def test_term_batch_gives_raw_eval_finite_nonnegative_points_at_overflowing_scales():
     src = SpaceParams(1.0, StrictSquare(), W1)
     p = SeqVector({0: 1e300, 2: 1e-300, -3: 3.0})

@@ -225,6 +225,22 @@ def test_inverses_equal_the_scalar_bisection_at_dyadic_points(phi):
     _check_inverses(phi, _dyadic_targets(phi))
 
 
+def test_generic_inverses_close_within_53_steps(monkeypatch):
+    # every bracket is one binade wide, or [0, 2**-1074]: no step cap is needed
+    most = []
+
+    def bisect(*args):
+        lo, hi, steps = bisect_rows(*args)
+        most.append(steps.max(initial=0))
+        return lo, hi, steps
+
+    bisect_rows = functions._bisect
+    monkeypatch.setattr(functions, "_bisect", bisect)
+    for phi in BISECTED + [NON_MONOTONE_TABLE]:
+        assert _forget_roots(phi).inverses(_dyadic_targets(phi))[1] == {}
+    assert most and max(most) <= 53
+
+
 def test_inverses_do_not_depend_on_the_guess(monkeypatch):
     for phi in BISECTED + [NON_MONOTONE_TABLE]:
         for ys in (_targets(), _dyadic_targets(phi)):
@@ -237,10 +253,10 @@ def test_inverses_do_not_depend_on_the_guess(monkeypatch):
             monkeypatch.undo()
 
 
-def _scalar_bisection(l, h, root, width, cap):
+def _scalar_bisection(l, h, root, width):
     """[l, h] bisected toward root with the stop tests of ``_bisect``, and the steps."""
     steps = 0
-    while steps < cap and h - l > width * h and l < 0.5 * (l + h) < h:
+    while h - l > width * h and l < 0.5 * (l + h) < h:
         mid = 0.5 * (l + h)
         l, h = (mid, h) if mid < root else (l, mid)
         steps += 1
@@ -267,9 +283,9 @@ def test_a_narrow_batch_looks_ahead_every_round_once_it_can(monkeypatch):
 
     look = functions._look_ahead
     monkeypatch.setattr(functions, "_look_ahead", look_ahead)
-    lo, hi, steps = np.ones(15), top.copy(), np.zeros(15, dtype=np.int64)
-    functions._bisect(lo, hi, steps, 1e-12, 60, split, (roots,), (roots - 1.0, roots - top), 40)
-    want = [_scalar_bisection(1.0, h, r, 1e-12, 60) for h, r in zip(top.tolist(), roots.tolist())]
+    lo, hi, steps = functions._bisect(np.ones(15), top.copy(), 1e-12, split, (roots,),
+                                      (roots - 1.0, roots - top), 40)
+    want = [_scalar_bisection(1.0, h, r, 1e-12) for h, r in zip(top.tolist(), roots.tolist())]
     assert list(zip(lo.tolist(), hi.tolist(), steps.tolist())) == want
     assert kinds[0] == 2 and 1 not in kinds  # no plain round after the first look-ahead
     assert windows and None not in windows  # no planned window was discarded
@@ -713,6 +729,13 @@ def test_a_raised_theta_bound_is_not_remembered(monkeypatch):
     monkeypatch.setattr(functions, "_MEMO_ROOTS", 2)
     bounds = [theta_bound(phi, theta, 1.0) for theta in (1.5, 2.0, 3.0)]
     assert phi.__dict__["_theta_bounds"] == {(3.0, 1.0, 4096): bounds[2]}
+
+
+def test_an_underflowing_theta_bound_rounds_up_to_the_smallest_double():
+    # theta**s, or every grid ratio, below 2**-1074 is 0, which bounds nothing
+    for phi, theta in ((Power(2.0), 1e-200), (ExpSquare(), 2e-170), (ExpLinear(), 2e-170)):
+        assert theta_bound(phi, theta, 1.0).c_theta == math.ulp(0.0)
+    assert theta_bound(Power(2.0), 1e-160, 1.0).c_theta == SAFETY * 1e-160 ** 2
 
 
 def test_theta_bound_underflowing_grid_is_domain_error():

@@ -381,14 +381,20 @@ def test_row_that_overflows_inside_the_bisection_fails_alone():
     _check_hole_fails_alone()
 
 
-def _check_hole_fails_alone():
-    # the norm of {0: 1, 1: c} is sqrt(1 + c**2), where c/norm lies inside
-    # the hole; rho_low = 1 and the doubling to 2 both step over it, so only
-    # a bisection midpoint close to the norm lands there
+def _hole_case():
+    """The space, the holed vector and two vectors whose norms miss the hole.
+
+    The norm of {0: 1, 1: c} is sqrt(1 + c**2), where c/norm lies inside
+    the hole; rho_low = 1 and the doubling to 2 both step over it, so only
+    a bisection midpoint close to the norm lands there."""
     params = SpaceParams(0.0, _SquareWithHole(0.3, 0.30001), W1)
     c = 0.300005 / math.sqrt(1.0 - 0.300005 ** 2)
-    holed = SeqVector({0: 1.0, 1: c})
-    good, other = SeqVector({0: 1.0, 2: 0.5}), SeqVector({-1: 0.25})
+    return (params, SeqVector({0: 1.0, 1: c}), SeqVector({0: 1.0, 2: 0.5}),
+            SeqVector({-1: 0.25}))
+
+
+def _check_hole_fails_alone():
+    params, holed, good, other = _hole_case()
     batch = [good, holed, other]
     out = _solve(TermBatch(params, [p._row() for p in batch]), TOL)
     assert isinstance(out[1], ComputationOverflowError)
@@ -401,6 +407,42 @@ def _check_hole_fails_alone():
     with pytest.raises(ComputationOverflowError) as exc:
         luxemburg_norms(params, batch)
     assert (str(exc.value), exc.value.index) == (str(out[1]), 1)
+
+
+def test_row_that_overflows_in_a_plain_round_fails_alone(monkeypatch):
+    # 41 rows to bisect (a lone term closes at rho_low), more than
+    # _WINDOW_ROWS: they are halved in plain rounds, and the holed row meets
+    # the hole there, which drops it
+    params, holed, good, other = _hole_case()
+    batch = [good] * 20 + [other, holed, other] + [good] * 20
+    # lone solves first: they fill the inverse's memo, so the only
+    # look-ahead rounds below are the norm solver's
+    want = [luxemburg_norm(params, p) for p in batch if p is not holed]
+    walked = []
+
+    def look_ahead(lo, hi, steps, rows, state, carry, *rest):
+        walked.extend(carry[0].tolist())  # the batch rows of this round
+        return look(lo, hi, steps, rows, state, carry, *rest)
+
+    look = functions._look_ahead
+    monkeypatch.setattr(functions, "_look_ahead", look_ahead)
+    out = _solve(TermBatch(params, [p._row() for p in batch]), TOL)
+    assert (type(out[21]), str(out[21]), out[21].index) == (
+        ComputationOverflowError, "modular term overflow at index 1 during norm solve", 1)
+    assert 21 not in walked  # the holed row left before any look-ahead
+    assert [r for r, p in zip(out, batch) if p is not holed] == want
+
+
+def test_an_overflowing_upper_bracket_fails_its_row_alone():
+    # the modular at rho_low = 1.5e308 is 2, and doubling it leaves double range
+    params = SpaceParams(0.0, Power(2.0))
+    huge, good = SeqVector({0: 1.5e308, 1: 1.5e308}), SeqVector({0: 1.5e308})
+    with pytest.raises(ComputationOverflowError) as exc:
+        luxemburg_norm(params, huge)
+    assert str(exc.value) == "upper norm bracket overflowed double range"
+    out = _solve(TermBatch(params, [p._row() for p in (good, huge, good)]), TOL)
+    assert out[0] == out[2] == luxemburg_norm(params, good)
+    assert (type(out[1]), str(out[1])) == (type(exc.value), str(exc.value))
 
 
 def _lying_certificate(source, target_k, cut):
@@ -476,6 +518,20 @@ def _check_norms_against_the_oracle(phi, ks, tols, lone=True):
 def test_norms_equal_the_scalar_oracle(phi):
     # value, bracket, modular_at_value and iterations, in batches of 15 and 1
     _check_norms_against_the_oracle(phi, (0.0, 0.5, 1.0, 2.0), (1e-12, 1e-6))
+
+
+@pytest.mark.parametrize("phi", ORACLE_GENERATORS, ids=lambda f: f.descriptor()[:16])
+def test_norms_close_within_53_steps_at_the_finest_tolerance(phi):
+    # every bisection starts from a doubling's [x, 2x], one binade wide, so
+    # at tol_rel = 2**-1074 it stops within 53 steps, subnormal norms included
+    for k in (0.0, 1.0):
+        params = SpaceParams(k, phi, ORACLE_WEIGHTS)
+        vecs = _oracle_vectors(params, int(10 * k)) + [
+            SeqVector({0: 1e-310}), SeqVector({0: 5e-324, 7: 1e-320}),
+            SeqVector({-3: 1e300, 0: 2e300})]
+        got = luxemburg_norms(params, vecs, 5e-324)
+        assert got == [scalar_norm_oracle(params, p, 5e-324) for p in vecs]
+        assert max(r.iterations for r in got) <= 53
 
 
 def _check_undecided_sum():
