@@ -205,7 +205,9 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     beyond m2 the measure growth absorbs c_theta, so the tail modular of
     2*(p - truncation)/epsilon stays at most 1.  Each generator remembers
     (m1, m2) per (k', k, inf w, c_theta, t_theta) and search cap, the
-    searches' only inputs.
+    searches' only inputs.  A theta that underflows is rounded up to
+    2**-1074, which only enlarges the ball the certificate covers; one that
+    overflows is a CertificateError naming kappa and epsilon.
     """
     kappa = _positive(kappa, "kappa")
     epsilon = _positive(epsilon, "epsilon")
@@ -223,6 +225,12 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             "no uniform tail index exists on this route")
 
     theta = 2.0 * kappa / epsilon
+    if math.isinf(theta):
+        raise CertificateError(
+            f"theta = 2*kappa/epsilon overflows double range at kappa={kappa:g}, "
+            f"epsilon={epsilon:g}")
+    # a theta that underflows rounds up: a larger theta covers a larger ball
+    theta = max(theta, math.ulp(0.0))
     tt = _positive(t_theta, "t_theta")
     for tries in range(64, 0, -1):
         try:

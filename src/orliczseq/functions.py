@@ -108,13 +108,13 @@ def _bisect(lo, hi, width: float, split, carry, excess, cells: int = 1):
     53 steps: [x, 2x] from the norm solver's doubling, [2**(j-1), 2**j]
     from the inverse's doubling, and [2**-(j+1), 2**-j] or [0, 2**-1074]
     from its halving ladder.  Writes the final brackets into lo and hi and
-    returns them with each row's step count; a dropped row keeps its input
-    bracket and 0 steps.  ``carry`` holds arrays with a row each, and
-    ``cells`` the cells one row's split evaluates.
+    returns them with each row's step count.  ``carry`` holds arrays with a
+    row each, and ``cells`` the cells one row's split evaluates.
 
     ``split(mid, *carried)`` gets the open rows of each array in ``carry``.
-    Given one mid per row it returns the rows whose root lies above mid (lo
-    moves there, else hi does) and the rows to drop, or None.  Given a
+    Given one mid per row it returns whether each row's root lies above mid
+    (lo moves there, else hi does); the bisection knows no failure, so a
+    row the caller has failed runs on to its own stop.  Given a
     (rows, levels) array of mids it decides each cell the same way, but
     without side effects: it returns the decisions, a signed excess
     (positive where the root lies above; it only guides the guess) and the
@@ -139,10 +139,8 @@ def _bisect(lo, hi, width: float, split, carry, excess, cells: int = 1):
             rows, l, h, mid, *carry = (x[go] for x in (rows, l, h, mid, *carry))
             if not rows.size:
                 break
-        up, drop = split(mid, *carry)
+        up = split(mid, *carry)
         l, h, done = np.where(up, mid, l), np.where(up, h, mid), done + 1
-        if drop is not None:
-            rows, l, h, *carry = (x[~drop] for x in (rows, l, h, *carry))
     # each open row's excess at l and at h; a plain round moved the ends past it
     ends = (zip(*(e.tolist() for e in excess)) if not done
             else repeat((math.nan, math.nan)))
@@ -164,7 +162,7 @@ def _look_ahead(lo, hi, steps, rows, state, carry, width: float, split, budget: 
     levels.  One call of ``split`` evaluates every row's path, padded to
     the longest, and each row then walks its own: every decision is the
     one a plain round makes at the same midpoint, a cell split left
-    undecided goes to split as a plain round of its own, and the walk ends
+    undecided goes to split's one-midpoint form, and the walk ends
     at the first decision that differs from the guess, or at the end of the
     path, where a path shorter than the budget stops the row.  Cells beyond
     that are discarded, so the result does not depend on the guess.
@@ -199,10 +197,7 @@ def _look_ahead(lo, hi, steps, rows, state, carry, width: float, split, budget: 
         a, b, n, (e_lo, e_hi) = state[i]
         for j, (m, u, e, v) in enumerate(zip(path, ups, exs, vague)):
             if v:
-                u, lost = split(np.array([m]), *(x[i:i + 1] for x in carry))
-                if lost is not None and lost[0]:
-                    break  # the row fails: it is dropped
-                u = bool(u[0])
+                u = bool(split(np.array([m]), *(x[i:i + 1] for x in carry))[0])
             if u:
                 a, e_lo = m, e
             else:
@@ -260,10 +255,12 @@ class OrliczFunction:
     evaluation: ``eval``, the generic inverse, ``spaces.measures``, the
     norm engine and the probes all call it, so a value must not depend on
     the batch it is in, nor on the array's shape or strides.  A subclass may
-    override ``_invert`` with a closed form.  ``inverses``, the norm engine
-    and ``ExpCompose`` call ``_invert``, so an override of ``inverse`` alone
-    is not seen by them.  ``eval`` (alias ``__call__``) takes a float or a
-    numpy array.
+    override ``_invert`` with a closed form: given an array of finite
+    nonnegative targets, it returns an array of their roots, nan where a
+    target has none, and ``inverses`` names the errors.  ``inverses``, the
+    norm engine and ``ExpCompose`` call ``_invert``, so an override of
+    ``inverse`` alone is not seen by them.  ``eval`` (alias ``__call__``)
+    takes a float or a numpy array.
 
     Each built-in family states a bound on its error relative to the exact
     function, in u = 2**-53, the unit roundoff of a double.  A bound holds
@@ -309,9 +306,10 @@ class OrliczFunction:
 
         Returns ``(t, errors)``: ``t[i]`` solves the i-th target, and
         ``errors`` maps the position of each target that has no solution to
-        its typed error (``t`` is nan there).  A target that is not finite
-        and nonnegative gets a DomainError, one whose bracket cannot close a
-        CertificateError.
+        its typed error (``t`` is nan there).  The finite nonnegative targets
+        go to ``_invert``, and this is the one place their errors are named:
+        a target that is not finite and nonnegative gets a DomainError, one
+        whose root ``_invert`` gives as nan a CertificateError.
 
         Accuracy of the generic bisection: the bracket [lo, hi] starts at
         [0, 1], or at [2**(j-1), 2**j] for the first j with phi(2**j) >= y,
@@ -332,23 +330,25 @@ class OrliczFunction:
         ys = np.array(ys, dtype=float).ravel()
         t = np.full(ys.size, math.nan)
         ok = (ys >= 0.0) & (ys < math.inf)
-        errors = {int(i): DomainError(
-            f"inverse target must be finite and nonnegative, got {float(ys[i])!r}")
-            for i in np.flatnonzero(~ok)}
-        good = np.flatnonzero(ok)
-        t[good], failed = self._invert(ys[good])
-        for j, exc in failed.items():
-            errors[int(good[j])] = exc
+        t[ok] = self._invert(ys[ok])
+        errors = {}
+        for i in np.flatnonzero(np.isnan(t)).tolist():
+            if ok[i]:
+                errors[i] = CertificateError("cannot bracket inverse: target beyond double range")
+            else:
+                errors[i] = DomainError(
+                    f"inverse target must be finite and nonnegative, got {float(ys[i])!r}")
         return t, errors
 
-    def _invert(self, y: np.ndarray):
-        """``inverses`` on finite nonnegative targets: (t, {position: error}).
+    def _invert(self, y: np.ndarray) -> np.ndarray:
+        """``inverses`` on finite nonnegative targets: the root of each, nan
+        where a target has none.
 
         The generic inverse: the targets this generator has solved before
         come from its memo, and only the others are bisected.  The memo is a
         sorted array of targets and one of their roots, searched with
         ``np.searchsorted`` (fastest on sorted targets, as a batch's are).
-        A new root is stored, a failing target is not; at most
+        A new root is stored, a nan one is not; at most
         ``_MEMO_ROOTS`` roots are kept, and a full memo is cleared.
         """
         keys, roots = self.__dict__.get("_inverse_roots", _NO_ROOTS)
@@ -360,8 +360,8 @@ class OrliczFunction:
             t = np.full(y.size, math.nan)
         miss = np.flatnonzero(np.isnan(t))
         if not miss.size:
-            return t, {}
-        t[miss], failed = self._bisect_roots(y[miss])
+            return t
+        t[miss] = self._bisect_roots(y[miss])
         solved = miss[~np.isnan(t[miss])]  # nan: the target failed
         new, first = np.unique(y[solved], return_index=True)  # a repeat is stored once
         found = t[solved][first]
@@ -370,11 +370,12 @@ class OrliczFunction:
             new, found = new[:_MEMO_ROOTS], found[:_MEMO_ROOTS]
         at = np.searchsorted(keys, new)
         self.__dict__["_inverse_roots"] = np.insert(keys, at, new), np.insert(roots, at, found)
-        return t, {int(miss[j]): exc for j, exc in failed.items()}
+        return t
 
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
-    def _bisect_roots(self, y: np.ndarray):
-        """The generic bisection of ``_invert``, on every target.
+    def _bisect_roots(self, y: np.ndarray) -> np.ndarray:
+        """The generic bisection of ``_invert``: the root of every target, nan
+        where phi stays below it up to the largest double.
 
         The bracket ends are powers of two shared by every target still
         doubling, so each doubling step evaluates phi once.  A target
@@ -391,7 +392,6 @@ class OrliczFunction:
         have evaluated.
         """
         t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
-        failed = {}
         live = np.flatnonzero(t)
         top, tops = 1.0, []  # tops[j] = phi(2**j)
         while live.size:  # ends: top reaches inf after 1024 doublings
@@ -401,9 +401,7 @@ class OrliczFunction:
             if math.isinf(top):
                 break
             t[live] = top
-        for j in live.tolist():
-            failed[j] = CertificateError("cannot bracket inverse: target beyond double range")
-        t[live] = math.nan
+        t[live] = math.nan  # phi stays below the target up to the largest double
         live = np.flatnonzero(t > 0.0)
         h, target = t[live], y[live]
         lo = np.where(h == 1.0, 0.0, h / 2.0)
@@ -432,13 +430,13 @@ class OrliczFunction:
 
         def split(mid, target):  # see _bisect
             if mid.ndim == 1:
-                return self._raw_eval(mid) < target, None
+                return self._raw_eval(mid) < target
             f = self._raw_eval(mid.ravel()).reshape(mid.shape)
             with np.errstate(divide="ignore"):
                 return f < target[:, None], np.log(target[:, None]) - np.log(f), None
 
         t[live] = _bisect(lo, h, _INVERSE_REL_WIDTH, split, (target,), excess)[1]
-        return t, failed
+        return t
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}[{self.descriptor()}]"
@@ -462,8 +460,8 @@ class Power(OrliczFunction):
     def _raw_eval(self, t):
         return t ** self.s
 
-    def _invert(self, y: np.ndarray):
-        return y ** (1.0 / self.s), {}
+    def _invert(self, y: np.ndarray) -> np.ndarray:
+        return y ** (1.0 / self.s)
 
     def descriptor(self) -> str:
         return f"power:{self.s:.17g}"
@@ -480,8 +478,8 @@ class ExpSquare(OrliczFunction):
     def _raw_eval(self, t):
         return np.expm1(t * t)
 
-    def _invert(self, y: np.ndarray):
-        return np.sqrt(np.log1p(y)), {}
+    def _invert(self, y: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.log1p(y))
 
     def descriptor(self) -> str:
         return "expsq"
@@ -553,7 +551,7 @@ class ExpCompose(OrliczFunction):
     def _raw_eval(self, t):
         return np.expm1(self.inner._raw_eval(t))
 
-    def _invert(self, y: np.ndarray):
+    def _invert(self, y: np.ndarray) -> np.ndarray:
         # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone
         return self.inner._invert(np.log1p(y))
 

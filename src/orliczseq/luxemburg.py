@@ -161,12 +161,13 @@ def _solve(batch: TermBatch, tol_rel: float) -> list:
     columns = (batch.avals, batch.mus, batch.n, slack)
 
     def above(rho, rows, avals, mus, n, slack):
-        """Per row whether modular > 1 (the norm lies above rho), and the
-        overflowed rows; for a column of trial scales per row, per cell whether
-        np.sum decides that, the log of the sum, and the cells it does not decide."""
+        """Per row whether modular > 1 (the norm lies above rho); a row that
+        overflows fails in ``batch``, its terms count as 0, and it bisects on.
+        For a column of trial scales per row, per cell whether np.sum decides
+        that, the log of the sum, and the cells it does not decide, an
+        overflowed one included, so only the one-midpoint form fails a row."""
         if rho.ndim == 1:
-            terms, lost = batch.terms(rows, avals, mus, rho, _WHERE)
-            return ~_at_most_one(terms, n, slack)[0], lost
+            return ~_at_most_one(batch.terms(rows, avals, mus, rho, _WHERE)[0], n, slack)[0]
         terms, lost = batch.terms(None, avals[:, None], mus[:, None], rho, _WHERE)
         s, near = _near_one(terms, slack[:, None])
         with np.errstate(divide="ignore"):
@@ -214,7 +215,7 @@ def _solve(batch: TermBatch, tol_rel: float) -> list:
     else:
         fail(live, "norm bracket did not close after doubling")
 
-    # bisect every closed bracket; a row that overflows is dropped
+    # bisect every closed bracket; a row that overflows fails there and runs on
     live = np.sort(np.concatenate(doubled)) if doubled else live[:0]
     lo[live], hi[live], iters[live] = _bisect(
         lo[live], hi[live], tol_rel, above, (live, *(x[live] for x in columns)),

@@ -244,13 +244,8 @@ class SeqVector:
         pairs = items.items() if isinstance(items, dict) else items
         seen = {}
         for m, v in pairs:
-            try:
-                whole = int(m) == m
-            except (TypeError, ValueError, OverflowError):  # an inf or nan index
-                whole = False
-            if not whole:
-                raise DomainError(f"index {m!r} is not an integer")
-            m = int(m)
+            if type(m) is not int:
+                m = _whole(m, -math.inf, f"index {m!r} is not an integer")
             v = complex(v)
             if m in seen:
                 raise DomainError(f"duplicate index {m} in sequence construction")

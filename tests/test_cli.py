@@ -2,13 +2,14 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 from orliczseq import (ExpSquare, Power, SeqVector, SpaceParams,
                        WeightSequence, luxemburg_norm, modular,
                        uniform_tail_index)
-from orliczseq.cli import run
+from orliczseq.cli import main, run
 
 W1 = WeightSequence.constant(1.0)
 
@@ -180,6 +181,30 @@ def test_classify_command(capsys, vec_csv):
                 "--env-c", "0.4", "--env-r", "0.3"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--env-c", "2"], "an envelope needs both --env-c and --env-r"),
+    (["--env-r", "0.5"], "an envelope needs both --env-c and --env-r"),
+    ([], "classify needs --in and/or an envelope (--env-c/--env-r)"),
+])
+def test_classify_usage_errors_exit_two(capsys, flags, message):
+    assert run(["classify", "--phi", "power:2", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["delta2", "--phi", "power:2"], ["nonsense"],
+                                  ["tail-index", "--phi", "power:2", "--kprime", "1", "--k", "0",
+                                   "--kappa", "1e200", "--epsilon", "1"]],
+                         ids=["ok", "usage", "numeric"])
+def test_main_exits_with_the_code_and_output_of_run(capsys, monkeypatch, argv):
+    code = run(argv)
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["orliczseq", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    assert capsys.readouterr() == want
 
 
 def test_chain_command_form_b(capsys):

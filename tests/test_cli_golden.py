@@ -197,6 +197,9 @@ GOLDEN = [
     ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1', 'csv', 0,
      'm_eps_kappa,m1,m2,theta,c_theta,t_theta,covering_dim\n'
      '20,0,20,20,3.0387767738406748e+173,1,41\n'),
+    ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1e-300 --epsilon 1e300', 'json', 0,
+     '{"m_eps_kappa": 0, "m1": 0, "m2": 0, "theta": 4.9406564584124654e-324,'
+     ' "c_theta": 4.9406564584124654e-324, "t_theta": 1, "covering_dim": 1}\n'),
     ('tail-index --phi explin --kprime 2 --k 0.5 --weights const:2 '
      '--inf-w 1.5 --kappa 2 --epsilon 0.3 --t-theta 0.5', 'json', 0,
      '{"m_eps_kappa": 6, "m1": 2, "m2": 6, "theta": 13.333333333333334,'
@@ -300,6 +303,9 @@ ERRORS = [
     ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1e200 --epsilon 1', 3,
      'numeric failure: scaling bound failed down to t_theta=1: '
      'scaling ratio overflows on (0, 1] at theta=2e+200\n'),
+    ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1e300 --epsilon 1e-300', 3,
+     'numeric failure: theta = 2*kappa/epsilon overflows double range '
+     'at kappa=1e+300, epsilon=1e-300\n'),
     ('covering --phi power:2 --kprime 1 --k 0 --kappa 1 --epsilon 1 --max-support '
      + str(10 ** 400), 2,
      'error: max_support is beyond double range: '

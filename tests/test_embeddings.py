@@ -172,6 +172,10 @@ def test_mode_a_preconditions():
         embedding_constant("a", w_global, src, 2.0)  # k' < k
     with pytest.raises(PreconditionError):
         embedding_constant("a", w_global, src, -1.0)
+    w_wide = check_domination(Power(2.0), ExpSquare(), 2.0)
+    assert w_wide.holds and math.isinf(w_wide.t0)
+    with pytest.raises(PreconditionError, match=r"mode 'a' needs gamma in \(0, 1\]"):
+        embedding_constant("a", w_wide, src, 0.0)
     w_local = check_domination(Power(3.0), Power(2.0), 1.0, t0=1.0)
     with pytest.raises(PreconditionError):
         embedding_constant("a", w_local, SpaceParams(1.0, Power(2.0), W1), 0.0)
@@ -276,6 +280,28 @@ def test_a_tiny_ball_gets_a_certificate(phi, kappa, m):
     assert cert.m_eps_kappa == m
     samples = sample_ball(src, kappa, seed=5, count=20, max_support=12)
     assert covering_check(cert, samples).max_tail_modular <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("phi, kp, k, m", [(Power(2.0), 1.0, 0.0, 0), (ExpSquare(), 1.0, 0.0, 0),
+                                         (ExpLinear(), 2.0, 0.5, 1)],
+                         ids=["power:2", "expsq", "explin"])
+def test_a_ball_whose_theta_underflows_gets_a_certificate(phi, kp, k, m):
+    # theta = 2*kappa/epsilon underflows to 0: it rounds up to the smallest
+    # double, which only enlarges the ball the certificate covers
+    src = SpaceParams(kp, phi, W1)
+    cert = uniform_tail_index(src, k, 1e-300, 1e300)
+    assert (cert.theta, cert.bound.theta) == (math.ulp(0.0), math.ulp(0.0))
+    assert cert.m_eps_kappa == m
+    samples = sample_ball(src, 1e-300, seed=5, count=20, max_support=12)
+    assert covering_check(cert, samples).max_tail_modular <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kappa, epsilon", [(1e300, 1e-300), (1e308, 1.0)])
+def test_a_theta_that_overflows_names_kappa_and_epsilon(kappa, epsilon):
+    with pytest.raises(CertificateError) as exc:
+        uniform_tail_index(SpaceParams(1.0, ExpSquare(), W1), 0.0, kappa, epsilon)
+    assert str(exc.value) == ("theta = 2*kappa/epsilon overflows double range "
+                              f"at kappa={kappa:g}, epsilon={epsilon:g}")
 
 
 def test_term_batch_gives_raw_eval_finite_nonnegative_points_at_overflowing_scales():

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
-                       ExpSquare, GeometricProbe, OrliczFunction, Power,
-                       SpaceParams, TabulatedConvex, default_probe_grid,
-                       delta2_at_zero, functions, luxemburg_norms, parse_orlicz,
-                       theta_bound, validate_orlicz)
+                       ExpSquare, GeometricProbe, OrliczFunction, Power, SeqVector,
+                       SpaceParams, TabulatedConvex, WeightSequence, default_probe_grid,
+                       delta2_at_zero, functions, luxemburg_norm, luxemburg_norms,
+                       parse_orlicz, theta_bound, validate_orlicz)
+from orliczseq.luxemburg import _solve
+from orliczseq.spaces import TermBatch
 from orliczseq.cli import run
 from helpers import (_EXPLIN_COEFFS, GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess,
                      mpmath_explin_root, random_vector, scalar_inverse_oracle,
@@ -165,6 +167,51 @@ class ScalarOnly(OrliczFunction):
         return "scalar-only"
 
 
+class CappedRoot(Power):
+    """t**2 with a user closed-form inverse that has no root above 10: an
+    ``_invert`` returns one array of roots, nan where a target has none."""
+
+    def _invert(self, y):
+        return np.where(y > 10.0, math.nan, y ** 0.5)
+
+    def descriptor(self) -> str:
+        return "capped-root"
+
+
+BEYOND = "cannot bracket inverse: target beyond double range"
+
+
+def test_a_user_invert_returns_its_roots_and_inverses_names_the_errors():
+    phi = CappedRoot(2.0)
+    t, errors = phi.inverses([1.0, 100.0, -1.0])
+    assert t[0] == 1.0 and np.isnan(t[1:]).all()
+    assert sorted(errors) == [1, 2]
+    assert (type(errors[1]), str(errors[1])) == (CertificateError, BEYOND)
+    assert (type(errors[2]), str(errors[2])) == (
+        DomainError, "inverse target must be finite and nonnegative, got -1.0")
+    assert phi.inverse(4.0) == 2.0
+    with pytest.raises(CertificateError, match=BEYOND):
+        phi.inverse(100.0)
+    # exp(t**2) - 1 = y: the inner root of log1p(y), nan past log1p(y) = 10
+    outer = ExpCompose(phi)
+    assert outer.inverse(1.0) == math.log1p(1.0) ** 0.5
+    with pytest.raises(CertificateError, match=BEYOND):
+        outer.inverse(1e5)
+
+
+def test_a_norm_row_whose_inverse_has_no_root_fails_alone():
+    # 1/mu(3) = 20 is past the cap, so only the vector holding index 3 fails
+    params = SpaceParams(0.0, CappedRoot(2.0), WeightSequence(1.0, {3: 0.05}))
+    batch = [SeqVector({0: 1.0, 1: 0.5}), SeqVector({0: 0.2, 3: 1.0}), SeqVector({-2: 0.75})]
+    out = _solve(TermBatch(params, [p._row() for p in batch]), 1e-12)
+    assert (type(out[1]), str(out[1])) == (CertificateError, BEYOND)
+    assert [out[0], out[2]] == [luxemburg_norm(params, batch[0]),
+                                luxemburg_norm(params, batch[2])]
+    assert out[0].value == pytest.approx(math.sqrt(1.25), rel=1e-12)
+    with pytest.raises(CertificateError, match=BEYOND):
+        luxemburg_norms(params, batch)
+
+
 TABLE = FAMILIES[-1]
 # knots that are not exact binary fractions, where np.interp and the scalar
 # interpolation formula round differently
@@ -274,7 +321,7 @@ def test_a_narrow_batch_looks_ahead_every_round_once_it_can(monkeypatch):
     def split(mid, root):
         kinds.append(mid.ndim)
         if mid.ndim == 1:
-            return mid < root, None
+            return mid < root
         return mid < root[:, None], root[:, None] - mid, None
 
     def look_ahead(*args):

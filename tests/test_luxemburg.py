@@ -411,25 +411,26 @@ def _check_hole_fails_alone():
 
 def test_row_that_overflows_in_a_plain_round_fails_alone(monkeypatch):
     # 41 rows to bisect (a lone term closes at rho_low), more than
-    # _WINDOW_ROWS: they are halved in plain rounds, and the holed row meets
-    # the hole there, which drops it
+    # _WINDOW_ROWS: every row, the holed one included, is halved in plain
+    # rounds to its own stop, and the holed row fails there with its first
+    # error when it meets the hole
     params, holed, good, other = _hole_case()
     batch = [good] * 20 + [other, holed, other] + [good] * 20
     # lone solves first: they fill the inverse's memo, so the only
-    # look-ahead rounds below are the norm solver's
+    # look-ahead rounds below would be the norm solver's
     want = [luxemburg_norm(params, p) for p in batch if p is not holed]
-    walked = []
+    looked = []
 
-    def look_ahead(lo, hi, steps, rows, state, carry, *rest):
-        walked.extend(carry[0].tolist())  # the batch rows of this round
-        return look(lo, hi, steps, rows, state, carry, *rest)
+    def look_ahead(*args):
+        looked.append(args)
+        return look(*args)
 
     look = functions._look_ahead
     monkeypatch.setattr(functions, "_look_ahead", look_ahead)
     out = _solve(TermBatch(params, [p._row() for p in batch]), TOL)
     assert (type(out[21]), str(out[21]), out[21].index) == (
         ComputationOverflowError, "modular term overflow at index 1 during norm solve", 1)
-    assert 21 not in walked  # the holed row left before any look-ahead
+    assert not looked  # the hole was met in a plain round
     assert [r for r, p in zip(out, batch) if p is not holed] == want
 
 
@@ -441,6 +442,31 @@ def test_an_overflowing_upper_bracket_fails_its_row_alone():
         luxemburg_norm(params, huge)
     assert str(exc.value) == "upper norm bracket overflowed double range"
     out = _solve(TermBatch(params, [p._row() for p in (good, huge, good)]), TOL)
+    assert out[0] == out[2] == luxemburg_norm(params, good)
+    assert (type(out[1]), str(out[1])) == (type(exc.value), str(exc.value))
+
+
+class _FlatRoot(OrliczFunction):
+    """t**0.01: not convex, so a user generator outside the Orlicz axioms."""
+
+    def _raw_eval(self, t):
+        return t ** 0.01
+
+    def descriptor(self) -> str:
+        return "flat-root"
+
+
+def test_a_bracket_that_does_not_close_within_the_doublings_fails_its_row_alone():
+    # each term alone closes at rho_low = 2**-200, but 4096 terms of 2**-100
+    # at weight 1/2 give the modular 1024 * rho**-0.01, at most 1 only from
+    # 2**1000: 1200 doublings, more than _MAX_DOUBLINGS, and within double range
+    params = SpaceParams(0.0, _FlatRoot(), WeightSequence.constant(0.5))
+    flat, good = SeqVector({m: 2.0 ** -100 for m in range(4096)}), SeqVector({0: 1.0})
+    assert luxemburg._MAX_DOUBLINGS < 1200
+    with pytest.raises(ComputationOverflowError) as exc:
+        luxemburg_norm(params, flat)
+    assert str(exc.value) == "norm bracket did not close after doubling"
+    out = _solve(TermBatch(params, [p._row() for p in (good, flat, good)]), TOL)
     assert out[0] == out[2] == luxemburg_norm(params, good)
     assert (type(out[1]), str(out[1])) == (type(exc.value), str(exc.value))
 
