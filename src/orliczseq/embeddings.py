@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,8 @@ def embedding_constant(mode: str, witness: DominationWitness,
     Mode "b" (local): requires finite t0 and source order k >= 0; the target
     has order 0 and the constant is max(psi^{-1}(1/inf w)/t0, gamma), with
     inf w the source weights' certified infimum (``WeightSequence.with_inf``
-    certifies a smaller one).
+    certifies a smaller one); an inf w whose reciprocal overflows is a
+    CertificateError.
     """
     mode = str(mode).lower()
     if mode not in ("a", "b"):
@@ -130,7 +132,11 @@ def embedding_constant(mode: str, witness: DominationWitness,
         raise PreconditionError("mode 'b' needs source order k >= 0")
     if target_k != 0.0:
         raise PreconditionError("mode 'b' targets the order-0 space")
-    c = max(source.phi.inverse(1.0 / source.weights.inf_w) / witness.t0, witness.gamma)
+    inv_w = 1.0 / source.weights.inf_w
+    if math.isinf(inv_w):
+        raise CertificateError(f"mode 'b' needs 1/inf w in double range, "
+                               f"got inf w = {source.weights.inf_w:g}")
+    c = max(source.phi.inverse(inv_w) / witness.t0, witness.gamma)
     target = SpaceParams(0.0, witness.phi, source.weights)
     return EmbeddingCertificate("b", c, source, target, witness)
 
@@ -177,7 +183,7 @@ class BallTailCertificate:
     source: SpaceParams
     target_k: float
 
-    @property
+    @cached_property
     def target_params(self) -> SpaceParams:
         return SpaceParams(self.target_k, self.source.phi, self.source.weights)
 
@@ -203,9 +209,10 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     rewriting of phi^{-1}((1/inf w)*(1+phi(n))**(-k')) <= t_theta; beyond it
     every ball member's entries are small enough for the scaling bound, and
     beyond m2 the measure growth absorbs c_theta, so the tail modular of
-    2*(p - truncation)/epsilon stays at most 1.  Each generator remembers
-    (m1, m2) per (k', k, inf w, c_theta, t_theta) and search cap, the
-    searches' only inputs.  A theta that underflows is rounded up to
+    2*(p - truncation)/epsilon stays at most 1.  Each space remembers its
+    certificate per (k, kappa, epsilon, t_theta, probe) and search cap, as
+    it remembers its measures, so a repeated call returns the same object;
+    a raised error is never stored.  A theta that underflows is rounded up to
     2**-1074, which only enlarges the ball the certificate covers; one that
     overflows is a CertificateError naming kappa and epsilon.
     """
@@ -217,6 +224,10 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             f"source order {source.k:g} must exceed target order {target_k:g}")
     if target_k < 0:
         raise PreconditionError("target order must be nonnegative")
+    certificates = source.__dict__.setdefault("_tail_certificates", {})
+    key = (target_k, kappa, epsilon, t_theta, probe, _SEARCH_CAP)
+    if key in certificates:
+        return certificates[key]
     phi = source.phi
     d2 = delta2_at_zero(phi, probe)
     if not d2.holds:
@@ -243,32 +254,16 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
                     f"scaling bound failed down to t_theta={tt:g}: {exc}") from None
             tt *= 0.5
 
-    indices = phi.__dict__.setdefault("_tail_indices", {})
-    key = (source.k, target_k, source.weights.inf_w, tb.c_theta, tb.t_theta, _SEARCH_CAP)
-    if key in indices:
-        m1, m2 = indices[key]
-    else:
-        m1, m2 = _remember(indices, key, _tail_searches(phi, source, target_k, tb))
-    return BallTailCertificate(kappa, epsilon, theta, tb, m1, m2,
-                               max(m1, m2), source, target_k)
-
-
-def _tail_searches(phi: OrliczFunction, source: SpaceParams, target_k: float,
-                   tb: ThetaBound):
-    """``uniform_tail_index``'s (m1, m2) for the bound ``tb``."""
     gap = source.k - target_k
     inv_w = 1.0 / source.weights.inf_w
     phi_at_tt = phi.eval(tb.t_theta)
-
-    def growth(f, k):  # (1 + phi(n))**k for a chunk of values phi(n), inf on overflow
-        return (1.0 + f) ** k
-
     # negated comparisons, so that a nan stops each search
-    m2 = _least_index(phi, lambda f: ~(growth(f, gap) < tb.c_theta),
+    m2 = _least_index(phi, lambda f: ~((1.0 + f) ** gap < tb.c_theta),
                       "measure growth did not absorb c_theta at desk scale")
-    m1 = _least_index(phi, lambda f: ~(inv_w * growth(f, -source.k) > phi_at_tt),
+    m1 = _least_index(phi, lambda f: ~(inv_w * (1.0 + f) ** -source.k > phi_at_tt),
                       "ball entries did not enter the scaling window at desk scale")
-    return m1, m2
+    return _remember(certificates, key, BallTailCertificate(
+        kappa, epsilon, theta, tb, m1, m2, max(m1, m2), source, target_k))
 
 
 def _least_index(phi: OrliczFunction, holds, message: str) -> int:

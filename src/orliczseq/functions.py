@@ -49,7 +49,7 @@ SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
 _MAX_HALVINGS = 200  # the halving ladder's first part
-_MEMO_ROOTS = 2 ** 16  # entries per generator memo: roots, reports, bounds, tail indices
+_MEMO_ROOTS = 2 ** 16  # entries per memo: a generator's roots, a space's tail certificates
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
 _WINDOW_MIN = 8  # levels that budget must leave room for before a round looks ahead
@@ -77,9 +77,9 @@ def _whole(value, least, message: str) -> int:
 
 
 def _remember(memo: dict, key, value):
-    """Store value under key in a generator's memo and return it; as for the
-    inverse's roots, a memo keeps at most ``_MEMO_ROOTS`` entries and a full
-    one is cleared.  Only results are stored, never a raised error."""
+    """Store value under key in a memo and return it; as for the inverse's
+    roots, a memo keeps at most ``_MEMO_ROOTS`` entries and a full one is
+    cleared.  Only results are stored, never a raised error."""
     if len(memo) >= _MEMO_ROOTS:
         memo.clear()
     memo[key] = value
@@ -269,10 +269,8 @@ class OrliczFunction:
     mpmath.
 
     A generator is an immutable value.  It remembers, on the instance, the
-    roots its generic inverse has found, its ``delta2_at_zero`` report per
-    probe, its ``theta_bound`` per (theta, t_theta, grid_points) and the
-    tail indices of ``uniform_tail_index``; a user generator changed after
-    its first use keeps them, so build a new one instead.
+    roots its generic inverse has found; a user generator changed after its
+    first use keeps them, so build a new one instead.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
@@ -334,7 +332,7 @@ class OrliczFunction:
         errors = {}
         for i in np.flatnonzero(np.isnan(t)).tolist():
             if ok[i]:
-                errors[i] = CertificateError("cannot bracket inverse: target beyond double range")
+                errors[i] = CertificateError("inverse target has no root in double range")
             else:
                 errors[i] = DomainError(
                     f"inverse target must be finite and nonnegative, got {float(ys[i])!r}")
@@ -772,13 +770,10 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
     schedule.  ``holds`` additionally requires every ratio to be finite and
     the last quarter not to exceed the preceding quarter (no upward trend as
     t -> 0), so functions whose ratio blows up are flagged even though a
-    finite probe can never prove the limsup finite.  Each generator
-    remembers its report per probe (``probe`` None: the default probe).
+    finite probe can never prove the limsup finite.  ``probe`` None is the
+    default probe.
     """
-    reports = phi.__dict__.setdefault("_delta2_reports", {})
-    if probe in reports:
-        return reports[probe]
-    key, probe = probe, GeometricProbe() if probe is None else probe
+    probe = GeometricProbe() if probe is None else probe
     # t_start * 2**-j is 0 from j = 1075 on, where phi(0) = 0 ends the probe
     ts = probe.t_start * np.ldexp(1.0, -np.arange(min(probe.depth, 1075) + 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -788,15 +783,15 @@ def delta2_at_zero(phi: OrliczFunction, probe: GeometricProbe | None = None) -> 
         ratios = (f2t[:used] / ft[:used]).tolist()
     ts = ts[:used].tolist()
     if not ratios:
-        return _remember(reports, key, Delta2Report((), (), math.nan, math.nan, False, True))
+        return Delta2Report((), (), math.nan, math.nan, False, True)
     sup_ratio = max(ratios)
     q = max(1, len(ratios) // 4)
     last = ratios[-q:]
     prev = ratios[-2 * q:-q] or last
     estimate = max(last)
     holds = math.isfinite(sup_ratio) and max(last) <= max(prev) * (1.0 + 1e-3)
-    return _remember(reports, key, Delta2Report(tuple(ts), tuple(ratios), sup_ratio,
-                                                estimate, holds, stop.size > 0))
+    return Delta2Report(tuple(ts), tuple(ratios), sup_ratio, estimate, holds,
+                        stop.size > 0)
 
 
 @dataclass(frozen=True)
@@ -821,19 +816,14 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     the 1+1e-6 safety factor so the certificate survives re-validation at
     off-grid points of smooth families.  A c_theta that underflows to 0
     (theta**s, or every grid ratio, below the smallest double) is rounded
-    up to 2**-1074.  Each generator remembers its bound per (theta,
-    t_theta, grid_points).  Overflowing or empty ratios raise
-    CertificateError (the bound cannot be certified at this t_theta).
+    up to 2**-1074.  Overflowing or empty ratios raise CertificateError
+    (the bound cannot be certified at this t_theta).
     """
     theta = _positive(theta, "theta")
     t_theta = _positive(t_theta, "t_theta")
     grid_points = _whole(grid_points, 16, "grid_points must be at least 16")
     if grid_points > MAX_GRID_POINTS:
         raise DomainError(f"grid_points must be at most {MAX_GRID_POINTS}")
-    bounds = phi.__dict__.setdefault("_theta_bounds", {})
-    key = (theta, t_theta, grid_points)
-    if key in bounds:
-        return bounds[key]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if isinstance(phi, Power):
             ratios = np.power(theta, phi.s)  # inf where it overflows
@@ -851,4 +841,4 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
             f"scaling ratio overflows on (0, {t_theta:g}] at theta={theta:g}")
     # a ratio that underflowed to 0 rounds up: an upper bound stays one
     c_theta = max(c_theta, math.ulp(0.0))
-    return _remember(bounds, key, ThetaBound(theta, c_theta, t_theta))
+    return ThetaBound(theta, c_theta, t_theta)

@@ -134,10 +134,13 @@ def _rho_low(batch: TermBatch) -> np.ndarray:
     """Each row's lower bracket end, max |p_m| / phi^{-1}(1/mu(m)), from one
     ``phi.inverses`` call on the distinct values of 1/mu(m).  A row with a
     measure that has no inverse fails on its first one, and its end is nan."""
-    # 0 marks an underflowed measure or padding, whose term never binds
-    scale = np.zeros(batch.mus.shape)
-    solvable = batch.mus != 0.0
-    targets, which = np.unique(1.0 / batch.mus[solvable], return_inverse=True)
+    # 1/mu is inf for padding, an underflowed measure and a subnormal one:
+    # such a term is left out, as a max over the other terms is still a lower end
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / batch.mus
+    scale = np.zeros(inv.shape)
+    solvable = inv < math.inf
+    targets, which = np.unique(inv[solvable], return_inverse=True)
     roots, failed = batch.phi.inverses(targets)
     scale[solvable] = roots[which]
     ratio = np.divide(batch.avals, scale, out=np.zeros(scale.shape), where=scale > 0.0)

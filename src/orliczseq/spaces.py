@@ -811,22 +811,19 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
         tail = modular_tail_bound(params, envelope, rho, trunc)
         if 2 * trunc + 1 > MAX_GRID_POINTS:
             return TailCertificate(rho, trunc, tail, None)
-        try:
-            explicit = modular(params, p, rho)
-        except ComputationOverflowError:
-            return TailCertificate(rho, trunc, tail, None)
-        # the off-support window as one row in canonical order (0, -1, 1,
-        # -2, 2, ...), each bound as bound_at gives it for its |m|, by
-        # Python's pow, from which np.power can differ in the last bit; a
-        # bound that underflows to 0 stays, so its measure is still checked
+        # p's row, then the off-support window as one row in canonical order
+        # (0, -1, 1, -2, 2, ...), each bound as bound_at gives it for its
+        # |m|, by Python's pow, from which np.power can differ in the last
+        # bit; a bound that underflows to 0 stays, so its measure is still
+        # checked
         by_abs.extend(map(envelope.bound_at, range(len(by_abs), trunc + 1)))
         mags = np.arange(trunc + 1)
         ms = np.stack((-mags, mags), axis=1).ravel()[1:]
         bounds = np.array(by_abs[:trunc + 1])[np.abs(ms)]
         off = ~np.isin(ms, p._indices())
-        row = (ms[off], bounds[off])
-        values, errors = TermBatch(params, [row]).modulars(rho, f"for rho={rho:g}")
-        upper = math.inf if errors else explicit + values[0] + tail
+        rows = [p._row(), (ms[off], bounds[off])]
+        values, errors = TermBatch(params, rows).modulars(rho, f"for rho={rho:g}")
+        upper = math.inf if errors else values[0] + values[1] + tail
         return TailCertificate(rho, trunc, tail, upper if math.isfinite(upper) else None)
 
     certs = []

@@ -157,7 +157,7 @@ def scalar_inverse_oracle(phi, y):
     while not scalar_phi_oracle(phi, hi) >= y:
         hi *= 2.0
         if math.isinf(hi):
-            raise CertificateError("cannot bracket inverse: target beyond double range")
+            raise CertificateError("inverse target has no root in double range")
     lo = 0.0 if hi == 1.0 else hi / 2.0
     while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)

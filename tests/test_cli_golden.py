@@ -21,6 +21,7 @@ FILES = {
     "vec": "0,0.4,0\n1,0,-0.3\n-2,0.25,0.1\n5,0.05,0\n",
     "q": "5,2,0\n",
     "wt": "0,2\n1,0.75\n-3,4\n",
+    "one": "0,1,0\n",
 }
 
 # (argv with {file} placeholders, --format, exit code, stdout)
@@ -306,6 +307,13 @@ ERRORS = [
     ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1e300 --epsilon 1e-300', 3,
      'numeric failure: theta = 2*kappa/epsilon overflows double range '
      'at kappa=1e+300, epsilon=1e-300\n'),
+    # 1/inf w overflows: the norm's lone term never binds, and mode b has no constant
+    ('norm --phi power:2 --weights const:1e-310 --in {one}', 3,
+     'numeric failure: norm bracket not representable: measure weights underflowed '
+     'or single-term scale overflowed double range\n'),
+    ('embed --mode b --phi power:3 --psi power:2 --gamma 1 --t0 1 --k 1 '
+     '--weights const:1e-310', 3,
+     "numeric failure: mode 'b' needs 1/inf w in double range, got inf w = 1e-310\n"),
     ('covering --phi power:2 --kprime 1 --k 0 --kappa 1 --epsilon 1 --max-support '
      + str(10 ** 400), 2,
      'error: max_support is beyond double range: '

@@ -14,7 +14,7 @@ from orliczseq import (CertificateError, CertificateRefutedError,
                        embedding_constant, luxemburg_norm, modular, sample_ball,
                        schauder_curve, theta_bound, uniform_tail_index,
                        verify_embedding)
-from orliczseq import embeddings, spaces
+from orliczseq import embeddings, functions, spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
@@ -240,6 +240,19 @@ def test_mode_b_uses_the_certified_weight_infimum():
     assert chk.ok and chk.target_norm > chk.source_norm
 
 
+def test_mode_b_with_a_weight_infimum_whose_reciprocal_overflows_names_it():
+    # 1/1e-310 is past double range: no constant psi^{-1}(1/inf w)/t0 exists
+    w = check_domination(Power(3.0), Power(2.0), 1.0, t0=1.0)
+    for weights in (WeightSequence.constant(1e-310),
+                    WeightSequence(1.0, {3: 0.5}, inf_override=1e-310)):
+        with pytest.raises(CertificateError) as exc:
+            embedding_constant("b", w, SpaceParams(1.0, Power(2.0), weights), 0.0)
+        assert str(exc.value) == "mode 'b' needs 1/inf w in double range, got inf w = 1e-310"
+    # the smallest normal double still has a reciprocal, so a constant
+    tiny = SpaceParams(1.0, Power(2.0), WeightSequence.constant(2.0 ** -1022))
+    assert embedding_constant("b", w, tiny, 0.0).c == 2.0 ** 511
+
+
 def test_verify_embedding_holds_on_samples():
     w = check_domination(Power(2.0), ExpSquare(), 1.0)
     src = SpaceParams(1.0, ExpSquare(), W1)
@@ -415,7 +428,9 @@ def test_tail_index_search_cap_is_inclusive(monkeypatch, w, m1, m2, message):
     for _ in range(2):
         with pytest.raises(CertificateError, match=message):
             uniform_tail_index(src, 0.0, 1.0, 0.1)
-    assert list(src.phi.__dict__["_tail_indices"].values()) == [(m1, m2)]  # no error stored
+    assert list(src.__dict__["_tail_certificates"].values()) == [cert]  # no error stored
+    monkeypatch.setattr(embeddings, "_SEARCH_CAP", cap)
+    assert uniform_tail_index(src, 0.0, 1.0, 0.1) is cert
 
 
 def test_tail_index_monotone_in_accuracy_and_radius():
@@ -515,23 +530,61 @@ def test_sample_ball_probes_each_index_once(monkeypatch):
      1.0, 0.0),
     (lambda: ExpCompose(ExpLinear()), 1.0, 0.0),
 ], ids=["expsq", "explin", "tab", "expof:explin"])
-def test_uniform_tail_index_on_a_warm_generator_equals_the_cold_one(make, kprime, k):
+def test_a_repeated_tail_index_on_one_space_is_the_remembered_certificate(make, kprime, k):
     warm = SpaceParams(kprime, make(), W1)
     for kappa, epsilon in ((1.0, 1.0), (1.0, 0.1), (2.0, 0.05)):
         first = uniform_tail_index(warm, k, kappa, epsilon)
-        again = uniform_tail_index(warm, k, kappa, epsilon)  # from the remembered reports
-        cold = uniform_tail_index(SpaceParams(kprime, make(), W1), k, kappa, epsilon)
-        for cert in (first, again):
-            assert (cert.m1, cert.m2, cert.m_eps_kappa, cert.theta, cert.bound) == \
-                (cold.m1, cold.m2, cold.m_eps_kappa, cold.theta, cold.bound)
-        # the same generator with one remembered input changed: its own tail indices
+        assert uniform_tail_index(warm, k, kappa, epsilon) is first
+        assert first == uniform_tail_index(SpaceParams(kprime, make(), W1), k, kappa, epsilon)
+        assert first.target_params is first.target_params
+        # a space sharing the generator, with one other input: its own certificate
         for kp, kk, w in ((kprime, k, WeightSequence.constant(1e-3)),
                           (kprime + 1.0, k, W1), (kprime, k + 0.25, W1)):
             shared = uniform_tail_index(SpaceParams(kp, warm.phi, w), kk, kappa, epsilon)
-            alone = uniform_tail_index(SpaceParams(kp, make(), w), kk, kappa, epsilon)
-            assert (shared.m1, shared.m2, shared.bound) == (alone.m1, alone.m2, alone.bound)
-    assert warm.phi.__dict__["_delta2_reports"]
-    assert len(warm.phi.__dict__["_tail_indices"]) == 12
+            assert shared == uniform_tail_index(SpaceParams(kp, make(), w), kk, kappa, epsilon)
+    # each other argument is its own entry, and equals a cold space's
+    for args in ((k, 1.0, 1.0, 0.5), (k, 1.0, 1.0, 1.0, GeometricProbe(0.5, 40))):
+        cert = uniform_tail_index(warm, *args)
+        assert cert == uniform_tail_index(SpaceParams(kprime, make(), W1), *args)
+    assert len(warm.__dict__["_tail_certificates"]) == 5
+    assert "_tail_certificates" not in warm.phi.__dict__
+
+
+def test_a_remembered_certificate_gives_every_covering_check_one_target_space(monkeypatch):
+    src = SpaceParams(1.0, ExpSquare(), W1)
+    cert = uniform_tail_index(src, 0.0, 1.0, 0.25)
+    samples = sample_ball(src, 1.0, seed=3, count=20, max_support=16)
+    targets = []
+    real = embeddings.TermBatch
+
+    def recording(params, rows):
+        targets.append(params)
+        return real(params, rows)
+
+    monkeypatch.setattr(embeddings, "TermBatch", recording)
+    for _ in range(2):
+        covering_check(uniform_tail_index(src, 0.0, 1.0, 0.25), samples)
+    assert len(targets) == 2 and targets[0] is targets[1] is cert.target_params
+
+
+def test_a_raised_tail_index_is_not_remembered():
+    src = SpaceParams(1.0, Power(2.0), W1)
+    for args in ((0.0, 1e300, 1e-300), (0.0, 1.0, 0.1, -1.0), (0.0, 1.0, 0.1, math.nan)):
+        for _ in range(2):
+            with pytest.raises((CertificateError, DomainError)):
+                uniform_tail_index(src, *args)
+    collapsing = SpaceParams(1.0, Collapsing(), W1)
+    with pytest.raises(PreconditionError, match="doubling condition"):
+        uniform_tail_index(collapsing, 0.0, 1.0, 0.1)
+    assert src.__dict__["_tail_certificates"] == {}
+    assert collapsing.__dict__["_tail_certificates"] == {}
+
+
+def test_a_full_certificate_memo_is_cleared_before_a_new_entry(monkeypatch):
+    monkeypatch.setattr(functions, "_MEMO_ROOTS", 2)
+    src = SpaceParams(1.0, Power(2.0), W1)
+    certs = [uniform_tail_index(src, 0.0, 1.0, eps) for eps in (1.0, 0.5, 0.25)]
+    assert list(src.__dict__["_tail_certificates"].values()) == [certs[2]]
 
 
 def test_covering_check_passes_on_sampled_ball():

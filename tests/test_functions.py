@@ -178,7 +178,7 @@ class CappedRoot(Power):
         return "capped-root"
 
 
-BEYOND = "cannot bracket inverse: target beyond double range"
+NO_ROOT = "inverse target has no root in double range"
 
 
 def test_a_user_invert_returns_its_roots_and_inverses_names_the_errors():
@@ -186,16 +186,16 @@ def test_a_user_invert_returns_its_roots_and_inverses_names_the_errors():
     t, errors = phi.inverses([1.0, 100.0, -1.0])
     assert t[0] == 1.0 and np.isnan(t[1:]).all()
     assert sorted(errors) == [1, 2]
-    assert (type(errors[1]), str(errors[1])) == (CertificateError, BEYOND)
+    assert (type(errors[1]), str(errors[1])) == (CertificateError, NO_ROOT)
     assert (type(errors[2]), str(errors[2])) == (
         DomainError, "inverse target must be finite and nonnegative, got -1.0")
     assert phi.inverse(4.0) == 2.0
-    with pytest.raises(CertificateError, match=BEYOND):
+    with pytest.raises(CertificateError, match=NO_ROOT):
         phi.inverse(100.0)
     # exp(t**2) - 1 = y: the inner root of log1p(y), nan past log1p(y) = 10
     outer = ExpCompose(phi)
     assert outer.inverse(1.0) == math.log1p(1.0) ** 0.5
-    with pytest.raises(CertificateError, match=BEYOND):
+    with pytest.raises(CertificateError, match=NO_ROOT):
         outer.inverse(1e5)
 
 
@@ -204,11 +204,11 @@ def test_a_norm_row_whose_inverse_has_no_root_fails_alone():
     params = SpaceParams(0.0, CappedRoot(2.0), WeightSequence(1.0, {3: 0.05}))
     batch = [SeqVector({0: 1.0, 1: 0.5}), SeqVector({0: 0.2, 3: 1.0}), SeqVector({-2: 0.75})]
     out = _solve(TermBatch(params, [p._row() for p in batch]), 1e-12)
-    assert (type(out[1]), str(out[1])) == (CertificateError, BEYOND)
+    assert (type(out[1]), str(out[1])) == (CertificateError, NO_ROOT)
     assert [out[0], out[2]] == [luxemburg_norm(params, batch[0]),
                                 luxemburg_norm(params, batch[2])]
     assert out[0].value == pytest.approx(math.sqrt(1.25), rel=1e-12)
-    with pytest.raises(CertificateError, match=BEYOND):
+    with pytest.raises(CertificateError, match=NO_ROOT):
         luxemburg_norms(params, batch)
 
 
@@ -451,7 +451,7 @@ def test_failing_targets_fail_alone():
     assert [t[0], t[3]] == [ExpLinear().inverse(0.5), ExpLinear().inverse(2.0)]
     # phi stays at 1 beyond t = 1, so the bracket for 2 never closes
     bounded = TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
-    with pytest.raises(CertificateError, match="target beyond double range"):
+    with pytest.raises(CertificateError, match=NO_ROOT):
         bounded.inverse(2.0)
     t, errors = bounded.inverses([0.25, 2.0, 1.0])
     assert list(errors) == [1] and isinstance(errors[1], CertificateError)
@@ -740,42 +740,21 @@ def test_theta_bound_power_overflow_is_certificate_error(capsys):
     assert capsys.readouterr().out == ""
 
 
-REMEMBERING = [ExpSquare, ExpLinear, lambda: ExpCompose(ExpLinear()),
-               lambda: TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)])]
+GENERATORS = [ExpSquare, ExpLinear, lambda: ExpCompose(ExpLinear()),
+              lambda: TabulatedConvex([(0.0, 0.0), (0.3, 0.03), (0.31, 0.04), (1.0, 1.0)])]
 
 
-@pytest.mark.parametrize("make", REMEMBERING, ids=["expsq", "explin", "expof:explin", "tab"])
-def test_remembered_delta2_reports_equal_fresh_ones(make):
-    warm = make()
-    for probe in (None, GeometricProbe(), GeometricProbe(0.5, 40), GeometricProbe(0.7, 1100)):
-        first = delta2_at_zero(warm, probe)
-        assert delta2_at_zero(warm, probe) is first
-        assert first == delta2_at_zero(make(), probe)
-    assert delta2_at_zero(warm) == delta2_at_zero(make(), GeometricProbe(1.0, 60))
-
-
-@pytest.mark.parametrize("make", REMEMBERING, ids=["expsq", "explin", "expof:explin", "tab"])
-def test_remembered_theta_bounds_equal_fresh_ones(make):
-    warm = make()
-    for theta in (1.5, 3.0, 20.0):
-        for t_theta in (0.25, 0.05):
-            for grid_points in (16, 4096):
-                first = theta_bound(warm, theta, t_theta, grid_points)
-                assert theta_bound(warm, theta, t_theta, grid_points) is first
-                assert first == theta_bound(make(), theta, t_theta, grid_points)
-    assert len(warm.__dict__["_theta_bounds"]) == 12
-
-
-def test_a_raised_theta_bound_is_not_remembered(monkeypatch):
-    phi = ExpSquare()
-    for _ in range(2):
-        with pytest.raises(CertificateError, match="overflows"):
-            theta_bound(phi, 100.0, 10.0)
-    assert phi.__dict__["_theta_bounds"] == {}
-    # as the inverse's roots: a full memo is cleared before a new entry
-    monkeypatch.setattr(functions, "_MEMO_ROOTS", 2)
-    bounds = [theta_bound(phi, theta, 1.0) for theta in (1.5, 2.0, 3.0)]
-    assert phi.__dict__["_theta_bounds"] == {(3.0, 1.0, 4096): bounds[2]}
+@pytest.mark.parametrize("make", GENERATORS, ids=["expsq", "explin", "expof:explin", "tab"])
+def test_delta2_reports_and_theta_bounds_leave_the_generator_as_it_was(make):
+    # the tail certificate that uses them is remembered by its space, not these
+    phi = make()
+    before = set(phi.__dict__)
+    for probe in (None, GeometricProbe(0.5, 40), GeometricProbe(0.7, 1100)):
+        assert delta2_at_zero(phi, probe) == delta2_at_zero(make(), probe)
+    assert delta2_at_zero(phi) == delta2_at_zero(phi, GeometricProbe(1.0, 60))
+    for theta, t_theta in ((1.5, 0.25), (20.0, 0.05)):
+        assert theta_bound(phi, theta, t_theta, 16) == theta_bound(make(), theta, t_theta, 16)
+    assert set(phi.__dict__) == before
 
 
 def test_an_underflowing_theta_bound_rounds_up_to_the_smallest_double():

@@ -336,10 +336,11 @@ def test_row_without_an_inverse_fails_alone():
     stuck, good = SeqVector({0: 1.0, 3: 0.5}), SeqVector({0: 0.5, 1: 0.2})
     with pytest.raises(CertificateError) as alone:
         luxemburg_norm(params, stuck)
-    # 1/mu(-2) is inf, a DomainError, and -2 precedes 3 in support order
+    # 1/mu(-2) overflows, so that term never binds, and 1/mu(3) = 4 has no root
     unbounded = SeqVector({3: 0.5, -2: 1.0})
-    with pytest.raises(DomainError) as target:
+    with pytest.raises(CertificateError) as target:
         luxemburg_norm(params, unbounded)
+    assert str(target.value) == str(alone.value)
     vecs = [good, stuck, SeqVector(), good.tail(1), unbounded]
     out = _solve(TermBatch(params, [p._row() for p in vecs]), TOL)
     assert out[0] == luxemburg_norm(params, good)
@@ -349,6 +350,22 @@ def test_row_without_an_inverse_fails_alone():
         assert (type(got), str(got)) == (type(want), str(want))
     with pytest.raises(CertificateError, match=str(alone.value)):
         luxemburg_norms(params, [good, stuck])
+
+
+def test_a_term_whose_inverse_target_overflows_never_binds():
+    # mu(0) = 1e-310 is subnormal: 1/mu(0) overflows, so rho_low comes from
+    # the other terms, and the norm solves as usual
+    params = SpaceParams(0.0, Power(2.0), WeightSequence(1.0, {0: 1e-310}))
+    got = luxemburg_norm(params, SeqVector({0: 1.0, 1: 1e-100}))
+    assert got.value == pytest.approx(math.sqrt(1e-200 + 1e-310), rel=1e-12)
+    assert got.bracket[0] <= 1e-100 <= got.value
+    # alone, no term gives a lower end: not representable, and it fails alone
+    lone, good = SeqVector({0: 1.0}), SeqVector({1: 0.5, 2: 0.25})
+    with pytest.raises(ComputationOverflowError, match="norm bracket not representable"):
+        luxemburg_norm(params, lone)
+    out = _solve(TermBatch(params, [p._row() for p in (good, lone, good)]), TOL)
+    assert out[0] == out[2] == luxemburg_norm(params, good)
+    assert isinstance(out[1], ComputationOverflowError)
 
 
 def test_covering_check_reports_the_first_failing_sample():

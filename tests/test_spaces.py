@@ -1025,6 +1025,28 @@ def test_classify_builds_no_vector_for_its_window(monkeypatch):
     assert got == want and all(c.modular_upper is not None for c in got.certificates)
 
 
+def test_classify_sums_each_scale_in_one_term_batch(monkeypatch):
+    # p's row and the off-support window share one batch: one measures call a scale
+    params = CLASSIFY_SPACES[0]
+    env = geometric_envelope(params, 2.0, 0.7)
+    p = SeqVector({0: 1.0, -1: 0.5j, 3: 0.1})
+    want = classify(params, p, env, 3)
+    calls = []
+
+    def counting(params, support):
+        calls.append(len(support))
+        return measures(params, support)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("modular was called")
+
+    monkeypatch.setattr(spaces, "modular", refuse)
+    monkeypatch.setattr(spaces, "measures", counting)
+    got = classify(params, p, env, 3)
+    assert got == want and len(calls) == len(got.certificates) == 4
+    assert calls == [2 * c.trunc + 1 for c in got.certificates]
+
+
 def test_classify_checks_the_measure_of_an_underflowed_bound():
     # the bound is 0.0 from |m| = 2 on, and mu(m) overflows from |m| = 6 on:
     # the window's sum is not certified, though every term there would be 0
@@ -1049,7 +1071,8 @@ def test_classify_of_a_table_negative_beyond_its_knots_names_the_index():
     with pytest.raises(DomainError) as off_support:
         classify(params, SeqVector({0: 0.5, 1: 0.25}), env, 8)
     assert str(off_support.value) == "measure undefined at index -4: phi(4) = -0.5 is negative"
-    # p's own index 4 is measured first, at rho = 1
+    # at rho = 1 the window reaches |m| = 4 too, and p's row, with its own
+    # index 4, comes first in the scale's one batch
     with pytest.raises(DomainError) as explicit:
         classify(params, SeqVector({0: 0.5, 4: 0.05}), env, 8)
     assert str(explicit.value) == "measure undefined at index 4: phi(4) = -0.5 is negative"
