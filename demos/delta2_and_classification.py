@@ -6,9 +6,9 @@ The last section classifies geometrically enveloped sequences and prints the
 certified tail bounds behind each verdict.
 """
 
-from orliczseq import (ExpLinear, ExpSquare, Power, SeqVector, SpaceParams,
-                       TabulatedConvex, WeightSequence, classify,
-                       delta2_at_zero, geometric_envelope, theta_bound)
+from orliczseq import (ExpLinear, ExpSquare, GeometricEnvelope, Power,
+                       SeqVector, SpaceParams, TabulatedConvex,
+                       WeightSequence, classify, delta2_at_zero, theta_bound)
 
 W1 = WeightSequence.constant(1.0)
 
@@ -32,7 +32,7 @@ def main():
 
     print("\nclassifying a geometrically enveloped sequence:")
     params = SpaceParams(1.0, Power(2.0), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     p = SeqVector({m: 0.5 ** abs(m) for m in range(-10, 11)})
     rep = classify(params, p, env)
     print(f"  in class: {rep.in_class}, in large: {rep.in_large}, "

@@ -18,8 +18,8 @@ from .functions import (Delta2Report, ExpCompose, ExpLinear, ExpSquare,
                         theta_bound, validate_orlicz)
 from .spaces import (GeometricEnvelope, MembershipReport, SeqVector,
                      SpaceParams, TailCertificate, WeightSequence, classify,
-                     geometric_envelope, measures, modular,
-                     modular_tail_bound, mu, parse_weights, weight_poly_bound)
+                     measures, modular, modular_tail_bound, mu, parse_weights,
+                     weight_poly_bound)
 from .luxemburg import (AxiomReport, NormResult, luxemburg_norm,
                         luxemburg_norms, schauder_curve, schauder_truncate,
                         verify_norm_axioms)
@@ -40,8 +40,8 @@ __all__ = [
     "default_probe_grid", "GeometricProbe", "Delta2Report", "delta2_at_zero",
     "ThetaBound", "theta_bound",
     "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "measures",
-    "mu", "modular", "GeometricEnvelope", "geometric_envelope", "weight_poly_bound",
-    "modular_tail_bound", "TailCertificate", "MembershipReport", "classify",
+    "mu", "modular", "GeometricEnvelope", "weight_poly_bound", "modular_tail_bound",
+    "TailCertificate", "MembershipReport", "classify",
     "NormResult", "luxemburg_norm", "luxemburg_norms", "AxiomReport",
     "verify_norm_axioms",
     "schauder_truncate", "schauder_curve",

@@ -29,8 +29,8 @@ from .errors import (CertificateError, CertificateRefutedError,
                      PreconditionError)
 from .functions import GeometricProbe, delta2_at_zero, parse_orlicz
 from .luxemburg import DEFAULT_TOL_REL, luxemburg_norm, schauder_curve
-from .spaces import (SeqVector, SpaceParams, WeightSequence, classify,
-                     geometric_envelope, modular, parse_weights)
+from .spaces import (GeometricEnvelope, SeqVector, SpaceParams,
+                     WeightSequence, classify, modular, parse_weights)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -153,7 +153,7 @@ def _cmd_classify(args) -> int:
     if args.env_c is not None or args.env_r is not None:
         if args.env_c is None or args.env_r is None:
             raise DomainError("an envelope needs both --env-c and --env-r")
-        envelope = geometric_envelope(params, args.env_c, args.env_r, args.env_from)
+        envelope = GeometricEnvelope(args.env_c, args.env_r, args.env_from)
     elif args.infile is None:
         raise DomainError("classify needs --in and/or an envelope (--env-c/--env-r)")
     report = classify(params, p, envelope)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--env-r", dest="env_r", type=float, default=None,
                     help="envelope ratio r in (0,1)")
     sp.add_argument("--env-from", dest="env_from", type=int, default=0,
-                    help="index the envelope is valid from")
+                    help="least truncation index of the tail bound")
 
     sp = command("delta2", _cmd_delta2, "doubling-condition probe at zero", _phi_flag)
     sp.add_argument("--t-start", dest="t_start", type=float, default=1.0)

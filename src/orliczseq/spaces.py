@@ -24,10 +24,12 @@ instance, which every ``measures`` call reads: a ``SpaceParams``, its
 generator and its weights are immutable values, so the table never goes
 stale, and ``dataclasses.replace`` yields a fresh one.
 
-Geometric envelopes |p_m| <= C * r**|m| with a certified polynomial bound on
-the measure give closed-form tail majorants, which in turn certify membership
-of infinite envelopes in the modular class and in the large and small spaces
-without truncating blindly.
+An envelope bounds the sequence, the space bounds its measures: a
+``GeometricEnvelope`` |p_m| <= C * r**|m| describes a sequence only, and the
+polynomial majorant of mu is the space's own, ``weight_poly_bound``.
+Together they give closed-form tail majorants, which in turn certify
+membership of infinite envelopes in the modular class and in the large and
+small spaces without truncating blindly.
 """
 
 from __future__ import annotations
@@ -625,17 +627,17 @@ def modular(params: SpaceParams, p: SeqVector, rho: float) -> float:
 
 @dataclass(frozen=True)
 class GeometricEnvelope:
-    """Certificate |p_m| <= amplitude * ratio**|m| with a measure majorant.
+    """The bound |p_m| <= amplitude * ratio**|m| on a sequence.
 
-    ``poly_w`` and ``poly_a`` certify mu(m) <= poly_w * (1 + |m|)**poly_a for
-    every |m| >= valid_from; build envelopes through geometric_envelope so the
-    majorant is derived rather than asserted.
+    An envelope describes the sequence only: a tail bound takes the measure
+    majorant from the space it is given (``weight_poly_bound``), so no
+    envelope carries one.  ``valid_from`` is the least truncation index a
+    tail majorant may start from; ``dominates`` and ``classify``'s window
+    still check every index against the bound.
     """
 
     amplitude: float
     ratio: float
-    poly_w: float
-    poly_a: float
     valid_from: int = 0
 
     def __post_init__(self):
@@ -645,14 +647,9 @@ class GeometricEnvelope:
             raise DomainError("envelope amplitude must be finite and nonnegative")
         if not 0.0 < r < 1.0:
             raise DomainError("envelope ratio must lie strictly inside (0, 1)")
-        poly_w = _positive(self.poly_w, "measure majorant coefficient")
-        if not math.isfinite(self.poly_a) or self.poly_a < 0:
-            raise DomainError("measure majorant exponent must be finite and nonnegative")
         valid_from = _whole(self.valid_from, 0, "valid_from must be a nonnegative integer")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "ratio", r)
-        object.__setattr__(self, "poly_w", poly_w)
-        object.__setattr__(self, "poly_a", float(self.poly_a))
         object.__setattr__(self, "valid_from", valid_from)
 
     def bound_at(self, m: int) -> float:
@@ -663,14 +660,17 @@ class GeometricEnvelope:
         return all(abs(v) <= self.bound_at(m) * _ENVELOPE_SLACK for m, v in p.items)
 
 
+@np.errstate(over="ignore")
 def weight_poly_bound(params: SpaceParams):
-    """Certified (W, a) with mu(m) <= W * (1 + |m|)**a for all m.
+    """Certified (W, a) with mu(m) <= W * (1 + |m|)**a for all m: the
+    measure majorant of the space, which every tail bound reads.
 
     k <= 0 gives (sup w, 0).  Powers give (sup w * 2**k, s*k) via
     1 + m**s <= 2 * max(1, m)**s.  Tabulated generators are eventually
     linear, so 1 + phi(m) <= (1 + v_last + slope_last) * (1 + m).  The
     exponential families grow faster than any polynomial, so k > 0 admits no
-    such majorant and a CertificateError is raised.
+    such majorant and a CertificateError is raised; so is a W past double
+    range.
     """
     w_sup = params.weights.sup_w
     k = params.k
@@ -678,22 +678,19 @@ def weight_poly_bound(params: SpaceParams):
         return w_sup, 0.0
     phi = params.phi
     if isinstance(phi, Power):
-        return w_sup * 2.0 ** k, phi.s * k
-    if isinstance(phi, TabulatedConvex):
-        b = 1.0 + phi.final_value + max(phi.final_slope, 0.0)
-        return w_sup * b ** k, k
-    if isinstance(phi, (ExpSquare, ExpLinear, ExpCompose)):
+        base, a = 2.0, phi.s * k
+    elif isinstance(phi, TabulatedConvex):
+        base, a = 1.0 + phi.final_value + max(phi.final_slope, 0.0), k
+    elif isinstance(phi, (ExpSquare, ExpLinear, ExpCompose)):
         raise CertificateError(
             "measure grows superpolynomially (exponential generator with k > 0); "
             "no polynomial majorant exists")
-    raise CertificateError(f"no measure majorant rule for {type(phi).__name__}")
-
-
-def geometric_envelope(params: SpaceParams, amplitude: float, ratio: float,
-                       valid_from: int = 0) -> GeometricEnvelope:
-    """Build an envelope for (params)-spaces, deriving the measure majorant."""
-    poly_w, poly_a = weight_poly_bound(params)
-    return GeometricEnvelope(amplitude, ratio, poly_w, poly_a, valid_from)
+    else:
+        raise CertificateError(f"no measure majorant rule for {type(phi).__name__}")
+    w = w_sup * float(np.float64(base) ** k)  # base ** k, but inf past double range
+    if w == math.inf:
+        raise CertificateError(f"measure majorant overflows double range at k={k:g}")
+    return w, a
 
 
 def _poly_geometric_tail(a: float, r: float, start: int) -> float:
@@ -701,38 +698,45 @@ def _poly_geometric_tail(a: float, r: float, start: int) -> float:
 
     Consecutive-term ratios r*((m+2)/(m+1))**a decrease toward r, so once the
     current ratio q drops below (1+r)/2 < 1 the remaining tail is at most
-    f(m) * q/(1-q).
+    f(m) * q/(1-q).  A term or a ratio past double range makes the bound inf.
     """
     q_cap = 0.5 * (1.0 + r)
     m = start
-    f = (1.0 + m) ** a * r ** m
     terms = []
-    for _ in range(1_000_000):
-        if f == 0.0:
-            return math.fsum(terms)
-        q = r * ((m + 2.0) / (m + 1.0)) ** a
-        terms.append(f)
-        if q <= q_cap:
-            return math.fsum(terms) + f * q / (1.0 - q)
-        f *= q
-        m += 1
+    try:
+        f = (1.0 + m) ** a * r ** m
+        for _ in range(1_000_000):
+            if f == 0.0 or f == math.inf:  # no more terms, or one past double range
+                return math.fsum(terms) + f
+            q = r * ((m + 2.0) / (m + 1.0)) ** a
+            terms.append(f)
+            if q <= q_cap:
+                return math.fsum(terms) + f * q / (1.0 - q)
+            f *= q
+            m += 1
+    except OverflowError:
+        return math.inf
     raise CertificateError("tail ratio test failed to stabilize (ratio too close to 1)")
 
 
 def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
                        rho: float, trunc: int) -> float:
     """Certified upper bound on sum_{|m| > trunc} mu(m) * phi(|p_m|/rho)
-    for every p dominated by the envelope.
+    for every p dominated by the envelope in the space ``params``.
 
+    The measures are bounded by the space's majorant W * (1 + |m|)**a from
+    ``weight_poly_bound``, whose CertificateError a space with none raises.
     Uses phi(x) <= (phi(t*)/t*) * x for x <= t* (convexity through the
     origin) at t* = amplitude * ratio**trunc / rho, then sums the resulting
-    polynomial-geometric majorant in closed form.
+    polynomial-geometric majorant in closed form; a bound past double range
+    is a ComputationOverflowError.
     """
     rho = _positive(rho, "scale rho")
     trunc = _whole(trunc, 1, "truncation index must be an integer >= 1")
     if trunc < envelope.valid_from:
         raise DomainError(
             f"truncation index {trunc} precedes envelope validity {envelope.valid_from}")
+    coeff, expo = weight_poly_bound(params)
     if envelope.amplitude == 0.0:
         return 0.0
     t_star = envelope.bound_at(trunc) / rho
@@ -744,8 +748,8 @@ def modular_tail_bound(params: SpaceParams, envelope: GeometricEnvelope,
         raise ComputationOverflowError(
             f"linearization point {t_star:g} overflows the generator; "
             "increase the truncation index or the scale")
-    s = _poly_geometric_tail(envelope.poly_a, envelope.ratio, trunc + 1)
-    bound = 2.0 * envelope.poly_w * slope * (envelope.amplitude / rho) * s
+    s = _poly_geometric_tail(expo, envelope.ratio, trunc + 1)
+    bound = 2.0 * coeff * slope * (envelope.amplitude / rho) * s
     if math.isinf(bound) or math.isnan(bound):
         raise ComputationOverflowError("tail bound overflowed double range")
     return bound
@@ -779,7 +783,9 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
     """Classify membership of p (or of every envelope-dominated sequence).
 
     Finitely supported sequences with no envelope belong to all three sets.
-    With an envelope the verdicts come from tail certificates: the modular
+    With an envelope the verdicts come from tail certificates, whose measure
+    majorant is the space's: a space with none (``weight_poly_bound``)
+    raises its CertificateError before domination is checked.  The modular
     class and the large space need some scale rho in {1, 2, 4, ...} with a
     finite certified modular bound, the small space needs every dyadic scale
     down to 2**-probe_depth.  The truncation index is chosen per scale so the
@@ -794,6 +800,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
     if envelope is None:
         return MembershipReport(True, True, True, 1.0, (),
                                 "finitely supported; member of every scale")
+    weight_poly_bound(params)  # raises for a space with no majorant, before any scale
     if not envelope.dominates(p):
         bad = next(m for m, v in p.items if abs(v) > envelope.bound_at(m) * _ENVELOPE_SLACK)
         raise DomainError(f"envelope does not dominate the sequence at index {bad}")
@@ -853,7 +860,7 @@ def classify(params: SpaceParams, p: SeqVector | None = None,
 
 __all__ = [
     "WeightSequence", "parse_weights", "SpaceParams", "SeqVector", "measures",
-    "mu", "exact_sum", "modular", "GeometricEnvelope", "geometric_envelope",
-    "weight_poly_bound", "modular_tail_bound", "TailCertificate", "MembershipReport",
-    "classify", "parse_orlicz",
+    "mu", "exact_sum", "modular", "GeometricEnvelope", "weight_poly_bound",
+    "modular_tail_bound", "TailCertificate", "MembershipReport", "classify",
+    "parse_orlicz",
 ]

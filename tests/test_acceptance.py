@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from orliczseq import (ExpCompose, ExpLinear, ExpSquare, Power, SeqVector,
-                       SpaceParams, TabulatedConvex, WeightSequence,
-                       check_domination, classify, covering_check, delta2_at_zero,
-                       embedding_constant, geometric_envelope, luxemburg_norm,
-                       modular, sample_ball, schauder_curve, uniform_tail_index,
-                       verify_embedding, verify_norm_axioms)
+from orliczseq import (ExpCompose, ExpLinear, ExpSquare, GeometricEnvelope,
+                       Power, SeqVector, SpaceParams, TabulatedConvex,
+                       WeightSequence, check_domination, classify,
+                       covering_check, delta2_at_zero, embedding_constant,
+                       luxemburg_norm, modular, sample_ball, schauder_curve,
+                       uniform_tail_index, verify_embedding, verify_norm_axioms)
 from helpers import power_norm_oracle, random_vector
 
 W1 = WeightSequence.constant(1.0)
@@ -262,8 +262,7 @@ def test_10_classification_coherence():
             phi, k = TABLE, rng.uniform(0.0, 2.0)
         w = W1 if rng.random() < 0.5 else _random_table_weights(rng, 0.2)
         params = SpaceParams(k, phi, w)
-        env = geometric_envelope(params, rng.uniform(0.0, 5.0),
-                                 rng.uniform(0.05, 0.95))
+        env = GeometricEnvelope(rng.uniform(0.0, 5.0), rng.uniform(0.05, 0.95))
         rep = classify(params, envelope=env)
         assert not (rep.in_large and not rep.in_small), (params, env, rep)
         for cert in rep.certificates:

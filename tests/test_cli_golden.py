@@ -120,6 +120,11 @@ GOLDEN = [
      ' "certificates": []}\n'),
     ('classify --phi expsq --k 1 --in {vec}', 'csv', 0,
      'rho,trunc,tail_bound,modular_upper\n'),
+    # a tail majorant past double range certifies no scale
+    ('classify --phi power:2 --k 200 --env-c 1 --env-r 0.999', 'json', 0,
+     '{"in_class": false, "in_large": false, "in_small": false,'
+     ' "large_witness_rho": null, "note": "no scale certified",'
+     ' "certificates": []}\n'),
     ('delta2 --phi expsq --depth 40', 'json', 0,
      '{"limsup_estimate": 4, "sup_ratio": 31.192874850577361, "holds": true,'
      ' "probes_used": 41, "truncated": false}\n'),
@@ -318,6 +323,17 @@ ERRORS = [
      + str(10 ** 400), 2,
      'error: max_support is beyond double range: '
      'log2(max_support + 1) must be at most 1024\n'),
+    # the measure majorant is the space's: none for expsq at k > 0, and
+    # none in double range when 2**k or sup w * 2**k overflows
+    ('classify --phi expsq --k 1 --env-c 1 --env-r 0.5', 3,
+     'numeric failure: measure grows superpolynomially (exponential generator '
+     'with k > 0); no polynomial majorant exists\n'),
+    ('classify --phi expsq --k 1 --env-c -1 --env-r 0.5', 2,
+     'error: envelope amplitude must be finite and nonnegative\n'),
+    ('classify --phi power:2 --k 1100 --env-c 1 --env-r 0.5', 3,
+     'numeric failure: measure majorant overflows double range at k=1100\n'),
+    ('classify --phi power:2 --k 100 --weights const:1e300 --env-c 1 --env-r 0.5', 3,
+     'numeric failure: measure majorant overflows double range at k=100\n'),
 ]
 
 FLAGS = {

@@ -1,14 +1,17 @@
 """What the package imports and defines: no unused name, and no module it
 does not need.
 
-No linter is part of the toolchain, so the first two checks read the syntax
-trees.  Every name an import binds must be used somewhere in the module or
-be listed in its ``__all__`` as a re-export: an import left behind when a
-helper moves to another module fails here.  Every private module-level name
-(a ``_CONSTANT`` or a ``_helper``) must be read somewhere in the package: a
-constant or helper left behind when the code that read it goes fails here.
-The last check runs CLI commands in a fresh interpreter and checks that
-``numpy.ma`` never loads.
+No linter is part of the toolchain, so the first three checks read the
+syntax trees.  Every name an import binds must be used somewhere in the
+module or be listed in its ``__all__`` as a re-export: an import left behind
+when a helper moves to another module fails here.  Every private
+module-level name (a ``_CONSTANT`` or a ``_helper``) must be read somewhere
+in the package: a constant or helper left behind when the code that read it
+goes fails here.  Every absolute import must name the standard library or
+numpy, the one runtime dependency: the test extra installs mpmath and
+hypothesis, so a stray import of either would otherwise pass.  The last
+check runs CLI commands in a fresh interpreter and checks that ``numpy.ma``
+never loads.
 """
 
 import ast
@@ -81,6 +84,31 @@ def test_the_check_finds_a_private_name_left_behind():
     sources = ["_CAP = 4\n_LEFT = 2\n__all__ = []\ndef _helper():\n    return _CAP\n",
                "from . import a\nclass _Gone:\n    pass\nprint(a._helper())\n"]
     assert unread_private_names(sources) == ["_Gone", "_LEFT"]
+
+
+def foreign_imports(source: str) -> list:
+    """The top-level modules that ``source`` imports absolutely and that are
+    neither in the standard library nor numpy, sorted."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return sorted(modules - sys.stdlib_module_names - {"numpy"})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_beyond_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_the_check_finds_a_runtime_dependency_planted():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\nfrom numpy.linalg import norm\n"
+              "from . import spaces\nfrom .functions import Power\n"
+              "def f():\n    import mpmath\n    from scipy.special import erf\n")
+    assert foreign_imports(source) == ["mpmath", "scipy"]
 
 
 def test_cli_commands_never_load_numpy_ma(tmp_path):

@@ -15,7 +15,7 @@ from orliczseq import (CertificateError, ComputationOverflowError,
                        GeometricEnvelope, GeometricProbe, NormResult, Power,
                        SeqVector, SpaceParams,
                        TabulatedConvex, WeightSequence, check_domination,
-                       classify, default_probe_grid, geometric_envelope,
+                       classify, default_probe_grid,
                        luxemburg_norm, measures, modular, modular_tail_bound,
                        mu, parse_weights, sample_ball, schauder_truncate,
                        theta_bound, weight_poly_bound)
@@ -274,7 +274,7 @@ def test_huge_index_has_a_typed_overflow_unless_k_is_zero():
 
 def test_envelopes_at_indices_beyond_double_range():
     params = SpaceParams(0.0, Power(2.0), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     assert env.bound_at(10 ** 400) == 0.0 and env.bound_at(-(10 ** 400)) == 0.0
     assert env.bound_at(2 ** 70) == 0.0 and env.bound_at(-7) == 0.5 ** 7
     assert modular_tail_bound(params, env, 1.0, 10 ** 400) == 0.0
@@ -282,7 +282,7 @@ def test_envelopes_at_indices_beyond_double_range():
         with pytest.raises(DomainError,
                            match=f"envelope does not dominate the sequence at index {m}$"):
             classify(params, SeqVector({m: 1e-300}), env)
-    far = classify(params, None, geometric_envelope(params, 1.0, 0.5, valid_from=10 ** 400), 2)
+    far = classify(params, None, GeometricEnvelope(1.0, 0.5, valid_from=10 ** 400), 2)
     assert far.in_class and far.in_small
     assert [(c.trunc, c.tail_bound, c.modular_upper) for c in far.certificates] == [
         (10 ** 400, 0.0, None)] * 3
@@ -794,18 +794,59 @@ def test_weight_poly_bound_certifies(k, phi):
 
 def test_envelope_validation():
     with pytest.raises(DomainError):
-        geometric_envelope(SpaceParams(0.0, Power(2.0), W1), 1.0, 1.0)
+        GeometricEnvelope(1.0, 1.0)
     with pytest.raises(DomainError):
-        geometric_envelope(SpaceParams(0.0, Power(2.0), W1), -1.0, 0.5)
-    with pytest.raises(CertificateError):
-        geometric_envelope(SpaceParams(1.0, ExpSquare(), W1), 1.0, 0.5)
-    env = geometric_envelope(SpaceParams(0.0, Power(2.0), W1), 2.0, 0.5)
+        GeometricEnvelope(-1.0, 0.5)
+    env = GeometricEnvelope(2.0, 0.5)
+    assert [f.name for f in dataclasses.fields(env)] == ["amplitude", "ratio", "valid_from"]
     assert env.dominates(SeqVector({0: 2.0, 3: 0.25}))
     assert not env.dominates(SeqVector({3: 0.5}))
 
 
+def test_a_space_with_no_measure_majorant_certifies_no_envelope():
+    # the envelope bounds p_m = 0.5**|m|; mu(m) = exp(m**2) grows
+    # superpolynomially, and the modular of that p diverges
+    params = SpaceParams(1.0, ExpSquare(), W1)
+    env = GeometricEnvelope(1.0, 0.5)
+    calls = {"classify": lambda: classify(params, None, env),
+             "modular_tail_bound": lambda: modular_tail_bound(params, env, 1.0, 1),
+             # the majorant is asked for before domination is checked
+             "undominated": lambda: classify(params, SeqVector({4: 1.0}), env)}
+    for name, call in calls.items():
+        with pytest.raises(CertificateError, match="measure grows superpolynomially"):
+            call()
+
+
+@pytest.mark.parametrize("params, k", [
+    (SpaceParams(1100.0, Power(2.0), W1), "1100"),  # 2.0 ** k raises
+    (SpaceParams(100.0, Power(2.0), WeightSequence.constant(1e300)), "100"),  # the product
+    (SpaceParams(400.0, TAB_KNOTS, W1), "400"),
+    (SpaceParams(100.0, TAB_KNOTS, WeightSequence.constant(1e300)), "100"),
+], ids=["power-pow", "power-product", "table-pow", "table-product"])
+def test_a_measure_majorant_past_double_range_is_a_certificate_error(params, k):
+    with pytest.raises(CertificateError,
+                       match=f"^measure majorant overflows double range at k={k}$"):
+        weight_poly_bound(params)
+    with pytest.raises(CertificateError, match="majorant overflows"):
+        classify(params, None, GeometricEnvelope(1.0, 0.5))
+
+
+def test_a_tail_sum_past_double_range_certifies_no_scale():
+    # a = 400: (1 + m)**a raises at trunc 693 (rho = 1/2); at trunc 1 the
+    # ratio test's running term overflows to inf first
+    params = SpaceParams(200.0, Power(2.0), W1)
+    env = GeometricEnvelope(1.0, 0.999)
+    for trunc in (1, 693):
+        with pytest.raises(ComputationOverflowError,
+                           match="^tail bound overflowed double range$"):
+            modular_tail_bound(params, env, 1.0, trunc)
+    report = classify(params, None, env)
+    assert not (report.in_class or report.in_large or report.in_small)
+    assert report.certificates == () and report.note == "no scale certified"
+
+
 _P2 = SpaceParams(0.0, Power(2.0), W1)
-_ENV = geometric_envelope(_P2, 1.0, 0.5)
+_ENV = GeometricEnvelope(1.0, 0.5)
 # each public count or index argument: a call taking it, and its least value
 WHOLE_ARGUMENTS = {
     "schauder_truncate": (lambda n: schauder_truncate(SeqVector({3: 1.0}), n), 0),
@@ -841,7 +882,7 @@ def test_classify_probes_no_scale_below_depth_zero():
 
 def test_tail_bound_worked_value():
     params = SpaceParams(0.0, Power(1.0), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     bound = modular_tail_bound(params, env, 1.0, 10)
     exact = 2.0 * 2.0 ** -11 / (1.0 - 0.5)  # worst-case tail sums exactly
     assert bound == pytest.approx(2.0 ** -9, rel=1e-12)
@@ -850,9 +891,9 @@ def test_tail_bound_worked_value():
 
 def test_tail_bound_edge_cases():
     params = SpaceParams(0.0, Power(2.0), W1)
-    env = geometric_envelope(params, 0.0, 0.5)
+    env = GeometricEnvelope(0.0, 0.5)
     assert modular_tail_bound(params, env, 1.0, 5) == 0.0
-    env2 = geometric_envelope(params, 1.0, 0.5, valid_from=8)
+    env2 = GeometricEnvelope(1.0, 0.5, valid_from=8)
     with pytest.raises(DomainError):
         modular_tail_bound(params, env2, 1.0, 5)
     with pytest.raises(DomainError):
@@ -877,10 +918,12 @@ def _brute_tail(params, env, rho, trunc, horizon=1000):
     (0.0, ExpLinear(), 5.0, 0.9, 7.0, 3),
 ])
 def test_tail_bound_dominates_brute_force(k, phi, c, r, rho, trunc):
+    # the case's envelope, and one shared by every space: each bound takes
+    # the measure majorant of its own space
     params = SpaceParams(k, phi, WeightSequence(1.0, {1: 0.4}))
-    env = geometric_envelope(params, c, r)
-    bound = modular_tail_bound(params, env, rho, trunc)
-    assert _brute_tail(params, env, rho, trunc) <= bound * (1.0 + 1e-12)
+    for env in (GeometricEnvelope(c, r), _ENV):
+        bound = modular_tail_bound(params, env, rho, trunc)
+        assert _brute_tail(params, env, rho, trunc) <= bound * (1.0 + 1e-12)
 
 
 def test_classify_finite_support_is_trivially_member():
@@ -890,7 +933,7 @@ def test_classify_finite_support_is_trivially_member():
 
 def test_classify_with_envelope():
     params = SpaceParams(0.0, Power(2.0), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     p = SeqVector({m: (0.5 ** abs(m)) for m in range(-5, 6)})
     rep = classify(params, p, env)
     assert rep.in_class and rep.in_large and rep.in_small
@@ -910,7 +953,7 @@ def test_classify_skips_the_explicit_part_of_a_huge_window():
     # trunc is about 6.9e8 at every scale: 1.4e9 indices are not summed, and
     # the verdicts still come from the tail bound
     params = SpaceParams(0.0, Power(2.0), W1)
-    rep = classify(params, None, geometric_envelope(params, 1e300, 0.999999))
+    rep = classify(params, None, GeometricEnvelope(1e300, 0.999999))
     assert rep.in_class and rep.in_large and rep.in_small
     assert len(rep.certificates) == DYADIC_PROBE_DEPTH + 1
     for cert in rep.certificates:
@@ -922,7 +965,7 @@ def test_classify_skips_the_explicit_part_of_a_huge_window():
 def test_classify_window_of_max_grid_points_is_summed(monkeypatch, cap):
     monkeypatch.setattr(spaces, "MAX_GRID_POINTS", cap)
     params = SpaceParams(0.0, Power(2.0), W1)
-    rep = classify(params, SeqVector({5: 0.5 ** 5}), geometric_envelope(params, 1.0, 0.5))
+    rep = classify(params, SeqVector({5: 0.5 ** 5}), GeometricEnvelope(1.0, 0.5))
     # trunc is 5 (11 indices) down to rho = 2**-5 and grows below it
     assert [c.trunc for c in rep.certificates[:7]] == [5] * 6 + [6]
     for cert in rep.certificates:
@@ -931,14 +974,14 @@ def test_classify_window_of_max_grid_points_is_summed(monkeypatch, cap):
 
 def test_classify_envelope_must_dominate():
     params = SpaceParams(0.0, Power(2.0), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     with pytest.raises(DomainError):
         classify(params, SeqVector({4: 1.0}), env)
 
 
 def test_classify_exponential_generator_flat_order():
     params = SpaceParams(0.0, ExpLinear(), WeightSequence.constant(0.5))
-    env = geometric_envelope(params, 2.0, 0.7)
+    env = GeometricEnvelope(2.0, 0.7)
     rep = classify(params, SeqVector(), env)
     assert rep.in_class and rep.in_small
     assert not (rep.in_large and not rep.in_small)
@@ -968,7 +1011,7 @@ def test_classify_reports_an_overflowing_upper_bound_as_none(capsys, amplitude):
     # the off-support terms of the explicit window are finite, but at
     # amplitude 1.2e154 their sum overflows and at 1e308 some are inf
     params = SpaceParams(0.0, Power(2.0), W1)
-    report = classify(params, envelope=geometric_envelope(params, amplitude, 0.5))
+    report = classify(params, envelope=GeometricEnvelope(amplitude, 0.5))
     assert report.in_class and report.certificates
     assert report.certificates[0].modular_upper is None
     assert all(c.modular_upper is None or math.isfinite(c.modular_upper)
@@ -996,7 +1039,7 @@ CLASSIFY_CASES = [
 @pytest.mark.parametrize("params, amplitude, ratio, depths", CLASSIFY_CASES)
 def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio, depths):
     # at 1.2e154 the off-support sum overflows at rho = 1 (the bound is None)
-    env = geometric_envelope(params, amplitude, ratio)
+    env = GeometricEnvelope(amplitude, ratio)
     dominated = SeqVector({m: 0.5 * env.bound_at(m) * (1j if m % 2 else 1.0)
                            for m in (0, -1, 2, -4)})
     for p in (SeqVector(), dominated):
@@ -1014,7 +1057,7 @@ def test_classify_upper_bound_is_the_brute_force_sum(params, amplitude, ratio, d
 
 def test_classify_builds_no_vector_for_its_window(monkeypatch):
     params = SpaceParams(0.0, Power(2.0), W1)
-    env = geometric_envelope(params, 4.0, 0.9)
+    env = GeometricEnvelope(4.0, 0.9)
     want = classify(params, None, env, 3)
 
     def refuse(*args, **kwargs):
@@ -1028,7 +1071,7 @@ def test_classify_builds_no_vector_for_its_window(monkeypatch):
 def test_classify_sums_each_scale_in_one_term_batch(monkeypatch):
     # p's row and the off-support window share one batch: one measures call a scale
     params = CLASSIFY_SPACES[0]
-    env = geometric_envelope(params, 2.0, 0.7)
+    env = GeometricEnvelope(2.0, 0.7)
     p = SeqVector({0: 1.0, -1: 0.5j, 3: 0.1})
     want = classify(params, p, env, 3)
     calls = []
@@ -1051,7 +1094,7 @@ def test_classify_checks_the_measure_of_an_underflowed_bound():
     # the bound is 0.0 from |m| = 2 on, and mu(m) overflows from |m| = 6 on:
     # the window's sum is not certified, though every term there would be 0
     params = SpaceParams(200.0, Power(2.0), W1)
-    env = GeometricEnvelope(1.0, 1e-200, 1.0, 0.0, valid_from=10)
+    env = GeometricEnvelope(1.0, 1e-200, valid_from=10)
     assert env.bound_at(2) == 0.0
     report = classify(params, None, env, 3)
     assert report.in_class and report.in_small
@@ -1059,14 +1102,14 @@ def test_classify_checks_the_measure_of_an_underflowed_bound():
     assert all(c.tail_bound == 0.0 and c.modular_upper is None for c in report.certificates)
     # the same window with every measure finite is summed
     finite = classify(SpaceParams(200.0, Power(2.0), W1), None,
-                      GeometricEnvelope(1.0, 1e-200, 1.0, 0.0, valid_from=5), 0)
+                      GeometricEnvelope(1.0, 1e-200, valid_from=5), 0)
     assert finite.certificates[0].modular_upper == 1.0  # mu(0) * phi(1); phi(1e-200) is 0
 
 
 def test_classify_of_a_table_negative_beyond_its_knots_names_the_index():
     # phi(t) = 0.5 - 0.5 * (t - 2) beyond the last knot: phi(4) = -0.5
     params = SpaceParams(0.5, TabulatedConvex([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]), W1)
-    env = geometric_envelope(params, 1.0, 0.5)
+    env = GeometricEnvelope(1.0, 0.5)
     # the window reaches |m| = 4 at rho = 1/16, where -4 comes first
     with pytest.raises(DomainError) as off_support:
         classify(params, SeqVector({0: 0.5, 1: 0.25}), env, 8)
