@@ -808,11 +808,10 @@ def test_a_space_with_no_measure_majorant_certifies_no_envelope():
     # superpolynomially, and the modular of that p diverges
     params = SpaceParams(1.0, ExpSquare(), W1)
     env = GeometricEnvelope(1.0, 0.5)
-    calls = {"classify": lambda: classify(params, None, env),
-             "modular_tail_bound": lambda: modular_tail_bound(params, env, 1.0, 1),
-             # the majorant is asked for before domination is checked
-             "undominated": lambda: classify(params, SeqVector({4: 1.0}), env)}
-    for name, call in calls.items():
+    for call in (lambda: classify(params, None, env),
+                 lambda: modular_tail_bound(params, env, 1.0, 1),
+                 # the majorant is asked for before domination is checked
+                 lambda: classify(params, SeqVector({4: 1.0}), env)):
         with pytest.raises(CertificateError, match="measure grows superpolynomially"):
             call()
 
@@ -832,8 +831,8 @@ def test_a_measure_majorant_past_double_range_is_a_certificate_error(params, k):
 
 
 def test_a_tail_sum_past_double_range_certifies_no_scale():
-    # a = 400: (1 + m)**a raises at trunc 693 (rho = 1/2); at trunc 1 the
-    # ratio test's running term overflows to inf first
+    # a = 400: at trunc 693, classify's at rho = 1/2, (1 + m)**a raises; at
+    # trunc 1 the ratio test's running term overflows to inf first
     params = SpaceParams(200.0, Power(2.0), W1)
     env = GeometricEnvelope(1.0, 0.999)
     for trunc in (1, 693):
