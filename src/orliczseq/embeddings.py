@@ -27,7 +27,7 @@ from .errors import (CertificateError, CertificateRefutedError,
                      CompositionError, DomainError, OrliczSeqError,
                      PreconditionError)
 from .functions import (GRID_POINTS_DEFAULT, MAX_GRID_POINTS, GeometricProbe,
-                        OrliczFunction, Power, ThetaBound, _PROBE_DEPTH, _positive,
+                        OrliczFunction, ThetaBound, _PROBE_DEPTH, _positive,
                         _probe_grid, _remember, _whole, delta2_at_zero,
                         theta_bound)
 from .luxemburg import DEFAULT_TOL_REL, _solve, luxemburg_norm, luxemburg_norms
@@ -248,8 +248,8 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             tb = theta_bound(phi, theta, tt)
             break
         except CertificateError as exc:
-            # a power's theta**s holds at every t_theta: halving cannot help
-            if isinstance(phi, Power) or tries == 1 or tt * 0.5 * _PROBE_DEPTH == 0:
+            # a stated constant holds at every t_theta: halving cannot help
+            if phi._theta_constant(theta) is not None or tries == 1 or tt * 0.5 * _PROBE_DEPTH == 0:
                 raise CertificateError(
                     f"scaling bound failed down to t_theta={tt:g}: {exc}") from None
             tt *= 0.5

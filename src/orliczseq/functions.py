@@ -271,10 +271,26 @@ class OrliczFunction:
     A generator is an immutable value.  It remembers, on the instance, the
     roots its generic inverse has found; a user generator changed after its
     first use keeps them, so build a new one instead.
+
+    What is proven about a family lives on its class, as two facts:
+    ``_measure_majorant`` (every tail bound reads it) and ``_theta_constant``
+    (``theta_bound`` reads it).  Their defaults mean "unknown".  A subclass
+    inherits them, so one that changes ``_raw_eval`` overrides the facts it
+    invalidates.
     """
 
     def _raw_eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _measure_majorant(self, k: float):
+        """(base, a) with (1 + phi(m))**k <= base**k * (1 + m)**a for every
+        m >= 0 at order k > 0; unknown by default, a CertificateError."""
+        raise CertificateError(f"no measure majorant rule for {type(self).__name__}")
+
+    def _theta_constant(self, theta: float):
+        """sup over t > 0 of phi(theta*t)/phi(t) in closed form, inf past double
+        range, raising no floating-point warning; None (the default) if unknown."""
+        return None
 
     def eval(self, t):
         """phi(t): ``_raw_eval`` on the array, or on a batch of one for a
@@ -461,8 +477,21 @@ class Power(OrliczFunction):
     def _invert(self, y: np.ndarray) -> np.ndarray:
         return y ** (1.0 / self.s)
 
+    def _measure_majorant(self, k: float):
+        return 2.0, self.s * k  # 1 + m**s <= 2 * max(1, m)**s
+
+    @np.errstate(over="ignore", under="ignore")
+    def _theta_constant(self, theta: float):
+        return float(np.power(theta, self.s))  # exact for every t
+
     def descriptor(self) -> str:
         return f"power:{self.s:.17g}"
+
+
+def _superpolynomial(phi, k: float):
+    """The measure majorant of an exponential family: none exists at k > 0."""
+    raise CertificateError("measure grows superpolynomially (exponential generator "
+                           "with k > 0); no polynomial majorant exists")
 
 
 @dataclass(frozen=True, repr=False)
@@ -478,6 +507,8 @@ class ExpSquare(OrliczFunction):
 
     def _invert(self, y: np.ndarray) -> np.ndarray:
         return np.sqrt(np.log1p(y))
+
+    _measure_majorant = _superpolynomial
 
     def descriptor(self) -> str:
         return "expsq"
@@ -527,6 +558,8 @@ class ExpLinear(OrliczFunction):
         out[~small] = np.expm1(x) - x
         return out
 
+    _measure_majorant = _superpolynomial
+
     def descriptor(self) -> str:
         return "explin"
 
@@ -552,6 +585,8 @@ class ExpCompose(OrliczFunction):
     def _invert(self, y: np.ndarray) -> np.ndarray:
         # exp(inner(t)) - 1 = y  <=>  inner(t) = log1p(y), both sides monotone
         return self.inner._invert(np.log1p(y))
+
+    _measure_majorant = _superpolynomial
 
     def descriptor(self) -> str:
         return f"expof:{self.inner.descriptor()}"
@@ -592,14 +627,6 @@ class TabulatedConvex(OrliczFunction):
     def knots(self):
         return tuple(zip(self._ts.tolist(), self._vs.tolist()))
 
-    @property
-    def final_slope(self) -> float:
-        return self._final_slope
-
-    @property
-    def final_value(self) -> float:
-        return float(self._vs[-1])
-
     @classmethod
     def from_csv(cls, path) -> "TabulatedConvex":
         return cls(_csv_rows(path, "knot table", "t,value",
@@ -610,6 +637,11 @@ class TabulatedConvex(OrliczFunction):
         inside = np.interp(t, ts, vs)
         beyond = vs[-1] + self._final_slope * (t - ts[-1])
         return np.where(t > ts[-1], beyond, inside)
+
+    def _measure_majorant(self, k: float):
+        # phi is at most its largest knot value up to the last knot, and
+        # linear past it, so 1 + phi(m) <= base * (1 + m)
+        return 1.0 + float(self._vs.max()) + max(self._final_slope, 0.0), k
 
     def descriptor(self) -> str:
         body = ";".join(f"{t:.17g},{v:.17g}" for t, v in self.knots)
@@ -811,13 +843,16 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
                 grid_points: int = GRID_POINTS_DEFAULT) -> ThetaBound:
     """Certify phi(theta*t) <= c_theta*phi(t) on (0, t_theta] via a grid sup.
 
-    For pure powers the constant theta**s is exact for every t.  Otherwise
-    c_theta is the supremum of the ratio over a log-uniform grid, inflated by
-    the 1+1e-6 safety factor so the certificate survives re-validation at
-    off-grid points of smooth families.  A c_theta that underflows to 0
-    (theta**s, or every grid ratio, below the smallest double) is rounded
-    up to 2**-1074.  Overflowing or empty ratios raise CertificateError
-    (the bound cannot be certified at this t_theta).
+    A generator that states its ``_theta_constant`` gets that constant, which
+    holds for every t; otherwise c_theta is the supremum of the ratio over a
+    log-uniform grid.  Either is inflated by the 1+1e-6 safety factor, so a
+    grid certificate survives re-validation at off-grid points of smooth
+    families; a stated constant needs none, but is still inflated.  A
+    c_theta that underflows to 0 (a stated constant, or every grid ratio,
+    below the smallest double) is rounded up to 2**-1074.
+    Overflowing or empty ratios raise CertificateError (the bound cannot be
+    certified at this t_theta); so does a theta*t_theta past double range,
+    where the grid cannot evaluate phi.
     """
     theta = _positive(theta, "theta")
     t_theta = _positive(t_theta, "t_theta")
@@ -825,9 +860,10 @@ def theta_bound(phi: OrliczFunction, theta: float, t_theta: float,
     if grid_points > MAX_GRID_POINTS:
         raise DomainError(f"grid_points must be at most {MAX_GRID_POINTS}")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if isinstance(phi, Power):
-            ratios = np.power(theta, phi.s)  # inf where it overflows
-        else:
+        ratios = phi._theta_constant(theta)
+        if ratios is None and theta * t_theta == math.inf:
+            ratios = math.inf  # phi cannot be evaluated there: the ratio overflows
+        elif ratios is None:
             ts = _probe_grid(t_theta, grid_points, "t_theta")
             num = phi.eval(theta * ts)
             den = phi.eval(ts)

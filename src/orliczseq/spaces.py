@@ -41,9 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ComputationOverflowError, DomainError
-from .functions import (MAX_GRID_POINTS, ExpCompose, ExpLinear, ExpSquare,
-                        OrliczFunction, Power, TabulatedConvex, _csv_rows,
-                        _positive, _whole, parse_orlicz)
+from .functions import (MAX_GRID_POINTS, OrliczFunction, _csv_rows, _positive,
+                        _whole, parse_orlicz)
 
 DYADIC_PROBE_DEPTH = 20
 _FACTOR_BLOCK = 4096  # the factor table of a space grows by this many entries
@@ -665,28 +664,18 @@ def weight_poly_bound(params: SpaceParams):
     """Certified (W, a) with mu(m) <= W * (1 + |m|)**a for all m: the
     measure majorant of the space, which every tail bound reads.
 
-    k <= 0 gives (sup w, 0).  Powers give (sup w * 2**k, s*k) via
-    1 + m**s <= 2 * max(1, m)**s.  Tabulated generators are eventually
-    linear, so 1 + phi(m) <= (1 + v_last + slope_last) * (1 + m).  The
-    exponential families grow faster than any polynomial, so k > 0 admits no
-    such majorant and a CertificateError is raised; so is a W past double
+    k <= 0 gives (sup w, 0).  Otherwise the generator states (base, a) with
+    (1 + phi(m))**k <= base**k * (1 + m)**a (``_measure_majorant``), and W
+    is sup w * base**k.  A generator that states none (the exponential
+    families, whose measures grow faster than any polynomial, and by
+    default a user's) raises CertificateError; so does a W past double
     range.
     """
     w_sup = params.weights.sup_w
     k = params.k
     if k <= 0:
         return w_sup, 0.0
-    phi = params.phi
-    if isinstance(phi, Power):
-        base, a = 2.0, phi.s * k
-    elif isinstance(phi, TabulatedConvex):
-        base, a = 1.0 + phi.final_value + max(phi.final_slope, 0.0), k
-    elif isinstance(phi, (ExpSquare, ExpLinear, ExpCompose)):
-        raise CertificateError(
-            "measure grows superpolynomially (exponential generator with k > 0); "
-            "no polynomial majorant exists")
-    else:
-        raise CertificateError(f"no measure majorant rule for {type(phi).__name__}")
+    base, a = params.phi._measure_majorant(k)
     w = w_sup * float(np.float64(base) ** k)  # base ** k, but inf past double range
     if w == math.inf:
         raise CertificateError(f"measure majorant overflows double range at k={k:g}")

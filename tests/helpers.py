@@ -7,7 +7,7 @@ import random
 import numpy as np
 
 from orliczseq import (CertificateError, ExpCompose, ExpLinear, ExpSquare, NormResult,
-                       Power, SeqVector, TabulatedConvex, luxemburg_norms)
+                       OrliczFunction, Power, SeqVector, TabulatedConvex, luxemburg_norms)
 
 # explin below 1/2: the Taylor polynomial sum_{n=2..26} t**n/n! by Horner
 _EXPLIN_COEFFS = tuple(1.0 / math.factorial(n) for n in range(26, 1, -1))
@@ -50,9 +50,31 @@ def scalar_phi_oracle(phi, t):
     if isinstance(phi, TabulatedConvex):
         ts, vs = phi._ts, phi._vs  # the knots as arrays, which np.interp takes as they are
         if t > ts[-1]:
-            return phi.final_value + phi.final_slope * (t - float(ts[-1]))
+            slope = float(vs[-1] - vs[-2]) / float(ts[-1] - ts[-2])
+            return float(vs[-1]) + slope * (t - float(ts[-1]))
         return float(np.interp(t, ts, vs))
     return _np(lambda x: phi._raw_eval(np.array([x]))[0], t)
+
+
+class Cube(OrliczFunction):
+    """phi(t) = t**3 as a user generator: it states no fact about itself."""
+
+    def _raw_eval(self, t):
+        return t ** 3.0
+
+    def descriptor(self):
+        return "cube"
+
+
+class StatedCube(Cube):
+    """``Cube`` stating the two facts that ``Power(3.0)`` states."""
+
+    def _measure_majorant(self, k):
+        return 2.0, 3.0 * k
+
+    @np.errstate(over="ignore")
+    def _theta_constant(self, theta):
+        return float(np.power(theta, 3.0))
 
 
 # phi(2**-j) rises again between 2**-40 and 2**-30 and between 2**-20 and

@@ -309,6 +309,11 @@ ERRORS = [
     ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1e200 --epsilon 1', 3,
      'numeric failure: scaling bound failed down to t_theta=1: '
      'scaling ratio overflows on (0, 1] at theta=2e+200\n'),
+    # theta*t_theta past double range: the grid bound is retried at halved t_theta
+    ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1e150 --epsilon 1e-150 '
+     '--t-theta 1e10', 3,
+     'numeric failure: scaling bound failed down to t_theta=1.0842e-09: '
+     'scaling ratio overflows on (0, 1.0842e-09] at theta=2e+300\n'),
     ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1e300 --epsilon 1e-300', 3,
      'numeric failure: theta = 2*kappa/epsilon overflows double range '
      'at kappa=1e+300, epsilon=1e-300\n'),

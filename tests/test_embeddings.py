@@ -18,8 +18,8 @@ from orliczseq import embeddings, functions, spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
-from helpers import (NON_MONOTONE_TABLE, exact_items, pow_or_inf, reference_sample_ball,
-                     scalar_phi_oracle)
+from helpers import (NON_MONOTONE_TABLE, StatedCube, exact_items, pow_or_inf,
+                     reference_sample_ball, scalar_phi_oracle)
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -130,6 +130,11 @@ def test_failed_scaling_bound_retries_only_where_t_theta_matters(monkeypatch):
         uniform_tail_index(SpaceParams(1.0, Power(2.0), W1), 0.0, 1e200, 1.0, t_theta=3.0)
     assert str(exc.value) == ("scaling bound failed down to t_theta=3: "
                               "scaling ratio overflows on (0, 3] at theta=2e+200")
+    assert tried == [3.0]
+    # so is a user generator's stated constant
+    tried.clear()
+    with pytest.raises(CertificateError, match="^scaling bound failed down to t_theta=3: "):
+        uniform_tail_index(SpaceParams(1.0, StatedCube(), W1), 0.0, 1e200, 1.0, t_theta=3.0)
     assert tried == [3.0]
     # a grid bound is retried at halved t_theta, and the error names the last one tried
     tried.clear()
@@ -279,6 +284,15 @@ def test_tail_index_frozen_exponential_cases():
     c2 = uniform_tail_index(SpaceParams(2.0, ExpLinear(), W1), 0.5, 1.0, 0.1)
     assert (c2.m1, c2.m2, c2.m_eps_kappa) == (1, 14, 14)
     assert c2.theta == 20.0
+
+
+def test_a_scaled_window_past_double_range_is_retried_at_halved_t_theta():
+    # theta*t_theta = 2e310 at t_theta = 1e10: the grid cannot evaluate phi
+    # there, so t_theta halves until it can
+    table = TabulatedConvex([(0, 0), (1, 1), (2, 3)])
+    cert = uniform_tail_index(SpaceParams(100.0, table, W1), 0.0, 1e150, 1e-150, t_theta=1e10)
+    assert cert.bound.t_theta == 1e10 * 2.0 ** -8 == 39_062_500.0
+    assert cert.m_eps_kappa == 507
 
 
 @pytest.mark.parametrize("phi, kappa, m", [(Power(2.0), 1e-200, 0), (ExpSquare(), 1e-170, 0),

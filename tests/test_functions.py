@@ -778,6 +778,10 @@ def test_theta_bound_overflow_is_certificate_error():
     # finite over tiny overflows in the division: still no numpy warning
     with pytest.raises(CertificateError, match="scaling ratio overflows"):
         theta_bound(ExpSquare(), 800.0, 1.0)
+    # theta*t_theta past double range: phi cannot be evaluated there
+    with pytest.raises(CertificateError,
+                       match=r"^scaling ratio overflows on \(0, 1e\+10\] at theta=2e\+300$"):
+        theta_bound(ExpSquare(), 2e300, 1e10)
 
 
 @pytest.mark.parametrize("phi,theta,tt", [

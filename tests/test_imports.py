@@ -1,7 +1,7 @@
 """What the package imports and defines: no unused name, and no module it
 does not need.
 
-No linter is part of the toolchain, so the first three checks read the
+No linter is part of the toolchain, so the first four checks read the
 syntax trees.  Every name an import binds must be used somewhere in the
 module or be listed in its ``__all__`` as a re-export: an import left behind
 when a helper moves to another module fails here.  Every private
@@ -9,8 +9,10 @@ module-level name (a ``_CONSTANT`` or a ``_helper``) must be read somewhere
 in the package: a constant or helper left behind when the code that read it
 goes fails here.  Every absolute import must name the standard library or
 numpy, the one runtime dependency: the test extra installs mpmath and
-hypothesis, so a stray import of either would otherwise pass.  The last
-check runs CLI commands in a fresh interpreter and checks that ``numpy.ma``
+hypothesis, so a stray import of either would otherwise pass.  No module
+but ``functions.py`` calls ``isinstance`` with a built-in generator family:
+what is proven about a family is a method of its class, so a dispatch on the
+family elsewhere would split those facts again.  The last check runs CLI commands in a fresh interpreter and checks that ``numpy.ma``
 never loads.
 """
 
@@ -109,6 +111,40 @@ def test_the_check_finds_a_runtime_dependency_planted():
               "from . import spaces\nfrom .functions import Power\n"
               "def f():\n    import mpmath\n    from scipy.special import erf\n")
     assert foreign_imports(source) == ["mpmath", "scipy"]
+
+
+FAMILIES = {"Power", "ExpSquare", "ExpLinear", "ExpCompose", "TabulatedConvex"}
+
+
+def family_dispatch(source: str) -> list:
+    """The lines where ``source`` calls ``isinstance`` with a built-in
+    generator family, named alone, in a tuple or as a module attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & FAMILIES:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "functions.py"}),
+                         ids=lambda p: p.name)
+def test_no_module_but_functions_dispatches_on_a_generator_family(path):
+    assert family_dispatch(path.read_text()) == []
+
+
+def test_the_check_finds_a_family_dispatch_planted():
+    source = ("from . import functions\nfrom .functions import ExpSquare, Power\n"
+              "def f(phi, x):\n"
+              "    if isinstance(x, float) or isinstance(phi, OrliczFunction):\n"
+              "        return 0\n"
+              "    if isinstance(phi, (ExpSquare, functions.TabulatedConvex)):\n"
+              "        return 1\n"
+              "    return isinstance(phi, Power) or type(phi) is Power\n")
+    assert family_dispatch(source) == [6, 8]
 
 
 def test_cli_commands_never_load_numpy_ma(tmp_path):

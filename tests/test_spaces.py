@@ -24,7 +24,7 @@ from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.luxemburg import _solve
 from orliczseq.spaces import DYADIC_PROBE_DEPTH
-from helpers import classify_upper_oracle, pow_or_inf, scalar_mu_oracle
+from helpers import Cube, StatedCube, classify_upper_oracle, pow_or_inf, scalar_mu_oracle
 
 HALF_E_SQUARED = 3.69452804946532511362  # 0.5 * e**2
 
@@ -816,6 +816,16 @@ def test_a_space_with_no_measure_majorant_certifies_no_envelope():
             call()
 
 
+def test_a_user_generator_states_its_own_measure_majorant():
+    env = GeometricEnvelope(1.0, 0.5)
+    with pytest.raises(CertificateError, match="^no measure majorant rule for Cube$"):
+        classify(SpaceParams(1.0, Cube(), W1), None, env)
+    # stating Power(3)'s majorant gives Power(3)'s certificates
+    stated = classify(SpaceParams(1.0, StatedCube(), W1), None, env)
+    assert stated.certificates
+    assert stated == classify(SpaceParams(1.0, Power(3.0), W1), None, env)
+
+
 @pytest.mark.parametrize("params, k", [
     (SpaceParams(1100.0, Power(2.0), W1), "1100"),  # 2.0 ** k raises
     (SpaceParams(100.0, Power(2.0), WeightSequence.constant(1e300)), "100"),  # the product
@@ -915,6 +925,8 @@ def _brute_tail(params, env, rho, trunc, horizon=1000):
     (0.0, ExpSquare(), 0.9, 0.6, 2.0, 4),
     (2.0, Power(1.0), 10.0, 0.3, 5.0, 9),
     (0.0, ExpLinear(), 5.0, 0.9, 7.0, 3),
+    # not monotone: phi(3) = 1000 is above the last knot value
+    (1.0, TabulatedConvex([(0, 0), (3, 1000), (4, 1), (5, 2)]), 1.0, 0.5, 1.0, 1),
 ])
 def test_tail_bound_dominates_brute_force(k, phi, c, r, rho, trunc):
     # the case's envelope, and one shared by every space: each bound takes
