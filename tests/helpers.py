@@ -72,7 +72,7 @@ class StatedCube(Cube):
     def _measure_majorant(self, k):
         return 2.0, 3.0 * k
 
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", under="ignore")
     def _theta_constant(self, theta):
         return float(np.power(theta, 3.0))
 

@@ -12,8 +12,8 @@ numpy, the one runtime dependency: the test extra installs mpmath and
 hypothesis, so a stray import of either would otherwise pass.  No module
 but ``functions.py`` calls ``isinstance`` with a built-in generator family:
 what is proven about a family is a method of its class, so a dispatch on the
-family elsewhere would split those facts again.  The last check runs CLI commands in a fresh interpreter and checks that ``numpy.ma``
-never loads.
+family elsewhere would split those facts again.  The last check runs CLI
+commands in a fresh interpreter and checks that ``numpy.ma`` never loads.
 """
 
 import ast
