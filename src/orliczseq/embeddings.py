@@ -218,6 +218,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
     """
     kappa = _positive(kappa, "kappa")
     epsilon = _positive(epsilon, "epsilon")
+    t_theta = _positive(t_theta, "t_theta")
     target_k = float(target_k)
     if not source.k > target_k:
         raise PreconditionError(
@@ -242,7 +243,7 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             f"epsilon={epsilon:g}")
     # a theta that underflows rounds up: a larger theta covers a larger ball
     theta = max(theta, math.ulp(0.0))
-    tt = _positive(t_theta, "t_theta")
+    tt = t_theta
     for tries in range(64, 0, -1):
         try:
             tb = theta_bound(phi, theta, tt)

@@ -15,10 +15,11 @@ finiteness convert that to an indexed error).  Each built-in family states a
 bound on its error relative to the exact function.  Inverses
 work on arrays of targets (``inverses``; the scalar ``inverse`` is a batch of
 one): closed forms where the family admits one, otherwise a bisection on a
-doubling bracket, whose roots each generator remembers.  ``_bisect`` is the
-one bisection of the package: the generic inverse and the Luxemburg norm
-solver both run it over their rows, and each row keeps the midpoints,
-decisions, step count and stopping test of a scalar bisection.  Each
+bracket between powers of two, whose roots each generator remembers.
+``_bisect`` is the one bisection of the package: the generic inverse and
+the Luxemburg norm solver both run it over their rows, and each row keeps
+the midpoints, decisions, step count and stopping test of a scalar
+bisection.  Each
 bracket it gets is at most one binade wide and closes within 53 halvings,
 so it needs no step cap.  A plain round halves every row once.  Once the
 rows are few and small, every round looks ahead instead: each row guesses
@@ -48,7 +49,6 @@ MAX_GRID_POINTS = 2 ** 20  # desk scale: a grid of this size takes 8 MiB per arr
 SAFETY_FACTOR = 1.0 + 1e-6
 _INVERSE_REL_WIDTH = 1e-15
 _MAX_DOUBLINGS = 1100
-_MAX_HALVINGS = 200  # the halving ladder's first part
 _MEMO_ROOTS = 2 ** 16  # entries per memo: a generator's roots, a space's tail certificates
 _PROBE_DEPTH = 1e-18  # log-uniform probe grids span [top*_PROBE_DEPTH, top]
 _WINDOW_CELLS = 2 ** 13  # cells one look-ahead round of _bisect evaluates at most
@@ -105,10 +105,10 @@ def _bisect(lo, hi, width: float, split, carry, excess, cells: int = 1):
     not strictly inside.  Each step moves an end to a double strictly
     inside the bracket, so every row stops, whatever ``split`` decides.
     Callers hand over brackets at most one binade wide, which close within
-    53 steps: [x, 2x] from the norm solver's doubling, [2**(j-1), 2**j]
-    from the inverse's doubling, and [2**-(j+1), 2**-j] or [0, 2**-1074]
-    from its halving ladder.  Writes the final brackets into lo and hi and
-    returns them with each row's step count.  ``carry`` holds arrays with a
+    53 steps: [x, 2x] from the norm solver's doubling, and [2**(j-1), 2**j]
+    for j = -1073 ... 1023 or [0, 2**-1074] from the generic inverse's
+    table of phi at the powers of two.  Writes the final brackets into lo
+    and hi and returns them with each row's step count.  ``carry`` holds arrays with a
     row each, and ``cells`` the cells one row's split evaluates.
 
     ``split(mid, *carried)`` gets the open rows of each array in ``carry``.
@@ -269,8 +269,9 @@ class OrliczFunction:
     mpmath.
 
     A generator is an immutable value.  It remembers, on the instance, the
-    roots its generic inverse has found; a user generator changed after its
-    first use keeps them, so build a new one instead.
+    roots its generic inverse has found and the table of phi at the powers
+    of two that its brackets come from; a user generator changed after its
+    first use keeps both, so build a new one instead.
 
     What is proven about a family lives on its class, as two facts:
     ``_measure_majorant`` (every tail bound reads it) and ``_theta_constant``
@@ -325,19 +326,18 @@ class OrliczFunction:
         a target that is not finite and nonnegative gets a DomainError, one
         whose root ``_invert`` gives as nan a CertificateError.
 
-        Accuracy of the generic bisection: the bracket [lo, hi] starts at
-        [0, 1], or at [2**(j-1), 2**j] for the first j with phi(2**j) >= y,
-        and halves until its relative width is at most 1e-15 or its midpoint
-        is not strictly inside; ``hi`` is returned.  A halving ladder takes
-        [0, 1] to one binade first, so ``_bisect`` runs at most 53 halvings.
-        Every root a double can hold gets there, down to the smallest double
-        2**-1074: a normal root is within 1e-15 relative of where phi, as
-        computed, crosses y, and a subnormal one a neighbouring double
-        (``ExpLinear().inverse(1e-152)`` is 1.4142135623730954e-76).  Where phi's values are subnormal, their
-        own rounding moves that crossing.
+        Accuracy of the generic bisection: each target's bracket [lo, hi] is
+        [2**(j-1), 2**j] or [0, 2**-1074] (``_bisect_roots``), and it halves
+        until its relative width is at most 1e-15 or its midpoint is not
+        strictly inside, within 53 halvings; ``hi`` is returned.  Every root
+        a double can hold gets there, down to the smallest double 2**-1074: a
+        normal root is within 1e-15 relative of where phi, as computed,
+        crosses y, and a subnormal one a neighbouring double
+        (``ExpLinear().inverse(1e-152)`` is 1.4142135623730954e-76).  Where
+        phi's values are subnormal, their own rounding moves that crossing.
 
-        Each target takes its own doubling, prefix and bisection path, so a
-        root does not depend on the batch it is solved in.  That is what lets
+        Each target takes its own bracket and bisection path, so a root does
+        not depend on the batch it is solved in.  That is what lets
         the generic inverse serve a target it has solved before from its
         memo, bit for bit the root a fresh bisection would give.
         """
@@ -391,56 +391,33 @@ class OrliczFunction:
         """The generic bisection of ``_invert``: the root of every target, nan
         where phi stays below it up to the largest double.
 
-        The bracket ends are powers of two shared by every target still
-        doubling, so each doubling step evaluates phi once.  A target
-        bracketed by [0, 1] first halves hi through 2**-1, 2**-2, ... while
-        phi there is not below it: the first j whose running minimum of
-        phi(2**-i), i <= j, is below the target ends that target's prefix, so
-        no monotone phi is assumed.  The ladder runs to 2**-200, and on to
-        2**-1074 only in a call with a target that phi(2**-200) is not below.
-        ``_bisect`` then runs every target from the bracket its ladder hands
-        over, through ``_raw_eval``, with the path and accuracy of a scalar
-        bisection; each bracket is one binade wide, or [0, 2**-1074], so it
-        closes within 53 halvings.  Its guesses start from the excess
-        log y - log phi at the bracket ends, which the doubling and the ladder
-        have evaluated.
+        Every bracket end is 0 or a power of two, so the brackets come from one
+        table of phi(2**j), j = -1074 ... 1023, evaluated on first use and kept
+        on the instance, as the memo is.  A target's hi is 2**j for the first
+        j >= 0 with phi(2**j) >= y; from j = 0 it halves on until the running
+        minimum of phi(2**-i), i = 1, 2, ..., falls below the target, so no
+        monotone phi is assumed.  ``_bisect`` closes each bracket, [hi/2, hi]
+        or [0, 2**-1074], within 53 halvings, with the path and accuracy of a
+        scalar bisection; its guesses start from the excess log y - log phi
+        at the bracket ends, read from the table.
         """
-        t = np.where(y > 0.0, 1.0, 0.0)  # each upper bracket end, then each root
-        live = np.flatnonzero(t)
-        top, tops = 1.0, []  # tops[j] = phi(2**j)
-        while live.size:  # ends: top reaches inf after 1024 doublings
-            tops.append(self._raw_eval(np.array([top]))[0])
-            live = live[~(tops[-1] >= y[live])]
-            top *= 2.0
-            if math.isinf(top):
-                break
-            t[live] = top
-        t[live] = math.nan  # phi stays below the target up to the largest double
-        live = np.flatnonzero(t > 0.0)
-        h, target = t[live], y[live]
-        lo = np.where(h == 1.0, 0.0, h / 2.0)
-        unit = np.flatnonzero(h == 1.0)
-        at = np.empty(0)  # phi(2**-i), i = 1, 2, ...
-        if unit.size:
-            # halvings that keep hi: the leading j with min phi(2**-i) >= target;
-            # a nan phi is not below the target, as in the comparison below
-            at = self._raw_eval(np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1)))
-            floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
-            if floor[-1] >= target[unit].min():
-                # a target phi(2**-i) has not fallen below yet: the ladder
-                # goes on to 2**-1074, the smallest positive double
-                at = np.concatenate((at, self._raw_eval(
-                    np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1, 1075)))))
-                floor = np.minimum.accumulate(np.where(np.isnan(at), math.inf, at))
-            keep = np.searchsorted(-floor, -target[unit], side="right")
-            h[unit] = np.ldexp(1.0, -keep)
-            lo[unit] = np.ldexp(1.0, -keep - 1)  # 2**-1075 rounds to 0
-        # phi at the bracket ends, which are 0 or powers of two evaluated above
-        ends = np.concatenate((lo, h))
-        known = np.concatenate((at[::-1], tops))[np.frexp(ends)[1] - 1 + at.size]
+        table = self.__dict__.get("_inverse_table")
+        if table is None:  # table[k] = phi(2**(k - 1075)), and 0 at the bracket end 0
+            table = self.__dict__["_inverse_table"] = np.concatenate(
+                ([0.0], self._raw_eval(np.ldexp(1.0, np.arange(-1074, 1024)))))
+        # a nan phi stops neither search: it is not at or above a target, nor below it
+        up, down = table[1075:], table[1074:0:-1]  # phi(2**j), j >= 0; phi(2**-i), i > 0
+        rise = np.maximum.accumulate(np.where(np.isnan(up), -math.inf, up))
+        fall = np.minimum.accumulate(np.where(np.isnan(down), math.inf, down))
+        j = np.searchsorted(rise, y)  # 1024: phi stays below the target
+        live = np.flatnonzero((y > 0.0) & (j < rise.size))
+        t = np.where(y > 0.0, math.nan, 0.0)
+        target, j = y[live], j[live]
+        unit = np.flatnonzero(j == 0)
+        j[unit] = -np.searchsorted(-fall, -target[unit], side="right")
+        lo, hi = np.ldexp(1.0, j - 1), np.ldexp(1.0, j)  # 2**-1075 rounds to 0
         with np.errstate(divide="ignore"):
-            excess = np.split(np.log(np.tile(target, 2))
-                              - np.log(np.where(ends > 0.0, known, 0.0)), 2)
+            excess = [np.log(target) - np.log(table[j + k]) for k in (1074, 1075)]
 
         def split(mid, target):  # see _bisect
             if mid.ndim == 1:
@@ -449,7 +426,7 @@ class OrliczFunction:
             with np.errstate(divide="ignore"):
                 return f < target[:, None], np.log(target[:, None]) - np.log(f), None
 
-        t[live] = _bisect(lo, h, _INVERSE_REL_WIDTH, split, (target,), excess)[1]
+        t[live] = _bisect(lo, hi, _INVERSE_REL_WIDTH, split, (target,), excess)[1]
         return t
 
     def __repr__(self) -> str:

@@ -82,6 +82,8 @@ class StatedCube(Cube):
 # not monotone in j
 NON_MONOTONE_TABLE = TabulatedConvex([(0.0, 0.0), (2.0 ** -40, 1e-6), (2.0 ** -30, 1e-9),
                                       (2.0 ** -20, 1e-3), (2.0 ** -12, 1e-5), (1.0, 1.0)])
+# phi = 0 on [0, 1]: the doubling probe at zero ends at its first point
+FLAT_NEAR_ZERO = TabulatedConvex([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])
 
 
 def power_norm_oracle(k, s, weight_of, p):

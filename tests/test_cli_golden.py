@@ -22,6 +22,7 @@ FILES = {
     "q": "5,2,0\n",
     "wt": "0,2\n1,0.75\n-3,4\n",
     "one": "0,1,0\n",
+    "flat": "0,0\n1,0\n2,1\n",  # phi = 0 on [0, 1]: no doubling probe at zero
 }
 
 # (argv with {file} placeholders, --format, exit code, stdout)
@@ -131,6 +132,13 @@ GOLDEN = [
     ('delta2 --phi expsq --depth 40', 'csv', 0,
      'limsup_estimate,sup_ratio,holds,probes_used,truncated\n'
      '4,31.192874850577361,True,41,False\n'),
+    # phi(1) = 0 ends the probe at its first point: the empty report
+    ('delta2 --phi tab:{flat}', 'json', 0,
+     '{"limsup_estimate": NaN, "sup_ratio": NaN, "holds": false,'
+     ' "probes_used": 0, "truncated": true}\n'),
+    ('delta2 --phi tab:{flat}', 'csv', 0,
+     'limsup_estimate,sup_ratio,holds,probes_used,truncated\n'
+     'NaN,NaN,False,0,True\n'),
     ('dominate --phi power:2 --psi expsq --gamma 1', 'json', 0,
      '{"holds": true, "gamma": 1, "t0": Infinity, "grid_checked": 4096,'
      ' "first_violation": null}\n'),
@@ -306,6 +314,11 @@ ERRORS = [
     ('tail-index --phi expsq --kprime 1 --k 0 --kappa 1 --epsilon 0.1 '
      '--weights bad', 2,
      "error: unknown weight descriptor 'bad'\n"),
+    # t_theta is a usage error whether or not the generator has the doubling condition
+    ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1 --epsilon 0.1 --t-theta -1', 2,
+     'error: t_theta must be finite and positive\n'),
+    ('tail-index --phi tab:{flat} --kprime 1 --k 0 --kappa 1 --epsilon 0.1 --t-theta -1', 2,
+     'error: t_theta must be finite and positive\n'),
     ('tail-index --phi power:2 --kprime 1 --k 0 --kappa 1e200 --epsilon 1', 3,
      'numeric failure: scaling bound failed down to t_theta=1: '
      'scaling ratio overflows on (0, 1] at theta=2e+200\n'),

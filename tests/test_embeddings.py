@@ -18,8 +18,8 @@ from orliczseq import embeddings, functions, spaces
 from orliczseq.cli import run
 from orliczseq.functions import MAX_GRID_POINTS
 from orliczseq.spaces import measures
-from helpers import (NON_MONOTONE_TABLE, StatedCube, exact_items, pow_or_inf,
-                     reference_sample_ball, scalar_phi_oracle)
+from helpers import (FLAT_NEAR_ZERO, NON_MONOTONE_TABLE, StatedCube, exact_items,
+                     pow_or_inf, reference_sample_ball, scalar_phi_oracle)
 
 W1 = WeightSequence.constant(1.0)
 CUBE_ROOT_4 = 1.5874010519681994748  # 4**(1/3), mode-b constant piece
@@ -115,6 +115,17 @@ def test_tiny_probe_window():
     # to; the search stops there instead of asking for an empty grid
     with pytest.raises(CertificateError, match="underflows on the whole probe grid"):
         uniform_tail_index(src, 0.0, 1.0, 0.1, t_theta=1e-300)
+
+
+@pytest.mark.parametrize("phi", [Power(2.0), FLAT_NEAR_ZERO], ids=["power", "flat"])
+def test_t_theta_is_validated_before_the_doubling_probe(phi):
+    src = SpaceParams(1.0, phi, W1)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^t_theta must be finite and positive$"):
+            uniform_tail_index(src, 0.0, 1.0, 0.1, t_theta=bad)
+    if phi is FLAT_NEAR_ZERO:  # a valid t_theta meets the doubling probe
+        with pytest.raises(PreconditionError, match="^doubling condition at zero fails"):
+            uniform_tail_index(src, 0.0, 1.0, 0.1)
 
 
 def test_failed_scaling_bound_retries_only_where_t_theta_matters(monkeypatch):

@@ -20,8 +20,8 @@ from orliczseq import (CertificateError, DomainError, ExpCompose, ExpLinear,
 from orliczseq.luxemburg import _solve
 from orliczseq.spaces import TermBatch
 from orliczseq.cli import run
-from helpers import (_EXPLIN_COEFFS, GUESS_NAMES, NON_MONOTONE_TABLE, bad_guess,
-                     mpmath_explin_root, random_vector, scalar_inverse_oracle,
+from helpers import (_EXPLIN_COEFFS, FLAT_NEAR_ZERO, GUESS_NAMES, NON_MONOTONE_TABLE,
+                     bad_guess, mpmath_explin_root, random_vector, scalar_inverse_oracle,
                      scalar_phi_oracle)
 
 E_MINUS_2 = 0.71828182845904523536
@@ -247,8 +247,7 @@ def test_inverses_equal_the_scalar_bisection(phi):
 def _dyadic_targets(phi):
     # targets phi(2**-j) and their neighbours, where the doubling bracket
     # stops (j <= 0) and where a bisection that halves hi from 1 turns: for j
-    # up to and past 200, where the halving ladder's first part ends, and up
-    # to 1074, where it ends at the smallest double
+    # up to and past 200, and up to 1074, where hi reaches the smallest double
     at = [scalar_phi_oracle(phi, 2.0 ** -j) for j in (*range(-10, 211), *range(1064, 1075))]
     ys = sorted({y for v in at for y in (v, *np.nextafter(v, [0.0, np.inf]).tolist())
                  if 0.0 <= y < math.inf})
@@ -286,6 +285,28 @@ def test_generic_inverses_close_within_53_steps(monkeypatch):
     for phi in BISECTED + [NON_MONOTONE_TABLE]:
         assert _forget_roots(phi).inverses(_dyadic_targets(phi))[1] == {}
     assert most and max(most) <= 53
+
+
+def test_the_power_of_two_table_is_evaluated_once_per_generator(monkeypatch):
+    sizes = []
+    raw = ExpLinear._raw_eval
+
+    def counted(self, t):
+        sizes.append(t.size)
+        return raw(self, t)
+
+    monkeypatch.setattr(ExpLinear, "_raw_eval", counted)
+    phi = ExpLinear()
+    for ys in ([0.25, 1e3], [1e-200, 7.0]):  # two cold calls: every target is bisected
+        assert _forget_roots(phi).inverses(ys)[0].tolist() == [
+            scalar_inverse_oracle(phi, y) for y in ys]
+    assert sizes.count(2098) == 1  # phi(2**j), j = -1074 ... 1023
+    # the composed generator bisects through its inner one, which keeps the table
+    outer = ExpCompose(ExpLinear())
+    outer.inverse(0.5)
+    assert "_inverse_table" not in vars(outer)
+    assert vars(outer.inner)["_inverse_table"].tolist() == vars(phi)["_inverse_table"].tolist()
+    assert sizes.count(2098) == 2
 
 
 def test_inverses_do_not_depend_on_the_guess(monkeypatch):
@@ -632,6 +653,21 @@ def test_validate_flags_plateau_table():
     assert validate_orlicz(flat, [5e-324]).violations[-1] == ("divergent", 2.0 ** 26, 1e9)
 
 
+def test_validate_flags_a_nonzero_value_at_zero():
+    class Shifted(OrliczFunction):
+        """1 + t**2: increasing, convex and divergent, but phi(0) = 1."""
+
+        def _raw_eval(self, t):
+            return 1.0 + t * t
+
+        def descriptor(self):
+            return "shifted"
+
+    report = validate_orlicz(Shifted())
+    assert not report.zero_at_zero and not report.all_pass
+    assert report.violations == (("zero_at_zero", 0.0, 1.0),)
+
+
 def test_validate_rejects_bad_grids():
     with pytest.raises(DomainError):
         validate_orlicz(Power(2.0), grid=[])
@@ -706,6 +742,13 @@ def test_delta2_depth_beyond_underflow_stops_at_zero():
     deep = delta2_at_zero(Power(1.0), GeometricProbe(1.0, 10 ** 9))
     assert deep == delta2_at_zero(Power(1.0), GeometricProbe(1.0, 1100))
     assert deep.truncated and deep.probes_used == 1075
+
+
+def test_delta2_of_a_generator_flat_at_zero_is_the_empty_report():
+    rep = delta2_at_zero(FLAT_NEAR_ZERO)
+    assert (rep.probes, rep.ratios, rep.probes_used) == ((), (), 0)
+    assert math.isnan(rep.sup_ratio) and math.isnan(rep.limsup_estimate)
+    assert not rep.holds and rep.truncated
 
 
 def test_delta2_probe_validation():

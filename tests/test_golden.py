@@ -59,7 +59,7 @@ INVERSE_VECTORS = {
     **VECTORS,
     # explin k=0.5 beyond |m| = 300: 1/mu(m) is below 1e-65; from |m| ~ 450
     # on its root lies below 2**-150, and from |m| ~ 600 on below 2**-200,
-    # where the halving ladder goes on towards the smallest double
+    # where hi has halved from 1 more than 200 times
     "far": SeqVector({2: 0.7, 310: 1e-20, -455: 3e-40 + 1e-40j, 520: 2e-45,
                       611: -5e-52, 700: 1e-60j}),
     # explin k=0.5: roots on both sides of 1/2 (1.15 at m=0 down to 0.30 at

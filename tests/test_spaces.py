@@ -854,6 +854,13 @@ def test_a_tail_sum_past_double_range_certifies_no_scale():
     assert report.certificates == () and report.note == "no scale certified"
 
 
+def test_a_linearization_point_past_the_generator_range_is_an_overflow():
+    # t* = 1e3 * 0.5 / 1 = 500, where expm1(500**2) overflows
+    with pytest.raises(ComputationOverflowError,
+                       match="^linearization point 500 overflows the generator; "):
+        modular_tail_bound(SpaceParams(0.0, ExpSquare(), W1), GeometricEnvelope(1e3, 0.5), 1.0, 1)
+
+
 _P2 = SpaceParams(0.0, Power(2.0), W1)
 _ENV = GeometricEnvelope(1.0, 0.5)
 # each public count or index argument: a call taking it, and its least value
