@@ -243,17 +243,17 @@ def uniform_tail_index(source: SpaceParams, target_k: float, kappa: float,
             f"epsilon={epsilon:g}")
     # a theta that underflows rounds up: a larger theta covers a larger ball
     theta = max(theta, math.ulp(0.0))
-    tt = t_theta
     for tries in range(64, 0, -1):
         try:
-            tb = theta_bound(phi, theta, tt)
+            tb = theta_bound(phi, theta, t_theta)
             break
         except CertificateError as exc:
             # a stated constant holds at every t_theta: halving cannot help
-            if phi._theta_constant(theta) is not None or tries == 1 or tt * 0.5 * _PROBE_DEPTH == 0:
+            if (phi._theta_constant(theta) is not None or tries == 1
+                    or t_theta * 0.5 * _PROBE_DEPTH == 0):
                 raise CertificateError(
-                    f"scaling bound failed down to t_theta={tt:g}: {exc}") from None
-            tt *= 0.5
+                    f"scaling bound failed down to t_theta={t_theta:g}: {exc}") from None
+            t_theta *= 0.5
 
     gap = source.k - target_k
     inv_w = 1.0 / source.weights.inf_w

@@ -19,18 +19,17 @@ bracket between powers of two, whose roots each generator remembers.
 ``_bisect`` is the one bisection of the package: the generic inverse and
 the Luxemburg norm solver both run it over their rows, and each row keeps
 the midpoints, decisions, step count and stopping test of a scalar
-bisection.  Each
-bracket it gets is at most one binade wide and closes within 53 halvings,
-so it needs no step cap.  A plain round halves every row once.  Once the
-rows are few and small, every round looks ahead instead: each row guesses
-its root by a secant in log rho through the signed excess at its bracket
-ends and lays out the midpoints the plain rounds would visit if that guess
-holds, up to its own stop or the round's cell budget; one wide evaluation
-decides every row's path.  The row then moves to its first decision that
-differs from the guess, or to the end of its path.  Each decision is the same
-comparison at the same midpoint as in a plain round, and the cells past it
-are discarded, so every result is bit for bit that of the plain rounds,
-whatever the guess.
+bisection.  Each bracket it gets is at most one binade wide and closes
+within 53 halvings, so it needs no step cap.  A plain round halves every
+row once.  Once the rows are few and small, every round looks ahead
+instead: each row guesses its root by a secant in log rho through the
+signed excess at its bracket ends and lays out the midpoints the plain
+rounds would visit if that guess holds, up to its own stop or the round's
+cell budget; one wide evaluation decides every row's path.  The row then
+moves to its first decision that differs from the guess, or to the end of
+its path.  Each decision is the same comparison at the same midpoint as in
+a plain round, and the cells past it are discarded, so every result is bit
+for bit that of the plain rounds, whatever the guess.
 """
 
 from __future__ import annotations
@@ -108,8 +107,9 @@ def _bisect(lo, hi, width: float, split, carry, excess, cells: int = 1):
     53 steps: [x, 2x] from the norm solver's doubling, and [2**(j-1), 2**j]
     for j = -1073 ... 1023 or [0, 2**-1074] from the generic inverse's
     table of phi at the powers of two.  Writes the final brackets into lo
-    and hi and returns them with each row's step count.  ``carry`` holds arrays with a
-    row each, and ``cells`` the cells one row's split evaluates.
+    and hi and returns them with each row's step count.  ``carry`` holds
+    arrays with a row each, and ``cells`` the cells one row's split
+    evaluates.
 
     ``split(mid, *carried)`` gets the open rows of each array in ``carry``.
     Given one mid per row it returns whether each row's root lies above mid
