@@ -359,7 +359,7 @@ def sample_ball(source: SpaceParams, kappa: float, seed: int, count: int = 1000,
             entries.setdefault(usable[m], z)
         # int indices, distinct keys, nonzero finite values: sorting makes them canonical
         items = sorted(entries.items(), key=_canonical_key) or [(0, 1.0 + 0.0j)]
-        drawn.append(SeqVector._canonical(tuple(items)))
+        drawn.append(SeqVector._canonical(items))
     radii = luxemburg_norms(source, drawn, norm_tol)
     return [p.scaled(u * kappa / r.value) for p, u, r in zip(drawn, fractions, radii)]
 

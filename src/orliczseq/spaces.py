@@ -194,10 +194,6 @@ def _canonical_key(item):
     return (abs(m), m >= 0)
 
 
-def _abs_index(item) -> int:
-    return abs(item[0])
-
-
 def _magnitude(m: int) -> float:
     """|m| as a float, inf beyond double range."""
     try:
@@ -206,15 +202,24 @@ def _magnitude(m: int) -> float:
         return math.inf
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _index_array(ms) -> np.ndarray:
     """The ints ``ms`` as a read-only array: int64, or Python ints (object)
     when one is beyond int64."""
     try:
-        out = np.array(ms, dtype=np.int64)
+        return _read_only(np.array(ms, dtype=np.int64))
     except OverflowError:
-        out = np.array(ms, dtype=object)
-    out.flags.writeable = False
-    return out
+        return _read_only(np.array(ms, dtype=object))
+
+
+def _entry_arrays(items):
+    """The read-only index and complex128 value arrays of (index, value) pairs."""
+    return (_index_array([m for m, _ in items]),
+            _read_only(np.array([v for _, v in items], dtype=complex)))
 
 
 def _index_list(support) -> list:
@@ -234,12 +239,15 @@ class SeqVector:
 
     Construction accepts an iterable of (index, value) pairs or a dict.
     Duplicate indices are a hard error; exact zero values are dropped so the
-    stored support is the true support.  The support tuple, the read-only
-    |p_m| array and the read-only array of the indices (``_indices``) are
-    built on first use and kept; tails and restrictions view them.
+    stored support is the true support.  The vector is two read-only arrays
+    in support order: its indices (``_indices``; int64, or Python ints past
+    int64) and its values (complex128).  ``items`` and ``values`` are built
+    from them on each call; the support tuple and the read-only |p_m| array
+    are built on first use and kept.  Tails and restrictions view the arrays
+    of the vector they cut, and ``scaled`` shares its indices.
     """
 
-    __slots__ = ("_items", "_support", "_abs", "_ms")
+    __slots__ = ("_ms", "_vals", "_support", "_abs")
 
     def __init__(self, items=()):
         pairs = items.items() if isinstance(items, dict) else items
@@ -247,15 +255,18 @@ class SeqVector:
         for m, v in pairs:
             if type(m) is not int:
                 m = _whole(m, -math.inf, f"index {m!r} is not an integer")
-            v = complex(v)
+            try:
+                v = complex(v)
+            except (TypeError, ValueError):
+                raise DomainError(f"value at index {m} is not a number") from None
             if m in seen:
                 raise DomainError(f"duplicate index {m} in sequence construction")
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise DomainError(f"value at index {m} must be finite")
             seen[m] = v
-        self._items = tuple(sorted(
-            ((m, v) for m, v in seen.items() if v != 0), key=_canonical_key))
-        self._support = self._abs = self._ms = None
+        items = sorted(((m, v) for m, v in seen.items() if v != 0), key=_canonical_key)
+        self._ms, self._vals = _entry_arrays(items)
+        self._support = self._abs = None
 
     @classmethod
     def from_csv(cls, path) -> "SeqVector":
@@ -264,72 +275,72 @@ class SeqVector:
 
     @property
     def items(self):
-        return self._items
+        return tuple(zip(self._ms.tolist(), self._vals.tolist()))
 
     @property
     def support(self):
         if self._support is None:
-            self._support = tuple(m for m, _ in self._items)
+            self._support = tuple(self._ms.tolist())
         return self._support
 
     @property
     def values(self):
-        return tuple(v for _, v in self._items)
+        return tuple(self._vals.tolist())
 
     def abs_values(self) -> np.ndarray:
-        """|p_m| in support order; the array is shared, so it is read-only."""
+        """|p_m| in support order; the array is shared, so it is read-only.
+        Each |p_m| is CPython's ``abs``, which numpy's complex abs does not
+        match bit for bit."""
         if self._abs is None:
-            a = np.array([abs(v) for _, v in self._items], dtype=float)
-            a.flags.writeable = False
-            self._abs = a
+            self._abs = _read_only(np.array([abs(v) for v in self._vals.tolist()], dtype=float))
         return self._abs
 
     def _indices(self) -> np.ndarray:
         """The support as a read-only array: int64, or Python ints (object)
         when an index is beyond int64."""
-        if self._ms is None:
-            self._ms = _index_array(self.support)
         return self._ms
 
     def _row(self):
         """The vector as a term batch row: its indices and |p_m|."""
-        return self._indices(), self.abs_values()
+        return self._ms, self.abs_values()
 
     @property
     def max_abs_index(self) -> int:
-        return abs(self._items[-1][0]) if self._items else 0
+        return abs(int(self._ms[-1])) if len(self._ms) else 0
 
     def __len__(self):
-        return len(self._items)
+        return len(self._ms)
 
     def __bool__(self):
-        return bool(self._items)
+        return len(self._ms) > 0
 
     def __eq__(self, other):
-        return isinstance(other, SeqVector) and self._items == other._items
+        return isinstance(other, SeqVector) and self.items == other.items
 
     def __hash__(self):
-        return hash(self._items)
+        return hash(self.items)
 
     def scaled(self, lam: complex) -> "SeqVector":
-        """lam * p; products that underflow to 0 leave the support."""
+        """lam * p, each product CPython's; products that underflow to 0
+        leave the support."""
         lam = complex(lam)
         if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
             raise DomainError("scale factor must be finite")
-        items = tuple((m, lam * v) for m, v in self._items)
-        for m, v in items:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise DomainError(f"value at index {m} must be finite")
-        kept = tuple(item for item in items if item[1])
-        if len(kept) < len(items):
-            return SeqVector._canonical(kept)
-        return SeqVector._canonical(kept, self._support, indices=self._ms)
+        vals = _read_only(np.array([lam * v for v in self._vals.tolist()], dtype=complex))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            m = self._ms[int(np.argmin(finite))]
+            raise DomainError(f"value at index {m} must be finite")
+        kept = vals != 0
+        if not kept.all():
+            return SeqVector._from_arrays(_read_only(self._ms[kept]), _read_only(vals[kept]))
+        return SeqVector._from_arrays(self._ms, vals, self._support)
 
     def __add__(self, other: "SeqVector") -> "SeqVector":
         if not isinstance(other, SeqVector):
             return NotImplemented
-        acc = dict(self._items)
-        for m, v in other._items:
+        acc = dict(self.items)
+        for m, v in other.items:
             acc[m] = acc.get(m, 0j) + v
         return SeqVector(acc)
 
@@ -339,30 +350,39 @@ class SeqVector:
         return self + other.scaled(-1.0)
 
     @classmethod
-    def _canonical(cls, items: tuple, support=None, abs_values=None,
-                   indices=None) -> "SeqVector":
-        """The vector of items already in canonical order, nonzero and finite."""
+    def _canonical(cls, items) -> "SeqVector":
+        """The vector of (index, value) pairs already in canonical order,
+        with int indices and nonzero finite complex values."""
+        return cls._from_arrays(*_entry_arrays(items))
+
+    @classmethod
+    def _from_arrays(cls, ms: np.ndarray, vals: np.ndarray, support=None,
+                     abs_values=None) -> "SeqVector":
+        """The vector of read-only index and value arrays in canonical order."""
         out = cls.__new__(cls)
-        out._items, out._support, out._abs, out._ms = items, support, abs_values, indices
+        out._ms, out._vals, out._support, out._abs = ms, vals, support, abs_values
         return out
 
     def _slice(self, cut: slice) -> "SeqVector":
-        """The vector of a slice of the canonical items, viewing this one's arrays."""
-        return SeqVector._canonical(self._items[cut], self.support[cut],
-                                    self.abs_values()[cut], self._indices()[cut])
+        """The vector of a slice of the canonical entries, viewing this one's
+        arrays and slicing whatever of its support and |p_m| is built."""
+        s, a = self._support, self._abs
+        return SeqVector._from_arrays(self._ms[cut], self._vals[cut],
+                                      None if s is None else s[cut],
+                                      None if a is None else a[cut])
 
     def restrict(self, max_abs: int) -> "SeqVector":
         """Keep indices with |m| <= max_abs: a prefix in canonical order."""
-        return self._slice(slice(bisect.bisect_right(self._items, max_abs, key=_abs_index)))
+        return self._slice(slice(bisect.bisect_right(self.support, max_abs, key=abs)))
 
     def tail(self, min_abs: int) -> "SeqVector":
         """Keep indices with |m| >= min_abs: a suffix in canonical order."""
-        return self._slice(slice(bisect.bisect_left(self._items, min_abs, key=_abs_index),
-                                 None))
+        return self._slice(slice(bisect.bisect_left(self.support, min_abs, key=abs), None))
 
     def __repr__(self):
-        body = ", ".join(f"{m}: {v}" for m, v in self._items[:6])
-        more = "" if len(self._items) <= 6 else f", ... ({len(self._items)} terms)"
+        body = ", ".join(f"{m}: {v}" for m, v in zip(self._ms[:6].tolist(),
+                                                      self._vals[:6].tolist()))
+        more = "" if len(self) <= 6 else f", ... ({len(self)} terms)"
         return f"SeqVector({{{body}{more}}})"
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ def test_an_index_that_is_not_whole_is_a_domain_error(m):
     assert SeqVector({2.0: 3.0}).support == (2,)
 
 
+@pytest.mark.parametrize("v", [None, "x", "1+", b"1", [1.0]], ids=repr)
+def test_a_value_that_is_not_a_number_is_a_domain_error(v):
+    with pytest.raises(DomainError, match="^value at index -2 is not a number$"):
+        SeqVector([(0, 1.0), (-2, v), (0, 2.0)])
+    with pytest.raises(DomainError, match="^index 0.5 is not an integer$"):
+        SeqVector([(0.5, v)])  # checked in input order: the index first
+    assert SeqVector({0: "1+2j", 1: np.float64(0.5), 2: True, 3: 2}).values == (
+        1 + 2j, 0.5 + 0j, 1 + 0j, 2 + 0j)
+
+
 def test_seqvector_arithmetic():
     p = SeqVector({0: 1.0, 2: 2.0})
     q = SeqVector({0: -1.0, 3: 1j})
@@ -159,6 +170,30 @@ def test_seqvector_keeps_support_and_read_only_abs_values():
             assert part.support == fresh.support
             assert part.abs_values().tolist() == fresh.abs_values().tolist()
             assert not part.abs_values().flags.writeable
+    # |p_m| is CPython's abs; numpy's vectorised complex abs (AVX-512) rounds these differently
+    q = SeqVector({0: 0.8484211680474587-0.06869985980045334j,
+                   1: 0.01568254612454223+0.1747696576997939j,
+                   -2: -0.8117530875415631-0.393197474750949j})
+    assert [x.hex() for x in q.abs_values().tolist()] == [abs(v).hex() for v in q.values]
+
+
+def test_seqvector_keeps_two_arrays_not_an_object_per_entry(tmp_path):
+    # int64 indices, complex128 values and, once its row is built, float |p_m|:
+    # 32 B an entry; a Python (int, complex) pair an entry would keep over 120 B
+    rng = random.Random(3)
+    f = tmp_path / "p.csv"
+    f.write_text("".join(f"{(-1) ** m * m},{rng.uniform(-1, 1)!r},{rng.uniform(-1, 1)!r}\n"
+                         for m in range(10_000)))
+    tracemalloc.start()
+    try:
+        p = SeqVector.from_csv(f)
+        p._row()
+        kept = tracemalloc.get_traced_memory()[0]
+        del p
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / 10_000 <= 48
 
 
 def test_scaled_equals_a_fresh_vector():
