@@ -259,6 +259,8 @@ class SeqVector:
                 v = complex(v)
             except (TypeError, ValueError):
                 raise DomainError(f"value at index {m} is not a number") from None
+            except OverflowError:  # an int or fraction past double range
+                raise DomainError(f"value at index {m} must be finite") from None
             if m in seen:
                 raise DomainError(f"duplicate index {m} in sequence construction")
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -365,11 +367,10 @@ class SeqVector:
 
     def _slice(self, cut: slice) -> "SeqVector":
         """The vector of a slice of the canonical entries, viewing this one's
-        arrays and slicing whatever of its support and |p_m| is built."""
-        s, a = self._support, self._abs
-        return SeqVector._from_arrays(self._ms[cut], self._vals[cut],
-                                      None if s is None else s[cut],
-                                      None if a is None else a[cut])
+        arrays.  Its |p_m| is built here and shared, so the many tails of a
+        Schauder curve compute each |p_m| once."""
+        return SeqVector._from_arrays(self._ms[cut], self._vals[cut], self.support[cut],
+                                      self.abs_values()[cut])
 
     def restrict(self, max_abs: int) -> "SeqVector":
         """Keep indices with |m| <= max_abs: a prefix in canonical order."""

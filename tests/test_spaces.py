@@ -117,6 +117,8 @@ def test_seqvector_contract():
         SeqVector([(0.5, 1.0)])
     with pytest.raises(DomainError):
         SeqVector([(0, complex(math.inf, 0.0))])
+    with pytest.raises(DomainError, match="^value at index 3 must be finite$"):
+        SeqVector([(3, 10 ** 400)])
     assert len(SeqVector([(0, 0.0), (1, 1.0)])) == 1  # exact zeros dropped
     assert not SeqVector()
 
