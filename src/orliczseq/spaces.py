@@ -244,7 +244,7 @@ class SeqVector:
     int64) and its values (complex128).  ``items`` and ``values`` are built
     from them on each call; the support tuple and the read-only |p_m| array
     are built on first use and kept.  Tails and restrictions view the arrays
-    of the vector they cut, and ``scaled`` shares its indices.
+    of the vector they cut, |p_m| included, and ``scaled`` shares its indices.
     """
 
     __slots__ = ("_ms", "_vals", "_support", "_abs")
@@ -291,8 +291,8 @@ class SeqVector:
 
     def abs_values(self) -> np.ndarray:
         """|p_m| in support order; the array is shared, so it is read-only.
-        Each |p_m| is CPython's ``abs``, which numpy's complex abs does not
-        match bit for bit."""
+        Each |p_m| is CPython's ``abs``: numpy's vectorised complex abs can
+        differ from it in the last bit."""
         if self._abs is None:
             self._abs = _read_only(np.array([abs(v) for v in self._vals.tolist()], dtype=float))
         return self._abs

@@ -1119,6 +1119,7 @@ def test_classify_builds_no_vector_for_its_window(monkeypatch):
         raise AssertionError("a vector was built")
 
     monkeypatch.setattr(SeqVector, "_canonical", refuse)
+    monkeypatch.setattr(SeqVector, "_from_arrays", refuse)
     got = classify(params, None, env, 3)
     assert got == want and all(c.modular_upper is not None for c in got.certificates)
 
